@@ -26,7 +26,7 @@ from random import Random
 
 from .errors import LengthMismatch, PqbenchError
 from .hashing import HashFunction
-from .serialize import pack, u32
+from .serialize import MalformedFrame, pack, u32, unpack
 
 SECRET_BYTES = 32
 
@@ -337,8 +337,6 @@ def serialize_mss_signature(sig: MssSignature) -> bytes:
 
 
 def deserialize_mss_signature(data: bytes) -> MssSignature:
-    from .serialize import MalformedFrame, unpack
-
     try:
         idx, ots_sig, list0, list1, proof_idx, sibs, sides = unpack(data, 7)
         siblings = unpack(sibs)

@@ -12,7 +12,9 @@ signing is inherently randomized draw their randomness from a hash of
 The stub instances are test doubles: honest implementations of the
 contracts with configurable key and payload sizes, used by the handshake
 simulation to model wire costs of schemes this package does not
-implement.
+implement.  Their filler bytes are expanded from one digest of a seed,
+so producing or checking a stub key, ciphertext or signature hashes each
+input byte once, however many bytes it expands to.
 """
 
 from __future__ import annotations
@@ -181,12 +183,10 @@ def identity_stub_kem(h: HashFunction = _H) -> KemInstance:
 
 
 def _stretch(h: HashFunction, seed: bytes, size: int) -> bytes:
-    out = bytearray()
-    counter = 0
-    while len(out) < size:
-        out += h(seed + counter.to_bytes(4, "big"))
-        counter += 1
-    return bytes(out[:size])
+    """size bytes expanded from one digest of seed, in counter mode."""
+    digest = h(seed)
+    blocks = -(-size // h.output_bytes)
+    return b"".join(h(digest + u32(counter)) for counter in range(blocks))[:size]
 
 
 def sized_stub_kem(name: str, public_bytes: int, ciphertext_bytes: int,
@@ -201,7 +201,8 @@ def sized_stub_kem(name: str, public_bytes: int, ciphertext_bytes: int,
     def encaps(public: bytes, rng: Random):
         if len(public) != public_bytes:
             raise DecapsFailure(f"{name}: unexpected public key size {len(public)}")
-        return _stretch(h, b"ct" + public, ciphertext_bytes), h(b"ss" + public)
+        shared = h(b"ss" + public)
+        return _stretch(h, b"ct" + shared, ciphertext_bytes), shared
 
     def decaps(secret: bytes, ciphertext: bytes):
         if len(ciphertext) != ciphertext_bytes:
@@ -213,8 +214,9 @@ def sized_stub_kem(name: str, public_bytes: int, ciphertext_bytes: int,
 
 def sized_stub_sig(name: str, public_bytes: int, signature_bytes: int,
                    h: HashFunction = _H) -> SigInstance:
-    """Honest fixed-size signatures: the signature is a keyed hash stretch,
-    so verification genuinely depends on every byte."""
+    """Honest fixed-size signatures: the signature is a stretch of one
+    digest of public key and message, so verification genuinely depends
+    on every byte of both while hashing each of them only once."""
 
     def keypair(rng: Random):
         seed = rng.randbytes(16)

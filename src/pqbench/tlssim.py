@@ -32,6 +32,7 @@ are classical see no such variation.
 
 from __future__ import annotations
 
+import functools
 import statistics
 import threading
 import time
@@ -77,6 +78,11 @@ class ConnectionClosed(PqbenchError):
 
 class InconsistentByteCounts(PqbenchError):
     """Byte counts varied across iterations of a fixed-size measurement."""
+
+
+class ServerCrashed(PqbenchError):
+    """The server side raised something other than a PqbenchError; the
+    original exception is the __cause__."""
 
 
 class MeasureAborted(PqbenchError):
@@ -361,11 +367,15 @@ def certificate_signing_bytes(cert: Certificate) -> bytes:
                 cert.subject_public_key)
 
 
+@functools.lru_cache(maxsize=64)
 def pinned_issuer(sig: SigInstance) -> tuple[bytes, bytes]:
     """The well-known issuer keypair for a signature scheme.
 
     Derived from a fixed seed so every party can recompute it; this is
-    the single trust anchor (no chains).
+    the single trust anchor (no chains).  Memoised per SigInstance, so a
+    handshake pays for the derivation only the first time an instance
+    is used; timing the scheme's keypair itself goes through bench, which
+    never sees this cache.
     """
     seed = DEFAULT_HASH(b"pqbench pinned issuer: " + sig.name.encode())
     return sig.keypair(Random(seed))
@@ -516,6 +526,18 @@ def server_handshake(cfg: SuiteConfig, identity: Identity, conn,
 # --- orchestration ---
 
 
+def _guarded_server_handshake(cfg: SuiteConfig, identity: Identity, conn,
+                              rng: Random) -> SideResult:
+    """server_handshake with any foreign exception wrapped in ServerCrashed,
+    so it reaches run_handshake's caller instead of threading.excepthook."""
+    try:
+        return server_handshake(cfg, identity, conn, rng)
+    except PqbenchError:
+        raise
+    except Exception as e:
+        raise ServerCrashed(f"server raised {type(e).__name__}: {e}") from e
+
+
 @dataclass(frozen=True)
 class HandshakeTranscript:
     messages: tuple[tuple[str, int], ...]
@@ -548,7 +570,8 @@ def run_handshake(client_cfg: SuiteConfig, server_cfg: SuiteConfig,
 
     def serve():
         try:
-            outcome["result"] = server_handshake(server_cfg, identity, server_end, server_rng)
+            outcome["result"] = _guarded_server_handshake(
+                server_cfg, identity, server_end, server_rng)
         except PqbenchError as e:
             outcome["error"] = e
 

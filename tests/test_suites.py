@@ -4,8 +4,10 @@ from random import Random
 
 import pytest
 
+from pqbench.hashing import DEFAULT_HASH, HashFunction
 from pqbench.kex import DecapsFailure
 from pqbench.suites import (
+    _stretch,
     builtin_kems,
     builtin_sigs,
     sized_stub_kem,
@@ -112,3 +114,54 @@ def test_sized_stub_sig_reports_requested_sizes():
     assert sig.verify(pk, b"m", s)
     flipped = bytes([s[0] ^ 1]) + s[1:]
     assert not sig.verify(pk, b"m", flipped)
+
+
+class CountingHash:
+    """Wraps a HashFunction and records the length of every input."""
+
+    def __init__(self, h=DEFAULT_HASH):
+        self.lengths = []
+        self.h = HashFunction(h.name, h.output_bytes, self._apply)
+        self._inner = h
+
+    def _apply(self, data):
+        self.lengths.append(len(data))
+        return self._inner(data)
+
+
+@pytest.mark.parametrize("seed_len,size", [(0, 0), (5, 1), (16, 32), (15632, 1088), (20, 2420)])
+def test_stretch_hashes_its_seed_once(seed_len, size):
+    counting = CountingHash()
+    out = _stretch(counting.h, bytes(seed_len), size)
+    assert len(out) == size
+    block = counting.h.output_bytes
+    blocks = -(-size // block)
+    assert sum(counting.lengths) == seed_len + blocks * (block + 4)
+
+
+def test_stretch_prefixes_agree_and_depend_on_seed():
+    assert _stretch(DEFAULT_HASH, b"seed", 100)[:40] == _stretch(DEFAULT_HASH, b"seed", 40)
+    assert _stretch(DEFAULT_HASH, b"seed", 64) != _stretch(DEFAULT_HASH, b"seeD", 64)
+
+
+def test_stub_kem_hashes_its_long_public_key_at_most_twice():
+    counting = CountingHash()
+    kem = sized_stub_kem("x", 15632, 1088, counting.h)
+    rng = Random(50)
+    pk, sk = kem.keypair(rng)
+    counting.lengths.clear()
+    ct, ss = kem.encaps(pk, rng)
+    assert kem.decaps(sk, ct) == ss
+    assert sum(1 for n in counting.lengths if n >= len(pk)) <= 2
+
+
+def test_stub_sig_hashes_a_long_message_at_most_twice():
+    counting = CountingHash()
+    sig = sized_stub_sig("x", 1312, 2420, counting.h)
+    rng = Random(51)
+    pk, sk = sig.keypair(rng)
+    msg = rng.randbytes(16 * 1024)
+    counting.lengths.clear()
+    s = sig.sign(sk, msg)
+    assert sig.verify(pk, msg, s)
+    assert sum(1 for n in counting.lengths if n >= len(msg)) <= 2

@@ -2,6 +2,7 @@
 failure modes, byte accounting, and the registry-sized stub suites."""
 
 import socket
+import sys
 import threading
 from random import Random
 
@@ -10,6 +11,7 @@ import pytest
 from pqbench.bench import FakeClock
 from pqbench.errors import PqbenchError
 from pqbench.hashing import DEFAULT_HASH
+from pqbench.kex import SigInstance
 from pqbench.serialize import MalformedFrame
 from pqbench.suites import builtin_kems, builtin_sigs
 from pqbench.tlssim import (
@@ -27,6 +29,7 @@ from pqbench.tlssim import (
     MeasureAborted,
     MemoryEndpoint,
     NegotiationFailure,
+    ServerCrashed,
     ServerHello,
     SuiteConfig,
     UnexpectedMessage,
@@ -177,11 +180,62 @@ def test_identity_verifies_and_tamper_fails():
     assert not verify_certificate(forged, sig)
 
 
+def counted_keypair_sig(name="wots"):
+    """A fresh SigInstance over a built-in signer whose keypair calls are counted."""
+    base = builtin_sigs(H)[name]
+    calls = []
+
+    def keypair(rng):
+        calls.append(name)
+        return base.keypair(rng)
+
+    return SigInstance(base.name, keypair, base.sign, base.verify), calls
+
+
 def test_pinned_issuer_is_reproducible():
-    sig = builtin_sigs(H)["wots"]
-    assert pinned_issuer(sig) == pinned_issuer(sig)
+    # two independently built instances are distinct memo keys, so the
+    # second derivation is recomputed, not served from the cache
+    sig, other_build = builtin_sigs(H)["wots"], builtin_sigs(H)["wots"]
+    assert sig != other_build
+    assert pinned_issuer(sig) == pinned_issuer(other_build)
     other = builtin_sigs(H)["lamport"]
     assert pinned_issuer(sig) != pinned_issuer(other)
+
+
+def test_pinned_issuer_is_derived_once_per_instance():
+    sig, calls = counted_keypair_sig()
+    cfg = SuiteConfig(builtin_kems(H)["lwe-toy"], sig, H, "lwe-wots")
+    for done in range(1, 6):
+        t = run_handshake(cfg, cfg, rng=Random(done))
+        assert t.client_key_digest == t.server_key_digest
+        # one issuer derivation in all, plus one server keypair per handshake
+        assert len(calls) == 1 + done
+
+
+def test_pinned_issuer_agrees_across_threads():
+    sig, calls = counted_keypair_sig()
+    results = [None] * 8
+    barrier = threading.Barrier(len(results))
+
+    def worker(i):
+        barrier.wait(timeout=30)
+        results[i] = pinned_issuer(sig)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(results))]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert results[0] is not None
+    assert all(r == results[0] for r in results)
+    assert results[0] == pinned_issuer(builtin_sigs(H)["wots"])
+    assert 1 <= len(calls) <= len(results)
 
 
 def test_certificate_signing_bytes_exclude_issuer_signature():
@@ -271,6 +325,28 @@ def test_out_of_order_message_rejected():
     server.send(encode_message(EncryptedExtensions(b"early")))
     with pytest.raises(UnexpectedMessage):
         client_handshake(small_suite(), client, Random(0))
+
+
+def test_foreign_server_exception_is_wrapped_with_cause(monkeypatch):
+    base = builtin_sigs(H)["wots"]
+    signs = []
+
+    def sign(secret, msg):
+        signs.append(msg)
+        if len(signs) > 1:  # the first call is the issuer signing the certificate
+            raise ValueError("sign exploded")
+        return base.sign(secret, msg)
+
+    sig = SigInstance(base.name, base.keypair, sign, base.verify)
+    cfg = SuiteConfig(builtin_kems(H)["lwe-toy"], sig, H, "lwe-wots")
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    with pytest.raises(ServerCrashed) as excinfo:
+        run_handshake(cfg, cfg, rng=Random(12))
+    assert isinstance(excinfo.value, PqbenchError)
+    assert isinstance(excinfo.value.__cause__, ValueError)
+    assert "sign exploded" in str(excinfo.value)
+    assert hooked == []
 
 
 def flip_last_byte_of(tag):
