@@ -115,6 +115,17 @@ class BenchRecord:
             raise ValueError(f"unknown operation {self.operation!r}")
 
 
+def summarize(durations_us: list[float], total_elapsed_us: float) -> BenchStats:
+    """Sample statistics of per-call durations: mean and sample stddev
+    (0 for a single call)."""
+    return BenchStats(
+        n=len(durations_us),
+        mean_us=statistics.fmean(durations_us),
+        stddev_us=statistics.stdev(durations_us) if len(durations_us) > 1 else 0.0,
+        total_elapsed_us=total_elapsed_us,
+    )
+
+
 def run_timed(op: Callable[[], object], config: BenchConfig) -> BenchStats:
     """Call op until the interval expires; a call that begins before the
     cutoff is completed and counted.  At least one call always happens."""
@@ -132,13 +143,7 @@ def run_timed(op: Callable[[], object], config: BenchConfig) -> BenchStats:
         except Exception as e:
             raise BenchFailure(f"benchmarked op raised {type(e).__name__}: {e}") from e
         durations_ns.append(clock() - t0)
-    dur_us = [d / 1000 for d in durations_ns]
-    return BenchStats(
-        n=len(dur_us),
-        mean_us=statistics.fmean(dur_us),
-        stddev_us=statistics.stdev(dur_us) if len(dur_us) > 1 else 0.0,
-        total_elapsed_us=(region_end - region_start) / 1000,
-    )
+    return summarize([d / 1000 for d in durations_ns], (region_end - region_start) / 1000)
 
 
 def adaptive_bench(op: Callable[[], object], config: BenchConfig) -> BenchStats:

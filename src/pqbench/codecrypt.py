@@ -187,6 +187,8 @@ def deserialize_code_matrix(data: bytes) -> tuple[BinaryMatrix, int]:
     n = int.from_bytes(data[0:4], "big")
     k = int.from_bytes(data[4:8], "big")
     t = int.from_bytes(data[8:12], "big")
+    if t > n:
+        raise MalformedFrame(f"t={t} exceeds code length n={n}")
     row_bytes = (n + 7) // 8
     if len(data) != 12 + k * row_bytes:
         raise MalformedFrame(f"expected {12 + k * row_bytes} bytes, got {len(data)}")

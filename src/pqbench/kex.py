@@ -36,7 +36,7 @@ class DecapsFailure(PqbenchError):
     """Decapsulation could not recover a shared secret."""
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     return n >= 2 and all(n % p for p in range(2, int(n**0.5) + 1))
 
 
@@ -49,7 +49,7 @@ class CurveParams:
     b: int
 
     def __post_init__(self):
-        if not _is_prime(self.q) or self.q < 5:
+        if not is_prime(self.q) or self.q < 5:
             raise ValueError(f"q must be a prime >= 5, got {self.q}")
         if (4 * self.a**3 + 27 * self.b**2) % self.q == 0:
             raise ValueError("singular curve: 4a^3 + 27b^2 = 0")

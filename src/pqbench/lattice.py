@@ -21,19 +21,11 @@ from fractions import Fraction
 from random import Random
 
 from .errors import DimensionMismatch, LengthMismatch, PqbenchError, TooLarge
+from .kex import is_prime
 
 SIS_MAX_M = 18
 SVP_MAX_DIM = 4
 SVP_MAX_BOUND = 10
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in range(2, int(n**0.5) + 1):
-        if n % p == 0:
-            return False
-    return True
 
 
 def centered(x: int, q: int) -> int:
@@ -59,7 +51,7 @@ class LweParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.q < 5 or not _is_prime(self.q):
+        if self.q < 5 or not is_prime(self.q):
             raise ValueError(f"q must be a prime >= 5, got {self.q}")
         if self.m < self.n:
             raise ValueError("m must be >= n")

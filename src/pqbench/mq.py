@@ -21,6 +21,7 @@ from random import Random
 
 from .errors import DimensionMismatch, LengthMismatch, PqbenchError, TooLarge
 from .hashing import HashFunction
+from .kex import is_prime
 
 PREIMAGE_CAP = 10**6
 MAX_FIELD = 31
@@ -30,10 +31,6 @@ class RetriesExhausted(PqbenchError):
     """Signing kept drawing vinegar values that make the system singular."""
 
 
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % p for p in range(2, int(n**0.5) + 1))
-
-
 @dataclass(frozen=True)
 class PrimeField:
     """Arithmetic mod a small prime; inversion by Fermat."""
@@ -41,7 +38,7 @@ class PrimeField:
     q: int
 
     def __post_init__(self):
-        if not _is_prime(self.q) or self.q > MAX_FIELD:
+        if not is_prime(self.q) or self.q > MAX_FIELD:
             raise ValueError(f"q must be a prime <= {MAX_FIELD}, got {self.q}")
 
     def add(self, a, b):

@@ -25,6 +25,7 @@ from typing import Any, Callable
 
 from .errors import PqbenchError
 from .hashing import HashFunction
+from .kex import is_prime
 
 
 class InvalidGroup(PqbenchError):
@@ -105,10 +106,6 @@ def fs_verify(rel: SigmaRelation, public, msg: bytes, sig: FsSignature,
 # --- discrete-log relation ---
 
 
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % p for p in range(2, int(n**0.5) + 1))
-
-
 def _int_bytes(x: int) -> bytes:
     return x.to_bytes(8, "big")
 
@@ -135,7 +132,7 @@ def dlog_relation(p: int, g: int, challenge_count: int | None = None) -> DlogSet
     verifier checks g^r == commitment * y^c.  challenge_count defaults to
     the group order.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise InvalidGroup(f"p={p} is not prime")
     if not 2 <= g < p:
         raise InvalidGroup(f"generator {g} outside 2..p-1")

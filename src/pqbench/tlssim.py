@@ -4,11 +4,15 @@ Seven messages cross the wire, always in this order: ClientHello,
 ServerHello, EncryptedExtensions, Certificate, CertificateVerify,
 server Finished, client Finished.  The client's key share rides in the
 ClientHello, the server's encapsulation in the ServerHello, and both
-sides derive four handshake keys from the shared secret and a running
-transcript hash.  The server authenticates with a toy certificate signed
-by one pinned issuer (no chains, no expiry) and a CertificateVerify
-signature over the transcript; both directions finish with a keyed-hash
-MAC over everything seen so far.
+sides derive four handshake keys from the shared secret and a hash of
+the transcript.  Each side hashes the full transcript at four points:
+after ServerHello for the key schedule, through Certificate for the
+CertificateVerify input, through CertificateVerify for the server
+Finished, and through server Finished for the client Finished.  The
+server authenticates with a toy certificate signed by one pinned issuer
+(no chains, no expiry) and a CertificateVerify signature over the
+transcript; both directions finish with a keyed-hash MAC over
+everything seen so far.
 
 Wire format: every message is a frame of one type tag byte, a four-byte
 big-endian payload length, and the payload; multi-field payloads carry
@@ -33,14 +37,14 @@ are classical see no such variation.
 from __future__ import annotations
 
 import functools
-import statistics
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from queue import SimpleQueue
 from random import Random
 from typing import Callable
 
+from .bench import summarize
 from .errors import PqbenchError
 from .hashing import DEFAULT_HASH, HashFunction
 from .kex import KemInstance, SigInstance
@@ -154,10 +158,7 @@ _MESSAGE_TAGS = {
     FinishedClient: 7,
 }
 _TAG_TYPES = {tag: cls for cls, tag in _MESSAGE_TAGS.items()}
-
-
-def _label_bytes(text: str) -> bytes:
-    return text.encode("utf-8")
+_SINGLE_FIELD = (EncryptedExtensions, CertificateVerify, FinishedServer, FinishedClient)
 
 
 def _decode_label(raw: bytes) -> str:
@@ -170,20 +171,15 @@ def _decode_label(raw: bytes) -> str:
 def _encode_payload(msg) -> bytes:
     if isinstance(msg, ClientHello):
         return u32(len(msg.offered_suites)) + pack(
-            *(_label_bytes(s) for s in msg.offered_suites), msg.kem_public
+            *(s.encode() for s in msg.offered_suites), msg.kem_public
         )
     if isinstance(msg, ServerHello):
-        return pack(_label_bytes(msg.chosen_suite), msg.kem_ciphertext)
-    if isinstance(msg, EncryptedExtensions):
-        return msg.payload
+        return pack(msg.chosen_suite.encode(), msg.kem_ciphertext)
     if isinstance(msg, CertificateMessage):
-        c = msg.cert
-        return pack(_label_bytes(c.subject), _label_bytes(c.sig_scheme),
-                    c.subject_public_key, c.issuer_signature)
-    if isinstance(msg, CertificateVerify):
-        return msg.signature
-    if isinstance(msg, (FinishedServer, FinishedClient)):
-        return msg.mac
+        return certificate_signing_bytes(msg.cert) + pack(msg.cert.issuer_signature)
+    if isinstance(msg, _SINGLE_FIELD):
+        (payload,) = astuple(msg)
+        return payload
     raise TypeError(f"not a handshake message: {msg!r}")
 
 
@@ -211,18 +207,12 @@ def decode_message(data: bytes):
     if cls is ServerHello:
         label, ct = unpack(payload, 2)
         return ServerHello(_decode_label(label), ct)
-    if cls is EncryptedExtensions:
-        return EncryptedExtensions(payload)
     if cls is CertificateMessage:
         subject, scheme, key, sig = unpack(payload, 4)
         return CertificateMessage(
             Certificate(_decode_label(subject), _decode_label(scheme), key, sig)
         )
-    if cls is CertificateVerify:
-        return CertificateVerify(payload)
-    if cls is FinishedServer:
-        return FinishedServer(payload)
-    return FinishedClient(payload)
+    return cls(payload)
 
 
 # --- transports ---
@@ -317,13 +307,6 @@ def read_message(conn):
     return decode_message(raw), raw
 
 
-def _expect(conn, cls):
-    msg, raw = read_message(conn)
-    if not isinstance(msg, cls):
-        raise UnexpectedMessage(f"wanted {cls.__name__}, got {type(msg).__name__}")
-    return msg, raw
-
-
 # --- suites, certificates, key schedule ---
 
 
@@ -363,7 +346,7 @@ def _keys_digest(keys: SessionKeys, h: HashFunction) -> bytes:
 
 def certificate_signing_bytes(cert: Certificate) -> bytes:
     """What the issuer signs: subject, scheme name, and subject key."""
-    return pack(_label_bytes(cert.subject), _label_bytes(cert.sig_scheme),
+    return pack(cert.subject.encode(), cert.sig_scheme.encode(),
                 cert.subject_public_key)
 
 
@@ -412,74 +395,75 @@ class SideResult:
     write_bytes: int
 
 
-class _Trace:
-    """Wire-order message log plus the running concatenated transcript."""
+class _Side:
+    """One end of a handshake over conn: sends and expects messages,
+    keeping the wire-order log, the byte counts and the raw transcript."""
 
-    def __init__(self):
+    def __init__(self, cfg: SuiteConfig, conn):
+        self.h = cfg.hash
+        self.conn = conn
         self.messages: list[tuple[str, int]] = []
-        self.raw = b""
+        self.transcript = b""
         self.read = 0
         self.write = 0
 
-    def sent(self, msg, raw: bytes):
+    def _log(self, msg, raw: bytes) -> None:
         self.messages.append((type(msg).__name__, len(raw)))
-        self.raw += raw
+        self.transcript += raw
+
+    def send(self, msg) -> None:
+        raw = encode_message(msg)
+        self.conn.send(raw)
+        self._log(msg, raw)
         self.write += len(raw)
 
-    def received(self, msg, raw: bytes):
-        self.messages.append((type(msg).__name__, len(raw)))
-        self.raw += raw
+    def expect(self, cls):
+        msg, raw = read_message(self.conn)
+        if not isinstance(msg, cls):
+            raise UnexpectedMessage(f"wanted {cls.__name__}, got {type(msg).__name__}")
+        self._log(msg, raw)
         self.read += len(raw)
+        return msg
+
+    def transcript_hash(self) -> bytes:
+        return self.h(self.transcript)
+
+    def finished_mac(self, key: bytes) -> bytes:
+        return self.h(key + self.transcript_hash())
+
+    def result(self, keys: SessionKeys) -> SideResult:
+        return SideResult(_keys_digest(keys, self.h), tuple(self.messages),
+                          self.read, self.write)
 
 
 def client_handshake(cfg: SuiteConfig, conn, rng: Random) -> SideResult:
     """Drive the client side to mutual Finished over conn."""
-    h = cfg.hash
-    trace = _Trace()
+    side = _Side(cfg, conn)
     try:
         kem_public, kem_secret = cfg.kem.keypair(rng)
-        ch = ClientHello((cfg.label,), kem_public)
-        ch_raw = encode_message(ch)
-        conn.send(ch_raw)
-        trace.sent(ch, ch_raw)
-
-        sh, sh_raw = _expect(conn, ServerHello)
-        trace.received(sh, sh_raw)
+        side.send(ClientHello((cfg.label,), kem_public))
+        sh = side.expect(ServerHello)
         if sh.chosen_suite != cfg.label:
             raise NegotiationFailure(f"server chose unoffered suite {sh.chosen_suite!r}")
         shared = cfg.kem.decaps(kem_secret, sh.kem_ciphertext)
-        keys = derive_keys(shared, h(trace.raw), h)
-
-        ee, ee_raw = _expect(conn, EncryptedExtensions)
-        trace.received(ee, ee_raw)
-
-        cert_msg, cert_raw = _expect(conn, CertificateMessage)
-        trace.received(cert_msg, cert_raw)
-        if cert_msg.cert.sig_scheme != cfg.sig.name:
+        keys = derive_keys(shared, side.transcript_hash(), cfg.hash)
+        side.expect(EncryptedExtensions)
+        cert = side.expect(CertificateMessage).cert
+        if cert.sig_scheme != cfg.sig.name:
             raise CertVerifyFailure(
-                f"certificate carries {cert_msg.cert.sig_scheme!r}, suite uses {cfg.sig.name!r}"
+                f"certificate carries {cert.sig_scheme!r}, suite uses {cfg.sig.name!r}"
             )
-        if not verify_certificate(cert_msg.cert, cfg.sig):
+        if not verify_certificate(cert, cfg.sig):
             raise CertVerifyFailure("issuer signature rejected")
-        sign_input = h(trace.raw)  # transcript through Certificate
-
-        cv, cv_raw = _expect(conn, CertificateVerify)
-        if not cfg.sig.verify(cert_msg.cert.subject_public_key, sign_input, cv.signature):
+        sign_input = side.transcript_hash()
+        cv = side.expect(CertificateVerify)
+        if not cfg.sig.verify(cert.subject_public_key, sign_input, cv.signature):
             raise CertVerifyFailure("CertificateVerify signature rejected")
-        trace.received(cv, cv_raw)
-
-        fin_s, fin_s_raw = _expect(conn, FinishedServer)
-        if fin_s.mac != h(keys.fin_s + h(trace.raw)):
+        server_mac = side.finished_mac(keys.fin_s)
+        if side.expect(FinishedServer).mac != server_mac:
             raise MacMismatch("server Finished MAC rejected")
-        trace.received(fin_s, fin_s_raw)
-
-        fin_c = FinishedClient(h(keys.fin_c + h(trace.raw)))
-        fin_c_raw = encode_message(fin_c)
-        conn.send(fin_c_raw)
-        trace.sent(fin_c, fin_c_raw)
-
-        return SideResult(_keys_digest(keys, h), tuple(trace.messages),
-                          trace.read, trace.write)
+        side.send(FinishedClient(side.finished_mac(keys.fin_c)))
+        return side.result(keys)
     finally:
         conn.close()
 
@@ -487,55 +471,29 @@ def client_handshake(cfg: SuiteConfig, conn, rng: Random) -> SideResult:
 def server_handshake(cfg: SuiteConfig, identity: Identity, conn,
                      rng: Random) -> SideResult:
     """Drive the server side; sends nothing if negotiation fails."""
-    h = cfg.hash
-    trace = _Trace()
+    side = _Side(cfg, conn)
     try:
-        ch, ch_raw = _expect(conn, ClientHello)
-        trace.received(ch, ch_raw)
+        ch = side.expect(ClientHello)
         if cfg.label not in ch.offered_suites:
             raise NegotiationFailure(
                 f"no common suite in {ch.offered_suites!r} (serving {cfg.label!r})"
             )
         ciphertext, shared = cfg.kem.encaps(ch.kem_public, rng)
-
-        def send(msg):
-            raw = encode_message(msg)
-            conn.send(raw)
-            trace.sent(msg, raw)
-            return raw
-
-        send(ServerHello(cfg.label, ciphertext))
-        keys = derive_keys(shared, h(trace.raw), h)
-        send(EncryptedExtensions())
-        send(CertificateMessage(identity.certificate))
-        sign_input = h(trace.raw)
-        send(CertificateVerify(cfg.sig.sign(identity.sig_secret, sign_input)))
-        send(FinishedServer(h(keys.fin_s + h(trace.raw))))
-
-        fin_c, fin_c_raw = _expect(conn, FinishedClient)
-        if fin_c.mac != h(keys.fin_c + h(trace.raw)):
+        side.send(ServerHello(cfg.label, ciphertext))
+        keys = derive_keys(shared, side.transcript_hash(), cfg.hash)
+        side.send(EncryptedExtensions())
+        side.send(CertificateMessage(identity.certificate))
+        side.send(CertificateVerify(cfg.sig.sign(identity.sig_secret, side.transcript_hash())))
+        side.send(FinishedServer(side.finished_mac(keys.fin_s)))
+        client_mac = side.finished_mac(keys.fin_c)
+        if side.expect(FinishedClient).mac != client_mac:
             raise MacMismatch("client Finished MAC rejected")
-        trace.received(fin_c, fin_c_raw)
-
-        return SideResult(_keys_digest(keys, h), tuple(trace.messages),
-                          trace.read, trace.write)
+        return side.result(keys)
     finally:
         conn.close()
 
 
 # --- orchestration ---
-
-
-def _guarded_server_handshake(cfg: SuiteConfig, identity: Identity, conn,
-                              rng: Random) -> SideResult:
-    """server_handshake with any foreign exception wrapped in ServerCrashed,
-    so it reaches run_handshake's caller instead of threading.excepthook."""
-    try:
-        return server_handshake(cfg, identity, conn, rng)
-    except PqbenchError:
-        raise
-    except Exception as e:
-        raise ServerCrashed(f"server raised {type(e).__name__}: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -570,10 +528,13 @@ def run_handshake(client_cfg: SuiteConfig, server_cfg: SuiteConfig,
 
     def serve():
         try:
-            outcome["result"] = _guarded_server_handshake(
-                server_cfg, identity, server_end, server_rng)
+            outcome["result"] = server_handshake(server_cfg, identity, server_end, server_rng)
         except PqbenchError as e:
             outcome["error"] = e
+        except Exception as e:  # reaches the caller, not threading.excepthook
+            crash = ServerCrashed(f"server raised {type(e).__name__}: {e}")
+            crash.__cause__ = e
+            outcome["error"] = crash
 
     worker = threading.Thread(target=serve, name="tls-server")
     worker.start()
@@ -634,10 +595,11 @@ def measure_handshake(cfg: SuiteConfig, transport_factory=memory_pair,
         raise InconsistentByteCounts(
             f"read sizes {sorted(reads)}, write sizes {sorted(writes)}"
         )
+    stats = summarize(durations, sum(durations))
     return MeasureResult(
-        iterations=iterations,
-        mean_us=statistics.fmean(durations),
-        stddev_us=statistics.stdev(durations) if len(durations) > 1 else 0.0,
+        iterations=stats.n,
+        mean_us=stats.mean_us,
+        stddev_us=stats.stddev_us,
         bytes_read=reads.pop(),
         bytes_written=writes.pop(),
     )

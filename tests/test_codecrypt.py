@@ -178,3 +178,10 @@ def test_matrix_serialization_rejects_malformed():
         deserialize_code_matrix(blob + b"\x00")
     with pytest.raises(MalformedFrame):
         deserialize_code_matrix(b"\x00" * 5)
+
+
+def test_matrix_deserialization_rejects_t_beyond_n():
+    pk, _ = mceliece_keygen(hamming_code(3), Random(19))
+    assert deserialize_code_matrix(serialize_code_matrix(pk.matrix, pk.matrix.cols))[1] == 7
+    with pytest.raises(MalformedFrame):
+        deserialize_code_matrix(serialize_code_matrix(pk.matrix, pk.matrix.cols + 1))

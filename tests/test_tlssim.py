@@ -12,7 +12,7 @@ from pqbench.bench import FakeClock
 from pqbench.errors import PqbenchError
 from pqbench.hashing import DEFAULT_HASH
 from pqbench.kex import SigInstance
-from pqbench.serialize import MalformedFrame
+from pqbench.serialize import MalformedFrame, u32
 from pqbench.suites import builtin_kems, builtin_sigs
 from pqbench.tlssim import (
     Certificate,
@@ -290,6 +290,44 @@ def test_handshake_is_deterministic_under_seed():
     assert a.messages == b.messages
 
 
+def golden_suites():
+    kems = builtin_kems(H)
+    sigs = builtin_sigs(H)
+    return {
+        "toy": SuiteConfig(kems["lwe-toy"], sigs["wots"], H, "toy"),
+        "Kyber-768": next(c for c in registry_kem_suites() if c.label == "Kyber-768"),
+        "mceliece-mss": SuiteConfig(kems["mceliece-toy"], sigs["mss"], H, "mceliece-mss"),
+    }
+
+
+# message sizes in wire order, client read/write, client key digest under Random(0)
+GOLDEN_HANDSHAKES = {
+    "toy": (
+        (132, 216, 5, 751, 365, 37, 37), 1374, 169,
+        "35daee7367253169f596c8ad09188e9b6c494e96e9fb79e7f27a9be93a49e906",
+    ),
+    "Kyber-768": (
+        (1210, 1110, 5, 3767, 2425, 37, 37), 7344, 1247,
+        "3d68a8e19da2ed8d4f1b8a9d1471d7c878efbbe6c343f4fb8d6d7eebdb7e5603",
+    ),
+    "mceliece-mss": (
+        (45, 53, 5, 3665, 3608, 37, 37), 7368, 82,
+        "08635abf909baa450d82f9a9b515e003afc0d940bb7a634df0eb6e264b0dfbd4",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN_HANDSHAKES))
+def test_handshake_matches_golden_values(label):
+    cfg = golden_suites()[label]
+    sizes, read, write, digest = GOLDEN_HANDSHAKES[label]
+    t = run_handshake(cfg, cfg, rng=Random(0))
+    assert t.messages == tuple(zip(MESSAGE_ORDER, sizes))
+    assert (t.client_read_bytes, t.client_write_bytes) == (read, write)
+    assert t.client_key_digest.hex() == digest
+    assert t.server_key_digest == t.client_key_digest
+
+
 def test_all_builtin_suites_complete():
     kems = builtin_kems(H)
     sigs = builtin_sigs(H)
@@ -346,6 +384,23 @@ def test_foreign_server_exception_is_wrapped_with_cause(monkeypatch):
     assert isinstance(excinfo.value, PqbenchError)
     assert isinstance(excinfo.value.__cause__, ValueError)
     assert "sign exploded" in str(excinfo.value)
+    assert hooked == []
+
+
+def test_mceliece_key_share_with_t_beyond_n_is_malformed(monkeypatch):
+    def oversize_t(data):
+        if data[0] != 1:
+            return data
+        hello = decode_message(data)
+        forged = hello.kem_public[:8] + u32(8) + hello.kem_public[12:]  # n is 7
+        return encode_message(ClientHello(hello.offered_suites, forged))
+
+    kems = builtin_kems(H)
+    cfg = SuiteConfig(kems["mceliece-toy"], builtin_sigs(H)["wots"], H, "mceliece-wots")
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    with pytest.raises(MalformedFrame):
+        run_handshake(cfg, cfg, memory_pair(client_send_hook=oversize_t), rng=Random(4))
     assert hooked == []
 
 
