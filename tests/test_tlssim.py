@@ -395,8 +395,7 @@ def test_mceliece_key_share_with_t_beyond_n_is_malformed(monkeypatch):
         forged = hello.kem_public[:8] + u32(8) + hello.kem_public[12:]  # n is 7
         return encode_message(ClientHello(hello.offered_suites, forged))
 
-    kems = builtin_kems(H)
-    cfg = SuiteConfig(kems["mceliece-toy"], builtin_sigs(H)["wots"], H, "mceliece-wots")
+    cfg = SuiteConfig(builtin_kems(H)["mceliece-toy"], builtin_sigs(H)["wots"], H, "mceliece-wots")
     hooked = []
     monkeypatch.setattr(threading, "excepthook", hooked.append)
     with pytest.raises(MalformedFrame):
