@@ -44,9 +44,6 @@ class BinaryMatrix:
         data = [sum(b << j for j, b in enumerate(row)) for row in bits]
         return cls(len(bits), len(bits[0]) if bits else 0, data)
 
-    def to_bits(self) -> list[list[int]]:
-        return [[(row >> j) & 1 for j in range(self.cols)] for row in self.data]
-
     def get(self, i: int, j: int) -> int:
         return (self.data[i] >> j) & 1
 

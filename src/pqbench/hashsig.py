@@ -296,10 +296,6 @@ class MssSigner:
     def root(self) -> bytes:
         return self.tree.root
 
-    @property
-    def remaining(self) -> int:
-        return len(self.keypairs) - self.next_index
-
     def _pick_index(self, msg: bytes) -> int:
         if not self.stateless:
             if self.next_index >= len(self.keypairs):

@@ -22,7 +22,6 @@ from __future__ import annotations
 from random import Random
 
 from . import codecrypt, hashsig, lattice, mq, sigma
-from .binmat import BinaryMatrix, invert_permutation
 from .errors import DecodeFailure
 from .hashing import DEFAULT_HASH, HashFunction
 from .kex import (

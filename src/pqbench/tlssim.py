@@ -28,6 +28,12 @@ The key derivation is a labeled-hash construction, not HKDF: real TLS
 avoids reimplementing HMAC, and the labels ("c hs", "s hs", "fin c",
 "fin s") keep the four keys domain-separated.
 
+Both sides talk through SocketConnection, over TCP or over a local
+socket pair (memory_pair).  A socket call silent for READ_DEADLINE_S
+raises PeerTimeout, any other socket error ConnectionClosed (the OSError
+is the cause), and a frame over MAX_FRAME_BYTES MalformedFrame.  Wall
+time starts once the server identity (keypair and certificate) exists.
+
 Divergence worth knowing: here the signature suite changes the size of
 CertificateVerify and of the certificate itself, so handshake totals DO
 vary with the signature scheme; measurement setups whose certificates
@@ -37,10 +43,10 @@ are classical see no such variation.
 from __future__ import annotations
 
 import functools
+import socket
 import threading
 import time
 from dataclasses import astuple, dataclass
-from queue import SimpleQueue
 from random import Random
 from typing import Callable
 
@@ -58,6 +64,10 @@ KEY_LABELS = ("c hs", "s hs", "fin c", "fin s")
 STUB_CIPHERTEXT_BYTES = 1088
 STUB_SIG_PUBLIC_BYTES = 1312
 STUB_SIGNATURE_BYTES = 2420
+
+# seconds any one socket call may wait, and the largest payload a frame may announce
+READ_DEADLINE_S = 10.0
+MAX_FRAME_BYTES = 1 << 24
 
 
 class NegotiationFailure(PqbenchError):
@@ -78,6 +88,10 @@ class UnexpectedMessage(PqbenchError):
 
 class ConnectionClosed(PqbenchError):
     """Peer went away mid-handshake."""
+
+
+class PeerTimeout(ConnectionClosed):
+    """Peer sent or took nothing for READ_DEADLINE_S seconds."""
 
 
 class InconsistentByteCounts(PqbenchError):
@@ -218,76 +232,41 @@ def decode_message(data: bytes):
 # --- transports ---
 
 
-class MemoryEndpoint:
-    """One end of an in-memory duplex byte stream.
+class SocketConnection:
+    """One end of a handshake's byte stream over a connected socket.
 
     send_hook, when set, may rewrite outgoing bytes; tests use it to
     corrupt frames in flight.  Counters track post-hook sizes.
     """
 
-    def __init__(self, inbox: SimpleQueue, outbox: SimpleQueue, send_hook=None):
-        self._inbox = inbox
-        self._outbox = outbox
+    def __init__(self, sock, send_hook=None):
+        sock.settimeout(READ_DEADLINE_S)
+        self._sock = sock
         self._hook = send_hook
-        self._buffer = b""
-        self._closed = False
         self.bytes_sent = 0
         self.bytes_received = 0
 
+    def _call(self, op, arg):
+        """op(arg), with a socket error raised as ConnectionClosed."""
+        try:
+            return op(arg)
+        except TimeoutError as e:
+            raise PeerTimeout(f"{op.__name__}: peer silent for {READ_DEADLINE_S} s") from e
+        except OSError as e:
+            raise ConnectionClosed(f"{op.__name__} failed: {e!r}") from e
+
     def send(self, data: bytes) -> None:
-        if self._closed:
-            raise ConnectionClosed("send on closed endpoint")
         if self._hook is not None:
             data = self._hook(data)
-        self.bytes_sent += len(data)
-        self._outbox.put(data)
-
-    def recv_exact(self, n: int) -> bytes:
-        while len(self._buffer) < n:
-            chunk = self._inbox.get()
-            if chunk is None:
-                self._inbox.put(None)  # EOF stays visible to later reads
-                raise ConnectionClosed(
-                    f"peer closed with {len(self._buffer)} of {n} bytes available"
-                )
-            self._buffer += chunk
-        out, self._buffer = self._buffer[:n], self._buffer[n:]
-        self.bytes_received += n
-        return out
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._outbox.put(None)
-
-
-def memory_pair(client_send_hook=None, server_send_hook=None):
-    """(client endpoint, server endpoint) joined back to back."""
-    to_client: SimpleQueue = SimpleQueue()
-    to_server: SimpleQueue = SimpleQueue()
-    client = MemoryEndpoint(to_client, to_server, client_send_hook)
-    server = MemoryEndpoint(to_server, to_client, server_send_hook)
-    return client, server
-
-
-class SocketConnection:
-    """The same contract over a TCP socket."""
-
-    def __init__(self, sock):
-        self._sock = sock
-        self.bytes_sent = 0
-        self.bytes_received = 0
-
-    def send(self, data: bytes) -> None:
-        self._sock.sendall(data)
+        self._call(self._sock.sendall, data)
         self.bytes_sent += len(data)
 
     def recv_exact(self, n: int) -> bytes:
         buf = b""
         while len(buf) < n:
-            got = self._sock.recv(n - len(buf))
+            got = self._call(self._sock.recv, n - len(buf))
             if not got:
-                raise ConnectionClosed(f"socket closed with {len(buf)} of {n} bytes read")
+                raise ConnectionClosed(f"peer closed with {len(buf)} of {n} bytes read")
             buf += got
         self.bytes_received += n
         return buf
@@ -299,10 +278,19 @@ class SocketConnection:
             pass
 
 
+def memory_pair(client_send_hook=None, server_send_hook=None):
+    """(client endpoint, server endpoint) over a local socket pair."""
+    client_sock, server_sock = socket.socketpair()
+    return (SocketConnection(client_sock, client_send_hook),
+            SocketConnection(server_sock, server_send_hook))
+
+
 def read_message(conn):
     """One framed message off the wire: (decoded message, raw frame)."""
     header = conn.recv_exact(5)
     plen, _ = read_u32(header, 1)
+    if plen > MAX_FRAME_BYTES:
+        raise MalformedFrame(f"frame announces {plen} payload bytes, cap is {MAX_FRAME_BYTES}")
     raw = header + conn.recv_exact(plen)
     return decode_message(raw), raw
 
@@ -338,10 +326,6 @@ def derive_keys(shared_secret: bytes, transcript_hash: bytes,
     return SessionKeys(
         *(h(shared_secret + transcript_hash + label.encode()) for label in KEY_LABELS)
     )
-
-
-def _keys_digest(keys: SessionKeys, h: HashFunction) -> bytes:
-    return h(keys.client_hs + keys.server_hs + keys.fin_c + keys.fin_s)
 
 
 def certificate_signing_bytes(cert: Certificate) -> bytes:
@@ -432,8 +416,8 @@ class _Side:
         return self.h(key + self.transcript_hash())
 
     def result(self, keys: SessionKeys) -> SideResult:
-        return SideResult(_keys_digest(keys, self.h), tuple(self.messages),
-                          self.read, self.write)
+        digest = self.h(keys.client_hs + keys.server_hs + keys.fin_c + keys.fin_s)
+        return SideResult(digest, tuple(self.messages), self.read, self.write)
 
 
 def client_handshake(cfg: SuiteConfig, conn, rng: Random) -> SideResult:
@@ -512,9 +496,10 @@ def run_handshake(client_cfg: SuiteConfig, server_cfg: SuiteConfig,
     """One complete handshake, server on a helper thread.
 
     transport is a (client endpoint, server endpoint) pair, by default a
-    fresh in-memory one.  Failures on either side unblock the peer by
+    fresh memory_pair.  Failures on either side unblock the peer by
     closing the transport; the server's error wins when both sides fail,
-    since the client usually just sees the connection drop.
+    since the client usually just sees the connection drop.  The clock
+    starts after make_identity, which a server does once, not per connection.
     """
     rng = rng if rng is not None else Random()
     client_end, server_end = transport if transport is not None else memory_pair()
@@ -522,8 +507,8 @@ def run_handshake(client_cfg: SuiteConfig, server_cfg: SuiteConfig,
     server_rng = Random(rng.randrange(2**63))
     identity_rng = Random(rng.randrange(2**63))
 
-    start = clock()
     identity = make_identity(server_cfg.sig, "server", identity_rng)
+    start = clock()
     outcome: dict = {}
 
     def serve():

@@ -4,14 +4,16 @@ failure modes, byte accounting, and the registry-sized stub suites."""
 import socket
 import sys
 import threading
+import time
 from random import Random
 
 import pytest
 
+from pqbench import tlssim
 from pqbench.bench import FakeClock
 from pqbench.errors import PqbenchError
 from pqbench.hashing import DEFAULT_HASH
-from pqbench.kex import SigInstance
+from pqbench.kex import KemInstance, SigInstance
 from pqbench.serialize import MalformedFrame, u32
 from pqbench.suites import builtin_kems, builtin_sigs
 from pqbench.tlssim import (
@@ -26,9 +28,10 @@ from pqbench.tlssim import (
     FinishedServer,
     InconsistentByteCounts,
     MacMismatch,
+    MAX_FRAME_BYTES,
     MeasureAborted,
-    MemoryEndpoint,
     NegotiationFailure,
+    PeerTimeout,
     ServerCrashed,
     ServerHello,
     SuiteConfig,
@@ -134,15 +137,39 @@ def test_decode_rejects_non_utf8_label():
         decode_message(bad)
 
 
+class ChunkedSocket:
+    """Socket stand-in whose recv hands out queued chunks, at most n bytes
+    at a time, then end of stream."""
+
+    def __init__(self, *chunks):
+        self.chunks = [c for c in chunks if c]
+        self.asked = []
+
+    def settimeout(self, seconds):
+        pass
+
+    def recv(self, n):
+        self.asked.append(n)
+        if not self.chunks:
+            return b""
+        head, rest = self.chunks[0][:n], self.chunks[0][n:]
+        self.chunks[:1] = [rest] if rest else []
+        return head
+
+
 def test_read_message_reassembles_split_frames():
-    client, server = memory_pair()
     raw = encode_message(ServerHello("suite", b"ciphertext"))
-    server._outbox.put(raw[:3])
-    server._outbox.put(raw[3:9])
-    server._outbox.put(raw[9:])
+    client = SocketConnection(ChunkedSocket(raw[:3], raw[3:9], raw[9:]))
     msg, seen = read_message(client)
     assert msg == ServerHello("suite", b"ciphertext")
     assert seen == raw
+
+
+def test_read_message_rejects_oversized_frame_before_reading_it():
+    sock = ChunkedSocket(b"\x02" + u32(MAX_FRAME_BYTES + 1) + b"payload")
+    with pytest.raises(MalformedFrame):
+        read_message(SocketConnection(sock))
+    assert sock.asked == [5]
 
 
 # --- key schedule and certificates ---
@@ -257,6 +284,7 @@ def test_memory_endpoint_close_unblocks_reader():
     # EOF is sticky
     with pytest.raises(ConnectionClosed):
         client.recv_exact(1)
+    client.close()
 
 
 def test_memory_endpoint_counts_bytes():
@@ -266,6 +294,29 @@ def test_memory_endpoint_counts_bytes():
     assert server.recv_exact(2) == b"12"
     assert server.recv_exact(3) == b"345"
     assert server.bytes_received == 5
+    client.close()
+    server.close()
+
+
+def test_memory_pair_send_after_peer_closed_raises_connection_closed():
+    client, server = memory_pair()
+    client.close()
+    with pytest.raises(ConnectionClosed) as info:
+        server.send(b"late")
+    assert isinstance(info.value.__cause__, OSError)
+    assert server.bytes_sent == 0
+    server.close()
+
+
+def test_silent_peer_raises_peer_timeout(monkeypatch):
+    monkeypatch.setattr(tlssim, "READ_DEADLINE_S", 0.05)
+    client, server = memory_pair()
+    with pytest.raises(PeerTimeout) as info:
+        client.recv_exact(1)
+    assert isinstance(info.value, ConnectionClosed)
+    assert isinstance(info.value.__cause__, TimeoutError)
+    client.close()
+    server.close()
 
 
 # --- happy path ---
@@ -356,6 +407,7 @@ def test_client_rejects_unoffered_choice():
     server.send(encode_message(ServerHello("evil-suite", b"junk")))
     with pytest.raises(NegotiationFailure):
         client_handshake(small_suite(), client, Random(0))
+    server.close()
 
 
 def test_out_of_order_message_rejected():
@@ -363,6 +415,7 @@ def test_out_of_order_message_rejected():
     server.send(encode_message(EncryptedExtensions(b"early")))
     with pytest.raises(UnexpectedMessage):
         client_handshake(small_suite(), client, Random(0))
+    server.close()
 
 
 def test_foreign_server_exception_is_wrapped_with_cause(monkeypatch):
@@ -435,6 +488,34 @@ def test_tampered_client_finished_rejected_by_server():
         run_handshake(small_suite(), small_suite(), transport, rng=Random(9))
 
 
+@pytest.mark.parametrize("index", range(1, 5))
+@pytest.mark.parametrize("bit", (0, 7))
+def test_corrupted_client_hello_length_ends_in_pqbench_error(monkeypatch, index, bit):
+    # a longer announced payload leaves the server waiting for bytes the
+    # client never sends, and the client waiting for a ServerHello
+    monkeypatch.setattr(tlssim, "READ_DEADLINE_S", 0.3)
+
+    def flip(data):
+        if data[0] != 1:
+            return data
+        return data[:index] + bytes([data[index] ^ (1 << bit)]) + data[index + 1:]
+
+    outcome = {}
+
+    def attempt():
+        transport = memory_pair(client_send_hook=flip)
+        try:
+            run_handshake(small_suite(), small_suite(), transport, rng=Random(index))
+        except Exception as e:
+            outcome["error"] = e
+
+    helper = threading.Thread(target=attempt, daemon=True)
+    helper.start()
+    helper.join(timeout=10)
+    assert not helper.is_alive(), "handshake still running after 10 s"
+    assert isinstance(outcome.get("error"), PqbenchError), outcome
+
+
 # --- measurement ---
 
 
@@ -466,6 +547,27 @@ def test_measure_aborts_with_completed_count():
         measure_handshake(small_suite(), factory, iterations=10, rng=Random(5))
     assert info.value.completed == 2
     assert isinstance(info.value.cause, MacMismatch)
+
+
+def test_wall_time_excludes_server_identity():
+    clock = FakeClock()
+    base_kem, base_sig = builtin_kems(H)["lwe-toy"], builtin_sigs(H)["wots"]
+
+    def sig_keypair(rng):  # issuer and server keypairs: identity work
+        clock.advance_ns(7_000_000)
+        return base_sig.keypair(rng)
+
+    def kem_keypair(rng):  # the client's key share: handshake work
+        clock.advance_ns(2_000_000)
+        return base_kem.keypair(rng)
+
+    sig = SigInstance(base_sig.name, sig_keypair, base_sig.sign, base_sig.verify)
+    kem = KemInstance(base_kem.name, kem_keypair, base_kem.encaps, base_kem.decaps)
+    cfg = SuiteConfig(kem, sig, H, "lwe-wots")
+    t = run_handshake(cfg, cfg, rng=Random(3), clock=clock)
+    assert t.client_key_digest == t.server_key_digest
+    assert clock() == 2 * 7_000_000 + 2_000_000
+    assert t.wall_time_us == 2_000.0
 
 
 def test_measure_rejects_zero_iterations():
@@ -517,27 +619,53 @@ def test_stub_total_moves_one_for_one_with_public_key():
 # --- TCP transport ---
 
 
+def tcp_pair():
+    """(client, server) endpoints over one loopback TCP connection."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client = socket.create_connection(listener.getsockname(), timeout=5)
+        server, _ = listener.accept()
+    return SocketConnection(client), SocketConnection(server)
+
+
 def test_handshake_over_tcp():
     cfg = stub_suite("tcp-suite", 64)
     identity = make_identity(cfg.sig, "server", Random(5))
-    listener = socket.socket()
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    port = listener.getsockname()[1]
+    client_end, server_end = tcp_pair()
     outcome = {}
 
     def serve():
-        sock, _ = listener.accept()
         try:
-            outcome["server"] = server_handshake(cfg, identity, SocketConnection(sock), Random(6))
+            outcome["server"] = server_handshake(cfg, identity, server_end, Random(6))
         except PqbenchError as e:
             outcome["error"] = e
 
     worker = threading.Thread(target=serve)
     worker.start()
-    csock = socket.create_connection(("127.0.0.1", port), timeout=5)
-    client = client_handshake(cfg, SocketConnection(csock), Random(7))
+    client = client_handshake(cfg, client_end, Random(7))
     worker.join(timeout=5)
-    listener.close()
     assert "error" not in outcome
     assert client.key_digest == outcome["server"].key_digest
+
+
+def test_tcp_server_sees_rejected_certificate_as_connection_closed():
+    kem, sigs = builtin_kems(H)["lwe-toy"], builtin_sigs(H)
+    server_cfg = SuiteConfig(kem, sigs["wots"], H, "lwe")
+    client_cfg = SuiteConfig(kem, sigs["lamport"], H, "lwe")
+    identity = make_identity(server_cfg.sig, "server", Random(5))
+    client_end, server_end = tcp_pair()
+    outcome = {}
+
+    def serve():
+        try:
+            server_handshake(server_cfg, identity, server_end, Random(6))
+        except Exception as e:
+            outcome["error"] = e
+
+    worker = threading.Thread(target=serve)
+    worker.start()
+    with pytest.raises(CertVerifyFailure):
+        client_handshake(client_cfg, client_end, Random(7))
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert isinstance(outcome["error"], ConnectionClosed)
+    assert isinstance(outcome["error"].__cause__, OSError)
