@@ -69,9 +69,6 @@ class FakeClock:
             raise ValueError("time only moves forward")
         self.now_ns += ns
 
-    def advance_seconds(self, seconds: float) -> None:
-        self.advance_ns(round(seconds * 1e9))
-
 
 @dataclass(frozen=True)
 class BenchConfig:

@@ -179,19 +179,26 @@ def cmd_tls_serve(ns) -> int:
     listener.listen(4)
     bound = listener.getsockname()
     print(f"listening on {bound[0]}:{bound[1]}", file=sys.stderr, flush=True)
+    failed = 0
     try:
         for _ in range(ns.iterations):
             sock, peer = listener.accept()
             print(f"connection from {peer[0]}:{peer[1]}", file=sys.stderr, flush=True)
-            result = tlssim.server_handshake(
-                cfg, identity, tlssim.SocketConnection(sock),
-                Random(rng.randrange(2**63)))
+            try:
+                result = tlssim.server_handshake(
+                    cfg, identity, tlssim.SocketConnection(sock),
+                    Random(rng.randrange(2**63)))
+            except PqbenchError as e:
+                # one bad peer must not end the server
+                failed += 1
+                print(f"error: {type(e).__name__}: {e}", file=sys.stderr, flush=True)
+                continue
             print(f"{cfg.label} | tls-serve | read={result.read_bytes} "
                   f"| write={result.write_bytes} "
                   f"| digest={result.key_digest.hex()[:16]}", flush=True)
     finally:
         listener.close()
-    return 0
+    return 1 if failed else 0
 
 
 def cmd_tls_client(ns) -> int:

@@ -12,8 +12,15 @@ word at a time, each absorption followed by a round that stirs every lane
 through mix64.  Finalization absorbs the message length (so "ab","c" and
 "a","bc" separate), runs blank rounds, then squeezes lanes as big-endian
 words until enough output has accumulated.
+
+The hash streams: a state absorbs each whole word as soon as it arrives
+and buffers the partial last word.  That partial word and the length are
+absorbed only at finalization, so the digest does not depend on how the
+input was split across updates, and hashing in one call is just one
+update followed by a digest.
 """
 
+import struct
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -31,34 +38,111 @@ def mix64(x: int) -> int:
     return x
 
 
-def _round(lanes: list[int]) -> None:
-    lanes[0] = mix64(lanes[0] ^ lanes[3])
-    lanes[1] = mix64(lanes[1] + lanes[0])
-    lanes[2] = mix64(lanes[2] ^ lanes[1])
-    lanes[3] = mix64((lanes[3] + lanes[2]) & _MASK)
+def _absorb(lanes: tuple[int, int, int, int], words) -> tuple[int, int, int, int]:
+    """XOR each word into lane 0, then run one round: every lane in turn
+    goes through mix64, fed from its neighbour.  mix64 is written out
+    inline because this loop is where nearly all hashing time goes."""
+    a, b, c, d = lanes
+    for w in words:
+        x = a ^ w ^ d
+        x ^= x >> 30
+        x = (x * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        x ^= x >> 27
+        x = (x * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        a = x ^ (x >> 31)
+        x = (b + a) & 0xFFFFFFFFFFFFFFFF
+        x ^= x >> 30
+        x = (x * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        x ^= x >> 27
+        x = (x * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        b = x ^ (x >> 31)
+        x = c ^ b
+        x ^= x >> 30
+        x = (x * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        x ^= x >> 27
+        x = (x * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        c = x ^ (x >> 31)
+        x = (d + c) & 0xFFFFFFFFFFFFFFFF
+        x ^= x >> 30
+        x = (x * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        x ^= x >> 27
+        x = (x * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        d = x ^ (x >> 31)
+    return a, b, c, d
 
 
-def _digest(data: bytes, key: bytes, output_bytes: int) -> bytes:
-    # lane seeds: distinct constants perturbed by the key
+def _keyed_lanes(key: bytes) -> tuple[int, int, int, int]:
+    # lane seeds: distinct constants perturbed by the key, then each key
+    # word XORed into the lanes in turn, one round after each
     lanes = [mix64(0x9E3779B97F4A7C15 * (i + 1) + len(key)) for i in range(4)]
     for i in range(0, len(key), 8):
         lanes[(i // 8) % 4] ^= int.from_bytes(key[i : i + 8], "big")
-        _round(lanes)
+        lanes = list(_absorb(lanes, (0,)))
+    return tuple(lanes)
 
-    for i in range(0, len(data), 8):
-        lanes[0] ^= int.from_bytes(data[i : i + 8], "big")
-        _round(lanes)
 
-    lanes[1] ^= len(data)
-    for _ in range(4):
-        _round(lanes)
+class PqhState:
+    """A running pqh computation.
 
-    out = bytearray()
-    while len(out) < output_bytes:
-        for lane in lanes:
-            out += lane.to_bytes(8, "big")
-        _round(lanes)
-    return bytes(out[:output_bytes])
+    update() absorbs the whole words it can and returns the state;
+    digest() finalizes a private copy of the lanes, so the state can go on
+    absorbing after it; copy() forks an independent state.
+    """
+
+    __slots__ = ("_lanes", "_output_bytes", "_tail", "_length")
+
+    def __init__(self, lanes: tuple[int, int, int, int], output_bytes: int,
+                 tail: bytes = b"", length: int = 0):
+        self._lanes = lanes
+        self._output_bytes = output_bytes
+        self._tail = tail
+        self._length = length
+
+    def update(self, data: bytes) -> "PqhState":
+        self._length += len(data)
+        if self._tail:
+            data = self._tail + data
+        words = len(data) >> 3
+        if words:
+            self._lanes = _absorb(self._lanes, struct.unpack_from(f">{words}Q", data))
+        self._tail = data[words << 3 :]
+        return self
+
+    def copy(self) -> "PqhState":
+        return PqhState(self._lanes, self._output_bytes, self._tail, self._length)
+
+    def digest(self) -> bytes:
+        lanes = self._lanes
+        if self._tail:
+            lanes = _absorb(lanes, (int.from_bytes(self._tail, "big"),))
+        a, b, c, d = lanes
+        lanes = _absorb((a, b ^ self._length, c, d), (0, 0, 0, 0))
+        out = struct.pack(">4Q", *lanes)
+        while len(out) < self._output_bytes:
+            lanes = _absorb(lanes, (0,))
+            out += struct.pack(">4Q", *lanes)
+        return out[: self._output_bytes]
+
+
+class _BufferedState:
+    """The streaming state of a hash known only by its one-shot apply:
+    it keeps every byte and hashes them all at digest()."""
+
+    __slots__ = ("_h", "_data")
+
+    def __init__(self, h: "HashFunction", data: bytes = b""):
+        self._h = h
+        self._data = data
+
+    def update(self, data: bytes) -> "_BufferedState":
+        self._data += data
+        return self
+
+    def copy(self) -> "_BufferedState":
+        return _BufferedState(self._h, self._data)
+
+    def digest(self) -> bytes:
+        return self._h(self._data)
 
 
 @dataclass(frozen=True)
@@ -67,12 +151,14 @@ class HashFunction:
 
     Instances are callable.  Everything downstream (signatures, key
     derivation, Fiat-Shamir) takes one of these rather than a hard-coded
-    algorithm.
+    algorithm.  new_state, when given, builds the hash's own streaming
+    state; a hash built from apply alone streams by buffering.
     """
 
     name: str
     output_bytes: int
     apply: Callable[[bytes], bytes] = field(repr=False)
+    new_state: Callable[[], PqhState] | None = field(default=None, repr=False)
 
     def __call__(self, data: bytes) -> bytes:
         out = self.apply(data)
@@ -83,13 +169,27 @@ class HashFunction:
             )
         return out
 
+    def new(self) -> PqhState | _BufferedState:
+        """An empty streaming state with update, copy and digest, shaped
+        like a hashlib object; digesting everything fed to it gives what
+        one call on the concatenation gives."""
+        if self.new_state is None:
+            return _BufferedState(self)
+        return self.new_state()
+
 
 def make_hash(output_bytes: int = 32, key: bytes = b"") -> HashFunction:
     """Build the default keyed hash at the requested output length."""
     name = f"pqh{8 * output_bytes}"
     if key:
         name += f"-k{key.hex()}"
-    return HashFunction(name, output_bytes, lambda data: _digest(data, key, output_bytes))
+    lanes = _keyed_lanes(key)
+
+    def new_state() -> PqhState:
+        return PqhState(lanes, output_bytes)
+
+    return HashFunction(name, output_bytes,
+                        lambda data: new_state().update(data).digest(), new_state)
 
 
 DEFAULT_HASH = make_hash(32)

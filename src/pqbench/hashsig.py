@@ -92,7 +92,7 @@ def lamport_sign(kp: LamportKeypair, bits) -> list[bytes]:
 
 def lamport_verify(public, bits, sig, h: HashFunction) -> bool:
     list0, list1 = public
-    if len(bits) != len(list0) or len(sig) != len(list0):
+    if not len(bits) == len(sig) == len(list0) == len(list1):
         return False
     if any(b not in (0, 1) for b in bits):
         return False

@@ -50,9 +50,6 @@ class PrimeField:
     def mul(self, a, b):
         return (a * b) % self.q
 
-    def neg(self, a):
-        return -a % self.q
-
     def inv(self, a):
         if a % self.q == 0:
             raise ZeroDivisionError("no inverse of 0")
@@ -464,7 +461,6 @@ def deserialize_system(data: bytes) -> MqSystem:
     per_poly = 1 + n + n * (n + 1) // 2
     if len(data) != 3 + m * per_poly:
         raise MalformedFrame(f"expected {3 + m * per_poly} bytes, got {len(data)}")
-    f = PrimeField(q)
     polys = []
     pos = 3
     for _ in range(m):
@@ -479,8 +475,9 @@ def deserialize_system(data: bytes) -> MqSystem:
             pos += width
             for k, c in enumerate(row):
                 quad[j][j + k] = c
-        try:
-            polys.append(QuadPoly(q, const, linear, tuple(tuple(r) for r in quad)))
-        except ValueError as e:
-            raise MalformedFrame(str(e)) from None
-    return MqSystem(f, tuple(polys))
+        polys.append((const, linear, tuple(tuple(r) for r in quad)))
+    try:
+        f = PrimeField(q)
+        return MqSystem(f, tuple(QuadPoly(q, *poly) for poly in polys))
+    except (ValueError, DimensionMismatch) as e:
+        raise MalformedFrame(str(e)) from None

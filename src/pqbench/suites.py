@@ -354,6 +354,8 @@ def fs_dlog_sig(h: HashFunction = _H) -> SigInstance:
         except MalformedFrame:
             return False
         y = int.from_bytes(public, "big")
+        if len(public) != 8 or not 0 < y < setting.p:
+            return False
         return sigma.fs_verify(
             setting.relation, y, msg, sigma.FsSignature(commitment, response), h
         )

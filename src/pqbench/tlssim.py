@@ -5,14 +5,14 @@ ServerHello, EncryptedExtensions, Certificate, CertificateVerify,
 server Finished, client Finished.  The client's key share rides in the
 ClientHello, the server's encapsulation in the ServerHello, and both
 sides derive four handshake keys from the shared secret and a hash of
-the transcript.  Each side hashes the full transcript at four points:
-after ServerHello for the key schedule, through Certificate for the
-CertificateVerify input, through CertificateVerify for the server
-Finished, and through server Finished for the client Finished.  The
-server authenticates with a toy certificate signed by one pinned issuer
-(no chains, no expiry) and a CertificateVerify signature over the
-transcript; both directions finish with a keyed-hash MAC over
-everything seen so far.
+the transcript.  Each side keeps a running transcript state, feeds it
+every message once, and digests it at four points: after ServerHello
+for the key schedule, through Certificate for the CertificateVerify
+input, through CertificateVerify for the server Finished, and through
+server Finished for the client Finished.  The server authenticates with
+a toy certificate signed by one pinned issuer (no chains, no expiry) and
+a CertificateVerify signature over the transcript; both directions
+finish with a keyed-hash MAC over everything seen so far.
 
 Wire format: every message is a frame of one type tag byte, a four-byte
 big-endian payload length, and the payload; multi-field payloads carry
@@ -381,19 +381,20 @@ class SideResult:
 
 class _Side:
     """One end of a handshake over conn: sends and expects messages,
-    keeping the wire-order log, the byte counts and the raw transcript."""
+    keeping the wire-order log, the byte counts and a running hash state
+    of the transcript (RFC 8446 section 4.4.1)."""
 
     def __init__(self, cfg: SuiteConfig, conn):
         self.h = cfg.hash
         self.conn = conn
         self.messages: list[tuple[str, int]] = []
-        self.transcript = b""
+        self.state = cfg.hash.new()
         self.read = 0
         self.write = 0
 
     def _log(self, msg, raw: bytes) -> None:
         self.messages.append((type(msg).__name__, len(raw)))
-        self.transcript += raw
+        self.state.update(raw)
 
     def send(self, msg) -> None:
         raw = encode_message(msg)
@@ -410,7 +411,7 @@ class _Side:
         return msg
 
     def transcript_hash(self) -> bytes:
-        return self.h(self.transcript)
+        return self.state.digest()
 
     def finished_mac(self, key: bytes) -> bytes:
         return self.h(key + self.transcript_hash())

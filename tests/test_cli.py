@@ -287,6 +287,36 @@ def test_serve_and_client_complete_a_handshake(capsys):
     assert digests[0] == digests[1]
 
 
+def test_serve_reports_a_failed_connection_and_keeps_serving(capsys):
+    port = free_port()
+    server_code = {}
+
+    def serve():
+        server_code["rc"] = cli.main(
+            ["tls-serve", "--listen", f"127.0.0.1:{port}",
+             "--suite", "toy", "--iterations", "2", "--seed", "4"])
+
+    worker = threading.Thread(target=serve)
+    worker.start()
+    for _ in range(100):  # wait out the listener's startup
+        try:
+            garbage = socket.create_connection(("127.0.0.1", port), timeout=10)
+            break
+        except ConnectionRefusedError:
+            time.sleep(0.05)
+    with garbage:
+        garbage.sendall(b"\xee\x00\x00\x00\x01!")  # no such message type
+    client_rc = cli.main(["tls-client", "--connect", f"127.0.0.1:{port}",
+                          "--suite", "toy", "--seed", "5"])
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    captured = capsys.readouterr()
+    assert client_rc == 0
+    assert server_code["rc"] == 1
+    assert re.search(r"^error: MalformedFrame: ", captured.err, re.MULTILINE)
+    assert len(re.findall(r"digest=([0-9a-f]{16})", captured.out)) == 2
+
+
 # --- console entry point ---
 
 

@@ -97,6 +97,8 @@ def test_lamport_length_mismatch():
         lamport_sign(kp, [0, 2] + [0] * 14)
     # verify treats bad shapes as a failed check, not an error
     assert not lamport_verify(kp.public, [0] * 15, lamport_sign(kp, [0] * 16), H)
+    list0, list1 = kp.public
+    assert not lamport_verify((list0, list1[:-1]), [1] * 16, lamport_sign(kp, [1] * 16), H)
 
 
 # --- Winternitz ---

@@ -253,3 +253,7 @@ def test_system_serialization_roundtrip():
         deserialize_system(blob[:-1])
     with pytest.raises(MalformedFrame):
         deserialize_system(b"\x07")
+    with pytest.raises(MalformedFrame):
+        deserialize_system(b"\x04" + blob[1:])  # field size not prime
+    with pytest.raises(MalformedFrame):
+        deserialize_system(b"\x07\x06\x00")  # no polynomials

@@ -1,8 +1,10 @@
 """Every registered instance must honor the uniform KEM/signature contracts."""
 
+import functools
 from random import Random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from pqbench.hashing import DEFAULT_HASH, HashFunction
 from pqbench.kex import DecapsFailure
@@ -53,6 +55,24 @@ def test_sig_roundtrip_and_determinism(sig):
         assert s1 == s2  # sign must be a pure function of (secret, msg)
         assert sig.verify(pk, msg, s1)
         assert not sig.verify(pk, b"different message", s1)
+
+
+@functools.cache
+def genuine_signature(name):
+    sig = builtin_sigs()[name]
+    pk, sk = sig.keypair(Random(45))
+    return pk, sig.sign(sk, b"contract message")
+
+
+@pytest.mark.parametrize("sig", SIGS, ids=lambda s: s.name)
+@example(cut=0, drop=0, insert=b"\x01")  # fs-dlog: a public value over 8 bytes
+@example(cut=0, drop=1, insert=b"\x04")  # uov: a field size that is not prime
+@given(cut=st.integers(0, 4096), drop=st.integers(0, 4096), insert=st.binary(max_size=12))
+def test_verify_returns_a_bool_for_any_public_key(sig, cut, drop, insert):
+    pk, signature = genuine_signature(sig.name)
+    cut = min(cut, len(pk))
+    public = pk[:cut] + insert + pk[cut + drop :]
+    assert isinstance(sig.verify(public, b"contract message", signature), bool)
 
 
 @pytest.mark.parametrize("sig", SIGS, ids=lambda s: s.name)

@@ -12,7 +12,7 @@ import pytest
 from pqbench import tlssim
 from pqbench.bench import FakeClock
 from pqbench.errors import PqbenchError
-from pqbench.hashing import DEFAULT_HASH
+from pqbench.hashing import DEFAULT_HASH, HashFunction
 from pqbench.kex import KemInstance, SigInstance
 from pqbench.serialize import MalformedFrame, u32
 from pqbench.suites import builtin_kems, builtin_sigs
@@ -377,6 +377,14 @@ def test_handshake_matches_golden_values(label):
     assert (t.client_read_bytes, t.client_write_bytes) == (read, write)
     assert t.client_key_digest.hex() == digest
     assert t.server_key_digest == t.client_key_digest
+
+
+def test_buffering_hash_gives_the_golden_toy_digest():
+    # a hash known only by its apply streams the transcript by buffering
+    h = HashFunction(H.name, H.output_bytes, H.apply)
+    cfg = SuiteConfig(builtin_kems(h)["lwe-toy"], builtin_sigs(h)["wots"], h, "toy")
+    t = run_handshake(cfg, cfg, rng=Random(0))
+    assert t.client_key_digest.hex() == GOLDEN_HANDSHAKES["toy"][3]
 
 
 def test_all_builtin_suites_complete():
