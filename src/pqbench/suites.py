@@ -2,12 +2,13 @@
 
 Everything here adapts a concrete scheme into the uniform KemInstance /
 SigInstance contracts from kex.  Key material crosses the contract
-boundary as bytes; secret keys for the hash-based, multivariate and
-discrete-log signers are stored as short seeds and the full keypair is
-regenerated deterministically at signing time, which keeps sign a pure
-function of (secret, message) as the contract requires.  Schemes whose
-signing is inherently randomized draw their randomness from a hash of
-(secret, message) for the same reason.
+boundary as bytes.  Every signer but the discrete-log one, whose secret
+is its exponent, goes through _seeded_sig: the secret key is a 16-byte
+seed and the full keypair is rebuilt from it at every sign, which keeps
+sign a pure function of (secret, message) as the contract requires.
+Randomized signing draws from a hash of (secret, message) for the same
+reason.  Every verify returns False when the scheme rejects its input
+as malformed by raising a PqbenchError.
 
 The stub instances are test doubles: honest implementations of the
 contracts with configurable key and payload sizes, used by the handshake
@@ -22,7 +23,7 @@ from __future__ import annotations
 from random import Random
 
 from . import codecrypt, hashsig, lattice, mq, sigma
-from .errors import DecodeFailure
+from .errors import DecodeFailure, PqbenchError
 from .hashing import DEFAULT_HASH, HashFunction
 from .kex import (
     MAIN_CURVE,
@@ -72,9 +73,14 @@ def _lwe_keygen(rng: Random) -> tuple[bytes, bytes]:
 
 
 def _lwe_parse_pk(pk: bytes) -> list[lattice.LweSample]:
+    width = 2 * (LWE_PARAMS.n + 1)
     samples = []
     for chunk in unpack(pk, LWE_PARAMS.m):
-        vals = [int.from_bytes(chunk[i : i + 2], "big") for i in range(0, len(chunk), 2)]
+        if len(chunk) != width:
+            raise MalformedFrame(f"LWE sample is {len(chunk)} bytes, expected {width}")
+        vals = [int.from_bytes(chunk[i : i + 2], "big") for i in range(0, width, 2)]
+        if max(vals) >= LWE_PARAMS.q:
+            raise MalformedFrame(f"LWE sample value {max(vals)} is not below q={LWE_PARAMS.q}")
         samples.append(lattice.LweSample(tuple(vals[:-1]), vals[-1]))
     return samples
 
@@ -211,125 +217,121 @@ def sized_stub_kem(name: str, public_bytes: int, ciphertext_bytes: int,
     return KemInstance(name, keypair, encaps, decaps)
 
 
+def _rejecting(verify):
+    """verify, with a PqbenchError raised on malformed input read as False."""
+
+    def checked(public: bytes, msg: bytes, signature: bytes) -> bool:
+        try:
+            return verify(public, msg, signature)
+        except PqbenchError:
+            return False
+
+    return checked
+
+
+def _seeded_sig(name: str, derive, sign, verify) -> SigInstance:
+    """A signer whose secret is a 16-byte seed: derive(seed) rebuilds
+    (public bytes, full key), and sign(key, seed, msg) signs with it."""
+
+    def keypair(rng: Random):
+        seed = rng.randbytes(16)
+        return derive(seed)[0], seed
+
+    def sign_with_seed(secret: bytes, msg: bytes):
+        return sign(derive(secret)[1], secret, msg)
+
+    return SigInstance(name, keypair, sign_with_seed, _rejecting(verify))
+
+
 def sized_stub_sig(name: str, public_bytes: int, signature_bytes: int,
                    h: HashFunction = _H) -> SigInstance:
     """Honest fixed-size signatures: the signature is a stretch of one
     digest of public key and message, so verification genuinely depends
     on every byte of both while hashing each of them only once."""
 
-    def keypair(rng: Random):
-        seed = rng.randbytes(16)
-        return _stretch(h, b"sigpk" + seed, public_bytes), seed
+    def derive(seed: bytes):
+        public = _stretch(h, b"sigpk" + seed, public_bytes)
+        return public, public
 
-    def sign(secret: bytes, msg: bytes):
-        public = _stretch(h, b"sigpk" + secret, public_bytes)
+    def sign(public: bytes, secret: bytes, msg: bytes):
         return _stretch(h, public + msg, signature_bytes)
 
     def verify(public: bytes, msg: bytes, signature: bytes):
         return signature == _stretch(h, public + msg, signature_bytes)
 
-    return SigInstance(name, keypair, sign, verify)
+    return _seeded_sig(name, derive, sign, verify)
 
 
 # --- hash-based signers ---
 
 
 def lamport_sig(h: HashFunction = _H) -> SigInstance:
-    def keypair(rng: Random):
-        seed = rng.randbytes(16)
+    def derive(seed: bytes):
         kp = hashsig.lamport_keygen(OTS_MSG_BITS, h, _seed_rng(b"lamport", seed))
-        return pack(pack(*kp.public[0]), pack(*kp.public[1])), seed
+        return pack(pack(*kp.public[0]), pack(*kp.public[1])), kp
 
-    def sign(secret: bytes, msg: bytes):
-        kp = hashsig.lamport_keygen(OTS_MSG_BITS, h, _seed_rng(b"lamport", secret))
+    def sign(kp, secret: bytes, msg: bytes):
         bits = hashsig.message_bits(h, msg, OTS_MSG_BITS)
         return pack(*hashsig.lamport_sign(kp, bits))
 
     def verify(public: bytes, msg: bytes, signature: bytes):
-        try:
-            list0, list1 = (unpack(half) for half in unpack(public, 2))
-            sig = unpack(signature)
-        except MalformedFrame:
-            return False
+        list0, list1 = (unpack(half) for half in unpack(public, 2))
         bits = hashsig.message_bits(h, msg, OTS_MSG_BITS)
-        return hashsig.lamport_verify((list0, list1), bits, sig, h)
+        return hashsig.lamport_verify((list0, list1), bits, unpack(signature), h)
 
-    return SigInstance("lamport", keypair, sign, verify)
+    return _seeded_sig("lamport", derive, sign, verify)
 
 
 def wots_sig(h: HashFunction = _H) -> SigInstance:
     params = hashsig.WotsParams(w=4, msg_bits=OTS_MSG_BITS)
 
-    def keypair(rng: Random):
-        seed = rng.randbytes(16)
-        _, public = hashsig.wots_keygen(params, h, _seed_rng(b"wots", seed))
-        return pack(*public), seed
+    def derive(seed: bytes):
+        sk, public = hashsig.wots_keygen(params, h, _seed_rng(b"wots", seed))
+        return pack(*public), sk
 
-    def sign(secret: bytes, msg: bytes):
-        sk, _ = hashsig.wots_keygen(params, h, _seed_rng(b"wots", secret))
+    def sign(sk, secret: bytes, msg: bytes):
         bits = hashsig.message_bits(h, msg, params.msg_bits)
         return pack(*hashsig.wots_sign(params, sk, bits, h))
 
     def verify(public: bytes, msg: bytes, signature: bytes):
-        try:
-            pub = unpack(public)
-            sig = unpack(signature)
-        except MalformedFrame:
-            return False
         bits = hashsig.message_bits(h, msg, params.msg_bits)
-        return hashsig.wots_verify(params, pub, bits, sig, h)
+        return hashsig.wots_verify(params, unpack(public), bits, unpack(signature), h)
 
-    return SigInstance("wots", keypair, sign, verify)
+    return _seeded_sig("wots", derive, sign, verify)
 
 
 def mss_sig(h: HashFunction = _H) -> SigInstance:
-    def build(seed: bytes) -> hashsig.MssSigner:
-        return hashsig.MssSigner(
+    def derive(seed: bytes):
+        signer = hashsig.MssSigner(
             MSS_LEAVES, OTS_MSG_BITS, h, _seed_rng(b"mss", seed), stateless=True
         )
+        return signer.root, signer
 
-    def keypair(rng: Random):
-        seed = rng.randbytes(16)
-        return build(seed).root, seed
-
-    def sign(secret: bytes, msg: bytes):
-        return hashsig.serialize_mss_signature(build(secret).sign(msg))
+    def sign(signer, secret: bytes, msg: bytes):
+        return hashsig.serialize_mss_signature(signer.sign(msg))
 
     def verify(public: bytes, msg: bytes, signature: bytes):
-        try:
-            sig = hashsig.deserialize_mss_signature(signature)
-            return hashsig.mss_verify(public, msg, sig, h)
-        except hashsig.InvalidBundle:
-            return False
+        sig = hashsig.deserialize_mss_signature(signature)
+        return hashsig.mss_verify(public, msg, sig, h)
 
-    return SigInstance("mss", keypair, sign, verify)
+    return _seeded_sig("mss", derive, sign, verify)
 
 
 # --- multivariate signer ---
 
 
 def uov_sig(h: HashFunction = _H) -> SigInstance:
-    def keypair(rng: Random):
-        seed = rng.randbytes(16)
+    def derive(seed: bytes):
         kp = mq.uov_keygen(UOV_PARAMS, _seed_rng(b"uov", seed))
-        return mq.serialize_system(kp.public), seed
+        return mq.serialize_system(kp.public), kp.private
 
-    def sign(secret: bytes, msg: bytes):
-        kp = mq.uov_keygen(UOV_PARAMS, _seed_rng(b"uov", secret))
-        sig = mq.uov_sign(kp.private, msg, h, _seed_rng(b"uov-sign", secret, msg))
-        return bytes(sig)
+    def sign(private, secret: bytes, msg: bytes):
+        return bytes(mq.uov_sign(private, msg, h, _seed_rng(b"uov-sign", secret, msg)))
 
     def verify(public: bytes, msg: bytes, signature: bytes):
-        try:
-            system = mq.deserialize_system(public)
-        except MalformedFrame:
-            return False
-        sig = tuple(signature)
-        if len(sig) != system.n:
-            return False
-        return mq.uov_verify(system, msg, sig, h)
+        return mq.uov_verify(mq.deserialize_system(public), msg, tuple(signature), h)
 
-    return SigInstance("uov", keypair, sign, verify)
+    return _seeded_sig("uov", derive, sign, verify)
 
 
 # --- discrete-log signer ---
@@ -349,10 +351,7 @@ def fs_dlog_sig(h: HashFunction = _H) -> SigInstance:
         return pack(sig.commitment, sig.response)
 
     def verify(public: bytes, msg: bytes, signature: bytes):
-        try:
-            commitment, response = unpack(signature, 2)
-        except MalformedFrame:
-            return False
+        commitment, response = unpack(signature, 2)
         y = int.from_bytes(public, "big")
         if len(public) != 8 or not 0 < y < setting.p:
             return False
@@ -360,7 +359,7 @@ def fs_dlog_sig(h: HashFunction = _H) -> SigInstance:
             setting.relation, y, msg, sigma.FsSignature(commitment, response), h
         )
 
-    return SigInstance("fs-dlog", keypair, sign, verify)
+    return SigInstance("fs-dlog", keypair, sign, _rejecting(verify))
 
 
 def builtin_kems(h: HashFunction = _H) -> dict[str, KemInstance]:

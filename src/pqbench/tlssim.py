@@ -31,8 +31,11 @@ avoids reimplementing HMAC, and the labels ("c hs", "s hs", "fin c",
 Both sides talk through SocketConnection, over TCP or over a local
 socket pair (memory_pair).  A socket call silent for READ_DEADLINE_S
 raises PeerTimeout, any other socket error ConnectionClosed (the OSError
-is the cause), and a frame over MAX_FRAME_BYTES MalformedFrame.  Wall
-time starts once the server identity (keypair and certificate) exists.
+is the cause), and a frame over MAX_FRAME_BYTES MalformedFrame.  When a
+payload is cut short, the error names the frame, its announced length
+and the bytes that arrived.  server_handshake raises any failure that is
+not a PqbenchError as ServerCrashed.  Wall time starts once the server
+identity (keypair and certificate) exists.
 
 Divergence worth knowing: here the signature suite changes the size of
 CertificateVerify and of the certificate itself, so handshake totals DO
@@ -87,7 +90,10 @@ class UnexpectedMessage(PqbenchError):
 
 
 class ConnectionClosed(PqbenchError):
-    """Peer went away mid-handshake."""
+    """Peer went away mid-handshake.  received counts the bytes the failed
+    recv_exact had read."""
+
+    received = 0
 
 
 class PeerTimeout(ConnectionClosed):
@@ -263,11 +269,15 @@ class SocketConnection:
 
     def recv_exact(self, n: int) -> bytes:
         buf = b""
-        while len(buf) < n:
-            got = self._call(self._sock.recv, n - len(buf))
-            if not got:
-                raise ConnectionClosed(f"peer closed with {len(buf)} of {n} bytes read")
-            buf += got
+        try:
+            while len(buf) < n:
+                got = self._call(self._sock.recv, n - len(buf))
+                if not got:
+                    raise ConnectionClosed(f"peer closed with {len(buf)} of {n} bytes read")
+                buf += got
+        except ConnectionClosed as e:
+            e.received = len(buf)
+            raise
         self.bytes_received += n
         return buf
 
@@ -286,12 +296,24 @@ def memory_pair(client_send_hook=None, server_send_hook=None):
 
 
 def read_message(conn):
-    """One framed message off the wire: (decoded message, raw frame)."""
+    """One framed message off the wire: (decoded message, raw frame).
+
+    A connection lost mid-payload is raised again, as the same type with
+    the original as its cause, naming the frame, its announced length and
+    the payload bytes that arrived.
+    """
     header = conn.recv_exact(5)
     plen, _ = read_u32(header, 1)
     if plen > MAX_FRAME_BYTES:
         raise MalformedFrame(f"frame announces {plen} payload bytes, cap is {MAX_FRAME_BYTES}")
-    raw = header + conn.recv_exact(plen)
+    try:
+        payload = conn.recv_exact(plen)
+    except ConnectionClosed as e:
+        cls = _TAG_TYPES.get(header[0])
+        frame = cls.__name__ if cls else f"unknown tag {header[0]}"
+        raise type(e)(f"{frame} frame announced {plen} payload bytes, "
+                      f"{e.received} arrived: {e}") from e
+    raw = header + payload
     return decode_message(raw), raw
 
 
@@ -455,7 +477,9 @@ def client_handshake(cfg: SuiteConfig, conn, rng: Random) -> SideResult:
 
 def server_handshake(cfg: SuiteConfig, identity: Identity, conn,
                      rng: Random) -> SideResult:
-    """Drive the server side; sends nothing if negotiation fails."""
+    """Drive the server side; sends nothing if negotiation fails.  A
+    failure that is not a PqbenchError is raised as ServerCrashed, with
+    the original as its cause."""
     side = _Side(cfg, conn)
     try:
         ch = side.expect(ClientHello)
@@ -474,6 +498,10 @@ def server_handshake(cfg: SuiteConfig, identity: Identity, conn,
         if side.expect(FinishedClient).mac != client_mac:
             raise MacMismatch("client Finished MAC rejected")
         return side.result(keys)
+    except PqbenchError:
+        raise
+    except Exception as e:
+        raise ServerCrashed(f"server raised {type(e).__name__}: {e}") from e
     finally:
         conn.close()
 
@@ -515,12 +543,8 @@ def run_handshake(client_cfg: SuiteConfig, server_cfg: SuiteConfig,
     def serve():
         try:
             outcome["result"] = server_handshake(server_cfg, identity, server_end, server_rng)
-        except PqbenchError as e:
+        except PqbenchError as e:  # reaches the caller, not threading.excepthook
             outcome["error"] = e
-        except Exception as e:  # reaches the caller, not threading.excepthook
-            crash = ServerCrashed(f"server raised {type(e).__name__}: {e}")
-            crash.__cause__ = e
-            outcome["error"] = crash
 
     worker = threading.Thread(target=serve, name="tls-server")
     worker.start()

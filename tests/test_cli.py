@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from pqbench import bench, cli
+from pqbench import bench, cli, tlssim
+from pqbench.kex import KemInstance
+from pqbench.tlssim import ClientHello, encode_message
 
 KEM_FIXTURE = Path(__file__).parent.parent / "src/pqbench/data/oqs_kem_cycles.txt"
 SIG_FIXTURE = Path(__file__).parent.parent / "src/pqbench/data/oqs_sig_cycles.txt"
@@ -287,7 +289,9 @@ def test_serve_and_client_complete_a_handshake(capsys):
     assert digests[0] == digests[1]
 
 
-def test_serve_reports_a_failed_connection_and_keeps_serving(capsys):
+def serve_bad_then_good_client(capsys, bad_bytes):
+    """tls-serve for two connections: one sending bad_bytes, then tls-client.
+    Returns (server exit code, client exit code, captured output)."""
     port = free_port()
     server_code = {}
 
@@ -300,20 +304,51 @@ def test_serve_reports_a_failed_connection_and_keeps_serving(capsys):
     worker.start()
     for _ in range(100):  # wait out the listener's startup
         try:
-            garbage = socket.create_connection(("127.0.0.1", port), timeout=10)
+            bad = socket.create_connection(("127.0.0.1", port), timeout=10)
             break
         except ConnectionRefusedError:
             time.sleep(0.05)
-    with garbage:
-        garbage.sendall(b"\xee\x00\x00\x00\x01!")  # no such message type
+    with bad:
+        bad.sendall(bad_bytes)
     client_rc = cli.main(["tls-client", "--connect", f"127.0.0.1:{port}",
                           "--suite", "toy", "--seed", "5"])
     worker.join(timeout=10)
     assert not worker.is_alive()
-    captured = capsys.readouterr()
+    return server_code["rc"], client_rc, capsys.readouterr()
+
+
+def test_serve_reports_a_failed_connection_and_keeps_serving(capsys):
+    server_rc, client_rc, captured = serve_bad_then_good_client(
+        capsys, b"\xee\x00\x00\x00\x01!")  # no such message type
     assert client_rc == 0
-    assert server_code["rc"] == 1
+    assert server_rc == 1
     assert re.search(r"^error: MalformedFrame: ", captured.err, re.MULTILINE)
+    assert len(re.findall(r"digest=([0-9a-f]{16})", captured.out)) == 2
+
+
+def test_serve_reports_a_foreign_failure_as_server_crashed(capsys, monkeypatch):
+    tls_suites = cli._tls_suites
+
+    def with_fragile_kem():
+        table = tls_suites()
+        kem = table["toy"].kem
+
+        def encaps(public, rng):
+            if public == b"boom":
+                raise IndexError("encaps exploded")
+            return kem.encaps(public, rng)
+
+        fragile = KemInstance(kem.name, kem.keypair, encaps, kem.decaps)
+        table["toy"] = tlssim.SuiteConfig(fragile, table["toy"].sig, table["toy"].hash, "toy")
+        return table
+
+    monkeypatch.setattr(cli, "_tls_suites", with_fragile_kem)
+    server_rc, client_rc, captured = serve_bad_then_good_client(
+        capsys, encode_message(ClientHello(("toy",), b"boom")))
+    assert client_rc == 0
+    assert server_rc == 1
+    assert re.search(r"^error: ServerCrashed: server raised IndexError: encaps exploded$",
+                     captured.err, re.MULTILINE)
     assert len(re.findall(r"digest=([0-9a-f]{16})", captured.out)) == 2
 
 

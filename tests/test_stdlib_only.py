@@ -1,0 +1,29 @@
+"""The runtime imports nothing outside the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pqbench
+
+PACKAGE = Path(pqbench.__file__).parent
+
+
+def absolute_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_package_imports_only_the_standard_library():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    foreign = {
+        f"{path.relative_to(PACKAGE)}: {name}"
+        for path in modules
+        for name in absolute_imports(path)
+        if name.split(".")[0] not in sys.stdlib_module_names
+    }
+    assert foreign == set()

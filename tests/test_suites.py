@@ -6,8 +6,10 @@ from random import Random
 import pytest
 from hypothesis import example, given, strategies as st
 
+from pqbench.errors import PqbenchError
 from pqbench.hashing import DEFAULT_HASH, HashFunction
 from pqbench.kex import DecapsFailure
+from pqbench.serialize import pack
 from pqbench.suites import (
     _stretch,
     builtin_kems,
@@ -64,15 +66,36 @@ def genuine_signature(name):
     return pk, sig.sign(sk, b"contract message")
 
 
+def splice(data, cut, drop, insert):
+    cut = min(cut, len(data))
+    return data[:cut] + insert + data[cut + drop :]
+
+
+# (cut, drop, insert) for splice
+splices = st.tuples(st.integers(0, 4096), st.integers(0, 4096), st.binary(max_size=12))
+
+
 @pytest.mark.parametrize("sig", SIGS, ids=lambda s: s.name)
-@example(cut=0, drop=0, insert=b"\x01")  # fs-dlog: a public value over 8 bytes
-@example(cut=0, drop=1, insert=b"\x04")  # uov: a field size that is not prime
-@given(cut=st.integers(0, 4096), drop=st.integers(0, 4096), insert=st.binary(max_size=12))
-def test_verify_returns_a_bool_for_any_public_key(sig, cut, drop, insert):
+@example(public=(0, 0, b"\x01"), mutated=(0, 0, b""))  # fs-dlog: a public value over 8 bytes
+@example(public=(0, 1, b"\x04"), mutated=(0, 0, b""))  # uov: a field size that is not prime
+@example(public=(0, 0, b""), mutated=(0, 1, b""))  # a signature one byte short
+@given(public=splices, mutated=splices)
+def test_verify_returns_a_bool_for_any_public_key(sig, public, mutated):
     pk, signature = genuine_signature(sig.name)
-    cut = min(cut, len(pk))
-    public = pk[:cut] + insert + pk[cut + drop :]
-    assert isinstance(sig.verify(public, b"contract message", signature), bool)
+    ok = sig.verify(splice(pk, *public), b"contract message", splice(signature, *mutated))
+    assert isinstance(ok, bool)
+
+
+@pytest.mark.parametrize("kem", KEMS, ids=lambda k: k.name)
+@example(public=pack(*[b""] * 8))  # lwe-toy: samples of no width
+@example(public=pack(*[b"\xff" * 10] * 8))  # lwe-toy: values not below q
+@given(public=st.binary(max_size=300)
+       | st.lists(st.binary(max_size=16), max_size=10).map(lambda chunks: pack(*chunks)))
+def test_encaps_returns_or_raises_a_pqbench_error_for_any_public_key(kem, public):
+    try:
+        kem.encaps(public, Random(0))
+    except PqbenchError:
+        pass
 
 
 @pytest.mark.parametrize("sig", SIGS, ids=lambda s: s.name)

@@ -15,7 +15,7 @@ from pqbench.errors import PqbenchError
 from pqbench.hashing import DEFAULT_HASH, HashFunction
 from pqbench.kex import KemInstance, SigInstance
 from pqbench.serialize import MalformedFrame, u32
-from pqbench.suites import builtin_kems, builtin_sigs
+from pqbench.suites import builtin_kems, builtin_sigs, sized_stub_kem, sized_stub_sig
 from pqbench.tlssim import (
     Certificate,
     CertificateMessage,
@@ -170,6 +170,23 @@ def test_read_message_rejects_oversized_frame_before_reading_it():
     with pytest.raises(MalformedFrame):
         read_message(SocketConnection(sock))
     assert sock.asked == [5]
+
+
+@pytest.mark.parametrize("close", (False, True), ids=("silent", "closed"))
+def test_read_message_names_the_frame_it_lost(monkeypatch, close):
+    monkeypatch.setattr(tlssim, "READ_DEADLINE_S", 0.05)
+    client, server = memory_pair()
+    client.send(b"\x01" + u32(100) + bytes(10))  # a ClientHello cut short
+    if close:
+        client.close()
+    with pytest.raises(ConnectionClosed) as info:
+        read_message(server)
+    assert isinstance(info.value, PeerTimeout) is not close
+    assert type(info.value.__cause__) is type(info.value)
+    for word in ("ClientHello", "100", "10 arrived"):
+        assert word in str(info.value)
+    client.close()
+    server.close()
 
 
 # --- key schedule and certificates ---
@@ -616,6 +633,30 @@ def test_registry_suites_rank_by_published_key_size():
         "BIKE-1-CCA",
         "FrodoKEM-976",
     ]
+
+
+def sized_like(real: SuiteConfig) -> SuiteConfig:
+    """Stub suite with real's scheme names and measured wire sizes."""
+    kem_public, _ = real.kem.keypair(Random(1))
+    ciphertext, _ = real.kem.encaps(kem_public, Random(2))
+    sig_public, sig_secret = real.sig.keypair(Random(3))
+    signature = real.sig.sign(sig_secret, b"size probe")
+    return SuiteConfig(
+        sized_stub_kem(real.kem.name, len(kem_public), len(ciphertext)),
+        sized_stub_sig(real.sig.name, len(sig_public), len(signature)),
+        real.hash, real.label)
+
+
+@pytest.mark.parametrize("kem_name", sorted(builtin_kems(H)))
+@pytest.mark.parametrize("sig_name", sorted(builtin_sigs(H)))
+def test_size_matched_stub_suite_reproduces_the_real_bytes(kem_name, sig_name):
+    real = SuiteConfig(builtin_kems(H)[kem_name], builtin_sigs(H)[sig_name], H,
+                       f"{kem_name}+{sig_name}")
+    a = run_handshake(real, real, rng=Random(0))
+    stub = sized_like(real)
+    b = run_handshake(stub, stub, rng=Random(0))
+    assert b.messages == a.messages
+    assert (b.client_read_bytes, b.client_write_bytes) == (a.client_read_bytes, a.client_write_bytes)
 
 
 def test_stub_total_moves_one_for_one_with_public_key():
