@@ -177,8 +177,9 @@ def bench_kem(kem: KemInstance, config: BenchConfig,
 
 def bench_sig(sig: SigInstance, config: BenchConfig,
               rng: Random | None = None) -> list[BenchRecord]:
-    """Time keypair, then sign and verify against one fixed keypair;
-    verification runs over pre-computed message/signature pairs."""
+    """Time keypair, then sign (with the secret keypair returned, so no
+    key rebuild) and verify against one fixed keypair; verification runs
+    over pre-computed message/signature pairs."""
     rng = rng if rng is not None else Random(0)
     records = [BenchRecord(sig.name, "keypair",
                            adaptive_bench(lambda: sig.keypair(rng), config))]

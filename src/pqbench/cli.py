@@ -163,13 +163,15 @@ def _tls_suites():
 
 def _hostport(text) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep or not host or not port.isdigit():
-        raise UsageError(f"expected HOST:PORT, got {text!r}")
+    if not sep or not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise UsageError(f"expected HOST:PORT with a port in 0-65535, got {text!r}")
     return host, int(port)
 
 
 def cmd_tls_serve(ns) -> int:
     host, port = _hostport(ns.listen)
+    if ns.iterations < 1:
+        raise UsageError("--iterations must be >= 1")
     cfg = _pick(_tls_suites(), ns.suite, "suite")
     rng = Random(ns.seed)
     identity = tlssim.make_identity(cfg.sig, "server", Random(rng.randrange(2**63)))

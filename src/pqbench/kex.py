@@ -7,19 +7,21 @@ curve's whole point set can be enumerated, which is how the fixture
 curves' orders were found and how the group-law tests stay exhaustive.
 
 The same module defines the two behavioral contracts the benchmarking
-and handshake layers consume: KemInstance (keypair / encaps / decaps
-over opaque byte strings) and SigInstance (keypair / sign / verify).
-Any scheme in the package can be wrapped into these shapes; the
-kem_from_encryption adapter does it generically for bit-oriented
-public-key encryption by polling one encrypted bit per secret bit and
-hashing the bit string into the shared secret.
+and handshake layers consume: KemInstance (keypair / encaps / decaps)
+and SigInstance (keypair / sign / verify).  Public keys, ciphertexts,
+signatures and shared secrets are bytes; a secret key is never sent, so
+it stays opaque, in whatever form keypair built it.  Any scheme in the
+package can be wrapped into these shapes; the kem_from_encryption
+adapter does it generically for bit-oriented public-key encryption by
+polling one encrypted bit per secret bit and hashing the bit string
+into the shared secret.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable
+from typing import Any, Callable
 
 from .errors import PqbenchError, TooLarge
 from .hashing import HashFunction
@@ -212,26 +214,27 @@ def decode_point(data: bytes) -> Point:
 
 @dataclass(frozen=True)
 class KemInstance:
-    """Key encapsulation over opaque byte strings.
+    """Key encapsulation over byte strings and an opaque secret.
 
     keypair(rng) -> (public, secret); encaps(public, rng) -> (ciphertext,
     shared); decaps(secret, ciphertext) -> shared.  Shared secrets are
-    fixed-length byte strings.
+    fixed-length byte strings; the secret is whatever keypair returned.
     """
 
     name: str
-    keypair: Callable[[Random], tuple[bytes, bytes]] = field(repr=False)
+    keypair: Callable[[Random], tuple[bytes, Any]] = field(repr=False)
     encaps: Callable[[bytes, Random], tuple[bytes, bytes]] = field(repr=False)
-    decaps: Callable[[bytes, bytes], bytes] = field(repr=False)
+    decaps: Callable[[Any, bytes], bytes] = field(repr=False)
 
 
 @dataclass(frozen=True)
 class SigInstance:
-    """Signatures over opaque byte strings; sign is deterministic in (secret, msg)."""
+    """Signatures over byte strings; sign is deterministic in (secret,
+    msg), and the secret is whatever keypair returned, opaque to callers."""
 
     name: str
-    keypair: Callable[[Random], tuple[bytes, bytes]] = field(repr=False)
-    sign: Callable[[bytes, bytes], bytes] = field(repr=False)
+    keypair: Callable[[Random], tuple[bytes, Any]] = field(repr=False)
+    sign: Callable[[Any, bytes], bytes] = field(repr=False)
     verify: Callable[[bytes, bytes, bytes], bool] = field(repr=False)
 
 
@@ -247,7 +250,7 @@ def ecdh_kem(curve: CurveParams, gen: Point, order: int, h: HashFunction,
 
     def keypair(rng: Random):
         n = rng.randrange(1, order)
-        return encode_point(scalar_mul(n, gen, curve)), n.to_bytes(4, "big")
+        return encode_point(scalar_mul(n, gen, curve)), n
 
     def encaps(public: bytes, rng: Random):
         pub_point = decode_point(public)
@@ -257,8 +260,7 @@ def ecdh_kem(curve: CurveParams, gen: Point, order: int, h: HashFunction,
             scalar_mul(e, pub_point, curve)
         )
 
-    def decaps(secret: bytes, ciphertext: bytes):
-        n = int.from_bytes(secret, "big")
+    def decaps(n: int, ciphertext: bytes):
         ct_point = decode_point(ciphertext)
         _require_on_curve(ct_point, curve)
         return shared_secret(scalar_mul(n, ct_point, curve))
@@ -268,9 +270,9 @@ def ecdh_kem(curve: CurveParams, gen: Point, order: int, h: HashFunction,
 
 def kem_from_encryption(
     name: str,
-    keygen: Callable[[Random], tuple[bytes, bytes]],
-    encrypt_bit: Callable[[bytes, int, Random], int],
-    decrypt_bit: Callable[[bytes, int], int],
+    keygen: Callable[[Random], tuple[bytes, Any]],
+    encryptor: Callable[[bytes], Callable[[int, Random], int]],
+    decrypt_bit: Callable[[Any, int], int],
     secret_bits: int,
     *,
     ciphertext_bits: int,
@@ -278,26 +280,29 @@ def kem_from_encryption(
 ) -> KemInstance:
     """Wrap bit-oriented public-key encryption as a KEM.
 
-    encrypt_bit returns each per-bit ciphertext as an int of exactly
-    ciphertext_bits bits; the adapter packs them contiguously (first bit's
-    ciphertext in the most significant position) and hashes the plaintext
-    bit string into the shared secret.
+    encryptor(public) reads a public key once and returns
+    encrypt_bit(bit, rng), which gives each per-bit ciphertext as an int
+    of exactly ciphertext_bits bits; the adapter packs them contiguously
+    (first bit's ciphertext in the most significant position) and hashes
+    the plaintext bit string into the shared secret.  decrypt_bit(secret,
+    block) takes the secret as keygen returned it.
     """
     total_bits = secret_bits * ciphertext_bits
     ct_len = (total_bits + 7) // 8
     pad = 8 * ct_len - total_bits
 
     def encaps(public: bytes, rng: Random):
+        encrypt_bit = encryptor(public)
         bits = [rng.randrange(2) for _ in range(secret_bits)]
         acc = 0
         for bit in bits:
-            block = encrypt_bit(public, bit, rng)
+            block = encrypt_bit(bit, rng)
             if block >> ciphertext_bits:
                 raise DecapsFailure(f"{name}: block wider than {ciphertext_bits} bits")
             acc = (acc << ciphertext_bits) | block
         return (acc << pad).to_bytes(ct_len, "big"), h(pack_bits(bits))
 
-    def decaps(secret: bytes, ciphertext: bytes):
+    def decaps(secret, ciphertext: bytes):
         if len(ciphertext) != ct_len:
             raise DecapsFailure(f"{name}: ciphertext must be {ct_len} bytes")
         acc = int.from_bytes(ciphertext, "big") >> pad

@@ -1,14 +1,15 @@
 """Registered KEM and signature instances over the package's schemes.
 
 Everything here adapts a concrete scheme into the uniform KemInstance /
-SigInstance contracts from kex.  Key material crosses the contract
-boundary as bytes.  Every signer but the discrete-log one, whose secret
-is its exponent, goes through _seeded_sig: the secret key is a 16-byte
-seed and the full keypair is rebuilt from it at every sign, which keeps
-sign a pure function of (secret, message) as the contract requires.
-Randomized signing draws from a hash of (secret, message) for the same
-reason.  Every verify returns False when the scheme rejects its input
-as malformed by raising a PqbenchError.
+SigInstance contracts from kex.  Each secret key stays in the form its
+scheme uses, so no sign or decaps rebuilds or re-parses a key.  Every
+signer but the discrete-log one, whose secret is its exponent and public
+value, goes through _seeded_sig: keypair builds the full key from a
+16-byte seed and keeps (key, seed) as the secret.  Randomized signing
+draws from a hash of (seed or exponent, message), so sign is a pure
+function of (secret, message) as the contract requires.  Every verify
+returns False when the scheme rejects its input as malformed by raising
+a PqbenchError.
 
 The stub instances are test doubles: honest implementations of the
 contracts with configurable key and payload sizes, used by the handshake
@@ -20,6 +21,7 @@ input byte once, however many bytes it expands to.
 
 from __future__ import annotations
 
+from functools import partial
 from random import Random
 
 from . import codecrypt, hashsig, lattice, mq, sigma
@@ -60,7 +62,7 @@ def _lwe_scalar_bits() -> int:
     return LWE_PARAMS.q.bit_length()
 
 
-def _lwe_keygen(rng: Random) -> tuple[bytes, bytes]:
+def _lwe_keygen(rng: Random) -> tuple[bytes, tuple[int, ...]]:
     kp = lattice.lwe_keygen(LWE_PARAMS, rng)
     pk = pack(
         *(
@@ -68,8 +70,7 @@ def _lwe_keygen(rng: Random) -> tuple[bytes, bytes]:
             for s in kp.samples
         )
     )
-    sk = b"".join(x.to_bytes(2, "big") for x in kp.secret)
-    return pk, sk
+    return pk, kp.secret
 
 
 def _lwe_parse_pk(pk: bytes) -> list[lattice.LweSample]:
@@ -85,8 +86,8 @@ def _lwe_parse_pk(pk: bytes) -> list[lattice.LweSample]:
     return samples
 
 
-def _lwe_encrypt_bit(pk: bytes, bit: int, rng: Random) -> int:
-    a, b = lattice.lwe_encrypt_bit(_lwe_parse_pk(pk), bit, LWE_PARAMS, rng)
+def _lwe_encrypt_bit(samples: list[lattice.LweSample], bit: int, rng: Random) -> int:
+    a, b = lattice.lwe_encrypt_bit(samples, bit, LWE_PARAMS, rng)
     w = _lwe_scalar_bits()
     acc = 0
     for x in (*a, b):
@@ -94,10 +95,7 @@ def _lwe_encrypt_bit(pk: bytes, bit: int, rng: Random) -> int:
     return acc
 
 
-def _lwe_decrypt_bit(sk: bytes, block: int) -> int:
-    secret = tuple(
-        int.from_bytes(sk[i : i + 2], "big") for i in range(0, len(sk), 2)
-    )
+def _lwe_decrypt_bit(secret: tuple[int, ...], block: int) -> int:
     w = _lwe_scalar_bits()
     mask = (1 << w) - 1
     vals = [(block >> (w * i)) & mask for i in reversed(range(LWE_PARAMS.n + 1))]
@@ -108,7 +106,7 @@ def lwe_kem(h: HashFunction = _H) -> KemInstance:
     return kem_from_encryption(
         "lwe-toy",
         _lwe_keygen,
-        _lwe_encrypt_bit,
+        lambda pk: partial(_lwe_encrypt_bit, _lwe_parse_pk(pk)),
         _lwe_decrypt_bit,
         KEM_SECRET_BITS,
         ciphertext_bits=(LWE_PARAMS.n + 1) * _lwe_scalar_bits(),
@@ -119,33 +117,17 @@ def lwe_kem(h: HashFunction = _H) -> KemInstance:
 # --- code-based encryption as a KEM ---
 
 
-def _mceliece_keygen(rng: Random) -> tuple[bytes, bytes]:
-    code = codecrypt.hamming_code(3)
-    pk, sk = codecrypt.mceliece_keygen(code, rng)
-    pk_bytes = codecrypt.serialize_code_matrix(pk.matrix, pk.t)
-    sk_bytes = pack(
-        codecrypt.serialize_code_matrix(sk.s_inverse, 0),
-        b"".join(u32(x) for x in sk.perm_inverse),
-    )
-    return pk_bytes, sk_bytes
+def _mceliece_keygen(rng: Random) -> tuple[bytes, codecrypt.McEliecePrivateKey]:
+    pk, sk = codecrypt.mceliece_keygen(codecrypt.hamming_code(3), rng)
+    return codecrypt.serialize_code_matrix(pk.matrix, pk.t), sk
 
 
-def _mceliece_encrypt_bit(pk: bytes, bit: int, rng: Random) -> int:
-    matrix, t = codecrypt.deserialize_code_matrix(pk)
-    return codecrypt.mceliece_encrypt(
-        codecrypt.McEliecePublicKey(matrix, t), bit, rng
-    )
+def _mceliece_parse_pk(pk: bytes) -> codecrypt.McEliecePublicKey:
+    return codecrypt.McEliecePublicKey(*codecrypt.deserialize_code_matrix(pk))
 
 
-def _mceliece_decrypt_bit(sk: bytes, block: int) -> int:
-    s_inv_blob, perm_blob = unpack(sk, 2)
-    s_inverse, _ = codecrypt.deserialize_code_matrix(s_inv_blob)
-    perm_inverse = [
-        int.from_bytes(perm_blob[i : i + 4], "big") for i in range(0, len(perm_blob), 4)
-    ]
-    code = codecrypt.hamming_code(3)
-    private = codecrypt.McEliecePrivateKey(code, s_inverse, perm_inverse)
-    m = codecrypt.mceliece_decrypt(private, block)
+def _mceliece_decrypt_bit(sk: codecrypt.McEliecePrivateKey, block: int) -> int:
+    m = codecrypt.mceliece_decrypt(sk, block)
     if m >> 1:
         raise DecodeFailure(f"plaintext {m} is not a single bit")
     return m
@@ -156,7 +138,7 @@ def mceliece_kem(h: HashFunction = _H) -> KemInstance:
     return kem_from_encryption(
         "mceliece-toy",
         _mceliece_keygen,
-        _mceliece_encrypt_bit,
+        lambda pk: partial(codecrypt.mceliece_encrypt, _mceliece_parse_pk(pk)),
         _mceliece_decrypt_bit,
         KEM_SECRET_BITS,
         ciphertext_bits=7,
@@ -179,7 +161,7 @@ def identity_stub_kem(h: HashFunction = _H) -> KemInstance:
     return kem_from_encryption(
         "stub-kem",
         lambda rng: (b"", b""),
-        lambda pk, bit, rng: bit,
+        lambda pk: lambda bit, rng: bit,
         lambda sk, block: block,
         KEM_SECRET_BITS,
         ciphertext_bits=1,
@@ -200,8 +182,8 @@ def sized_stub_kem(name: str, public_bytes: int, ciphertext_bytes: int,
     outside; used to model wire costs of schemes not implemented here."""
 
     def keypair(rng: Random):
-        seed = rng.randbytes(16)
-        return _stretch(h, b"pk" + seed, public_bytes), seed
+        public = _stretch(h, b"pk" + rng.randbytes(16), public_bytes)
+        return public, public
 
     def encaps(public: bytes, rng: Random):
         if len(public) != public_bytes:
@@ -209,10 +191,10 @@ def sized_stub_kem(name: str, public_bytes: int, ciphertext_bytes: int,
         shared = h(b"ss" + public)
         return _stretch(h, b"ct" + shared, ciphertext_bytes), shared
 
-    def decaps(secret: bytes, ciphertext: bytes):
+    def decaps(public: bytes, ciphertext: bytes):
         if len(ciphertext) != ciphertext_bytes:
             raise DecapsFailure(f"{name}: unexpected ciphertext size {len(ciphertext)}")
-        return h(b"ss" + _stretch(h, b"pk" + secret, public_bytes))
+        return h(b"ss" + public)
 
     return KemInstance(name, keypair, encaps, decaps)
 
@@ -230,17 +212,20 @@ def _rejecting(verify):
 
 
 def _seeded_sig(name: str, derive, sign, verify) -> SigInstance:
-    """A signer whose secret is a 16-byte seed: derive(seed) rebuilds
-    (public bytes, full key), and sign(key, seed, msg) signs with it."""
+    """A signer keyed by a 16-byte seed: derive(seed) builds (public
+    bytes, full key), the secret is (key, seed), and sign(key, seed, msg)
+    signs with the built key."""
 
     def keypair(rng: Random):
         seed = rng.randbytes(16)
-        return derive(seed)[0], seed
+        public, key = derive(seed)
+        return public, (key, seed)
 
-    def sign_with_seed(secret: bytes, msg: bytes):
-        return sign(derive(secret)[1], secret, msg)
+    def sign_with_key(secret, msg: bytes):
+        key, seed = secret
+        return sign(key, seed, msg)
 
-    return SigInstance(name, keypair, sign_with_seed, _rejecting(verify))
+    return SigInstance(name, keypair, sign_with_key, _rejecting(verify))
 
 
 def sized_stub_sig(name: str, public_bytes: int, signature_bytes: int,
@@ -253,7 +238,7 @@ def sized_stub_sig(name: str, public_bytes: int, signature_bytes: int,
         public = _stretch(h, b"sigpk" + seed, public_bytes)
         return public, public
 
-    def sign(public: bytes, secret: bytes, msg: bytes):
+    def sign(public: bytes, seed: bytes, msg: bytes):
         return _stretch(h, public + msg, signature_bytes)
 
     def verify(public: bytes, msg: bytes, signature: bytes):
@@ -270,7 +255,7 @@ def lamport_sig(h: HashFunction = _H) -> SigInstance:
         kp = hashsig.lamport_keygen(OTS_MSG_BITS, h, _seed_rng(b"lamport", seed))
         return pack(pack(*kp.public[0]), pack(*kp.public[1])), kp
 
-    def sign(kp, secret: bytes, msg: bytes):
+    def sign(kp, seed: bytes, msg: bytes):
         bits = hashsig.message_bits(h, msg, OTS_MSG_BITS)
         return pack(*hashsig.lamport_sign(kp, bits))
 
@@ -289,7 +274,7 @@ def wots_sig(h: HashFunction = _H) -> SigInstance:
         sk, public = hashsig.wots_keygen(params, h, _seed_rng(b"wots", seed))
         return pack(*public), sk
 
-    def sign(sk, secret: bytes, msg: bytes):
+    def sign(sk, seed: bytes, msg: bytes):
         bits = hashsig.message_bits(h, msg, params.msg_bits)
         return pack(*hashsig.wots_sign(params, sk, bits, h))
 
@@ -307,7 +292,7 @@ def mss_sig(h: HashFunction = _H) -> SigInstance:
         )
         return signer.root, signer
 
-    def sign(signer, secret: bytes, msg: bytes):
+    def sign(signer, seed: bytes, msg: bytes):
         return hashsig.serialize_mss_signature(signer.sign(msg))
 
     def verify(public: bytes, msg: bytes, signature: bytes):
@@ -325,8 +310,8 @@ def uov_sig(h: HashFunction = _H) -> SigInstance:
         kp = mq.uov_keygen(UOV_PARAMS, _seed_rng(b"uov", seed))
         return mq.serialize_system(kp.public), kp.private
 
-    def sign(private, secret: bytes, msg: bytes):
-        return bytes(mq.uov_sign(private, msg, h, _seed_rng(b"uov-sign", secret, msg)))
+    def sign(private, seed: bytes, msg: bytes):
+        return bytes(mq.uov_sign(private, msg, h, _seed_rng(b"uov-sign", seed, msg)))
 
     def verify(public: bytes, msg: bytes, signature: bytes):
         return mq.uov_verify(mq.deserialize_system(public), msg, tuple(signature), h)
@@ -342,12 +327,12 @@ def fs_dlog_sig(h: HashFunction = _H) -> SigInstance:
 
     def keypair(rng: Random):
         x, y = setting.keypair(rng)
-        return y.to_bytes(8, "big"), x.to_bytes(8, "big")
+        return y.to_bytes(8, "big"), (x, y)
 
-    def sign(secret: bytes, msg: bytes):
-        x = int.from_bytes(secret, "big")
-        y = pow(setting.g, x, setting.p)
-        sig = sigma.fs_sign(setting.relation, x, y, msg, h, _seed_rng(b"fs", secret, msg))
+    def sign(secret: tuple[int, int], msg: bytes):
+        x, y = secret
+        rng = _seed_rng(b"fs", x.to_bytes(8, "big"), msg)
+        sig = sigma.fs_sign(setting.relation, x, y, msg, h, rng)
         return pack(sig.commitment, sig.response)
 
     def verify(public: bytes, msg: bytes, signature: bytes):

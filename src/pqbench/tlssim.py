@@ -51,7 +51,7 @@ import threading
 import time
 from dataclasses import astuple, dataclass
 from random import Random
-from typing import Callable
+from typing import Any, Callable
 
 from .bench import summarize
 from .errors import PqbenchError
@@ -357,7 +357,7 @@ def certificate_signing_bytes(cert: Certificate) -> bytes:
 
 
 @functools.lru_cache(maxsize=64)
-def pinned_issuer(sig: SigInstance) -> tuple[bytes, bytes]:
+def pinned_issuer(sig: SigInstance) -> tuple[bytes, Any]:
     """The well-known issuer keypair for a signature scheme.
 
     Derived from a fixed seed so every party can recompute it; this is
@@ -373,7 +373,7 @@ def pinned_issuer(sig: SigInstance) -> tuple[bytes, bytes]:
 @dataclass(frozen=True)
 class Identity:
     certificate: Certificate
-    sig_secret: bytes
+    sig_secret: Any  # as sig.keypair returned it
 
 
 def make_identity(sig: SigInstance, subject: str, rng: Random) -> Identity:

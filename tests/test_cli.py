@@ -289,6 +289,25 @@ def test_serve_and_client_complete_a_handshake(capsys):
     assert digests[0] == digests[1]
 
 
+@pytest.mark.parametrize("verb,flag", [("tls-serve", "--listen"), ("tls-client", "--connect")])
+# str.isdigit accepts a superscript 2, which int() cannot read
+@pytest.mark.parametrize("port", ["70000", "65536", "\u00b2"])
+def test_port_not_in_0_to_65535_is_usage_error(capsys, verb, flag, port):
+    code, out, err = run_cli(capsys, verb, flag, f"127.0.0.1:{port}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("iterations", ["0", "-1"])
+def test_serve_without_iterations_is_usage_error_before_binding(capsys, iterations):
+    code, _, err = run_cli(capsys, "tls-serve", "--listen", "127.0.0.1:0",
+                           "--iterations", iterations)
+    assert code == 1
+    assert "--iterations must be >= 1" in err
+    assert "listening" not in err
+
+
 def serve_bad_then_good_client(capsys, bad_bytes):
     """tls-serve for two connections: one sending bad_bytes, then tls-client.
     Returns (server exit code, client exit code, captured output)."""

@@ -170,7 +170,7 @@ def _identity_kem(secret_bits=16):
     return kem_from_encryption(
         "identity",
         lambda rng: (b"pk", b"sk"),
-        lambda pk, bit, rng: bit,
+        lambda pk: lambda bit, rng: bit,
         lambda sk, block: block,
         secret_bits,
         ciphertext_bits=1,
@@ -194,12 +194,12 @@ def test_adapter_packs_blocks_msb_first():
     # 3-bit blocks: record the order encrypt sees bits, then check layout
     seen = []
 
-    def enc(pk, bit, rng):
+    def enc(bit, rng):
         seen.append(bit)
         return (0b100 | bit)  # distinctive high bit in every block
 
     kem = kem_from_encryption(
-        "blocky", lambda rng: (b"", b""), enc, lambda sk, block: block & 1,
+        "blocky", lambda rng: (b"", b""), lambda pk: enc, lambda sk, block: block & 1,
         5, ciphertext_bits=3, h=H,
     )
     ct, ss = kem.encaps(b"", Random(10))
@@ -212,7 +212,7 @@ def test_adapter_packs_blocks_msb_first():
 
 def test_adapter_rejects_wide_blocks_and_bad_lengths():
     kem = kem_from_encryption(
-        "wide", lambda rng: (b"", b""), lambda pk, bit, rng: 2, lambda sk, block: block,
+        "wide", lambda rng: (b"", b""), lambda pk: lambda bit, rng: 2, lambda sk, block: block,
         4, ciphertext_bits=1, h=H,
     )
     with pytest.raises(DecapsFailure):
@@ -227,14 +227,14 @@ def test_adapter_decrypt_errors_become_decaps_failure():
         raise TooLarge("nope")
 
     kem = kem_from_encryption(
-        "failing", lambda rng: (b"", b""), lambda pk, bit, rng: bit, bad_dec,
+        "failing", lambda rng: (b"", b""), lambda pk: lambda bit, rng: bit, bad_dec,
         8, ciphertext_bits=1, h=H,
     )
     ct, _ = kem.encaps(b"", Random(12))
     with pytest.raises(DecapsFailure):
         kem.decaps(b"", ct)
     kem2 = kem_from_encryption(
-        "nonbit", lambda rng: (b"", b""), lambda pk, bit, rng: bit,
+        "nonbit", lambda rng: (b"", b""), lambda pk: lambda bit, rng: bit,
         lambda sk, block: 7, 8, ciphertext_bits=3, h=H,
     )
     ct2, _ = kem2.encaps(b"", Random(13))

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, strategies as st
 
+from pqbench import codecrypt, suites
 from pqbench.errors import PqbenchError
 from pqbench.hashing import DEFAULT_HASH, HashFunction
 from pqbench.kex import DecapsFailure
@@ -14,6 +15,7 @@ from pqbench.suites import (
     _stretch,
     builtin_kems,
     builtin_sigs,
+    lamport_sig,
     sized_stub_kem,
     sized_stub_sig,
 )
@@ -96,6 +98,29 @@ def test_encaps_returns_or_raises_a_pqbench_error_for_any_public_key(kem, public
         kem.encaps(public, Random(0))
     except PqbenchError:
         pass
+
+
+DECAPS_KEMS = {**builtin_kems(), "sized-stub": sized_stub_kem("sized-stub", 1184, 1088)}
+
+
+@functools.cache
+def genuine_ciphertext(name):
+    kem = DECAPS_KEMS[name]
+    pk, sk = kem.keypair(Random(56))
+    return sk, kem.encaps(pk, Random(57))[0]
+
+
+@pytest.mark.parametrize("name", sorted(DECAPS_KEMS))
+@given(data=st.data())
+def test_decaps_returns_bytes_or_raises_a_pqbench_error_for_any_ciphertext(name, data):
+    sk, genuine = genuine_ciphertext(name)
+    ciphertext = data.draw(st.binary(min_size=len(genuine), max_size=len(genuine))
+                           | splices.map(lambda cut: splice(genuine, *cut)))
+    try:
+        shared = DECAPS_KEMS[name].decaps(sk, ciphertext)
+    except PqbenchError:
+        return
+    assert isinstance(shared, bytes)
 
 
 @pytest.mark.parametrize("sig", SIGS, ids=lambda s: s.name)
@@ -208,3 +233,39 @@ def test_stub_sig_hashes_a_long_message_at_most_twice():
     s = sig.sign(sk, msg)
     assert sig.verify(pk, msg, s)
     assert sum(1 for n in counting.lengths if n >= len(msg)) <= 2
+
+
+def test_lamport_sign_hashes_only_the_message():
+    counting = CountingHash()
+    sig = lamport_sig(counting.h)
+    pk, sk = sig.keypair(Random(52))
+    counting.lengths.clear()
+    signature = sig.sign(sk, b"m")
+    assert len(counting.lengths) == 1
+    assert sig.verify(pk, b"m", signature)
+
+
+def test_stub_kem_decaps_hashes_once():
+    counting = CountingHash()
+    kem = sized_stub_kem("x", 1184, 1088, counting.h)
+    rng = Random(53)
+    pk, sk = kem.keypair(rng)
+    ct, ss = kem.encaps(pk, rng)
+    counting.lengths.clear()
+    assert kem.decaps(sk, ct) == ss
+    assert len(counting.lengths) == 1
+
+
+@pytest.mark.parametrize("name,module,parser", [
+    ("lwe-toy", suites, "_lwe_parse_pk"),
+    ("mceliece-toy", codecrypt, "deserialize_code_matrix"),
+])
+def test_encaps_parses_the_public_key_once(monkeypatch, name, module, parser):
+    kem = builtin_kems()[name]
+    pk, sk = kem.keypair(Random(54))
+    parsed = []
+    original = getattr(module, parser)
+    monkeypatch.setattr(module, parser, lambda data: parsed.append(data) or original(data))
+    ct, ss = kem.encaps(pk, Random(55))
+    assert parsed == [pk]
+    assert kem.decaps(sk, ct) == ss
