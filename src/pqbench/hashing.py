@@ -1,30 +1,54 @@
-"""Keyed iterated hash over a public 64-bit mixing permutation.
+"""Named hashes: BLAKE2b as the default, pqh as the reference.
 
-The package needs a hash it fully controls: deterministic across platforms,
-adjustable output length, and cheap enough to call tens of thousands of
-times in tests.  Cryptographic strength is explicitly not a goal here; the
-schemes built on top only need determinism and good diffusion, and every
-construction takes the hash as a parameter so a real one can be swapped in.
+Everything downstream (signatures, key derivation, Fiat-Shamir, the
+handshake transcript) takes a HashFunction rather than a hard-coded
+algorithm, so any hash with a fixed output length can be swapped in.
+Two are built here.
 
-The core is mix64, the well-known splitmix64 finalizer: a fixed public
-bijection on 64-bit words.  Four lanes of state absorb the input one 64-bit
-word at a time, each absorption followed by a round that stirs every lane
-through mix64.  Finalization absorbs the message length (so "ab","c" and
-"a","bc" separate), runs blank rounds, then squeezes lanes as big-endian
-words until enough output has accumulated.
+DEFAULT_HASH is BLAKE2b-256 (RFC 7693), from CPython's built-in _blake2
+module.  It is native code, as the hashing in real TLS stacks is, so a
+handshake's time goes to its KEM, its signatures and its transport
+rather than to the hash.  It is imported from _blake2 rather than
+through hashlib: it is the same class (hashlib.blake2b is
+_blake2.blake2b), but importing hashlib also loads OpenSSL's _hashlib,
+which adds about 3.6 MB to a bare interpreter's resident set for
+nothing the package uses.
 
-The hash streams: a state absorbs each whole word as soon as it arrives
-and buffers the partial last word.  That partial word and the length are
-absorbed only at finalization, so the digest does not depend on how the
-input was split across updates, and hashing in one call is just one
-update followed by a digest.
+pqh (make_hash) is the reference a reader can trace by hand: a keyed
+iterated hash over a public 64-bit mixing permutation, deterministic
+across platforms and with any output length, pinned by frozen vectors.
+Cryptographic strength is explicitly not a goal of it.  Its core is
+mix64, the well-known splitmix64 finalizer: a fixed public bijection on
+64-bit words.  Four lanes of state absorb the input one 64-bit word at a
+time, each absorption followed by a round that stirs every lane through
+mix64.  Finalization absorbs the message length (so "ab","c" and "a","bc"
+separate), runs blank rounds, then squeezes lanes as big-endian words
+until enough output has accumulated.
+
+Both hashes stream: a state's update returns the state, digest leaves it
+able to go on absorbing, and copy forks it.  pqh absorbs each whole word
+as soon as it arrives and buffers the partial last word, which it absorbs
+with the length only at finalization, so the digest does not depend on
+how the input was split across updates.
 """
 
 import struct
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Protocol
+
+from _blake2 import blake2b
 
 _MASK = (1 << 64) - 1
+
+
+class HashState(Protocol):
+    """A running hash computation, shaped like a hashlib object."""
+
+    def update(self, data: bytes) -> "HashState": ...
+
+    def copy(self) -> "HashState": ...
+
+    def digest(self) -> bytes: ...
 
 
 def mix64(x: int) -> int:
@@ -149,16 +173,14 @@ class _BufferedState:
 class HashFunction:
     """A named hash with a fixed output length.
 
-    Instances are callable.  Everything downstream (signatures, key
-    derivation, Fiat-Shamir) takes one of these rather than a hard-coded
-    algorithm.  new_state, when given, builds the hash's own streaming
-    state; a hash built from apply alone streams by buffering.
+    Instances are callable.  new_state, when given, builds the hash's own
+    streaming state; a hash built from apply alone streams by buffering.
     """
 
     name: str
     output_bytes: int
     apply: Callable[[bytes], bytes] = field(repr=False)
-    new_state: Callable[[], PqhState] | None = field(default=None, repr=False)
+    new_state: Callable[[], HashState] | None = field(default=None, repr=False)
 
     def __call__(self, data: bytes) -> bytes:
         out = self.apply(data)
@@ -169,7 +191,7 @@ class HashFunction:
             )
         return out
 
-    def new(self) -> PqhState | _BufferedState:
+    def new(self) -> HashState:
         """An empty streaming state with update, copy and digest, shaped
         like a hashlib object; digesting everything fed to it gives what
         one call on the concatenation gives."""
@@ -179,7 +201,7 @@ class HashFunction:
 
 
 def make_hash(output_bytes: int = 32, key: bytes = b"") -> HashFunction:
-    """Build the default keyed hash at the requested output length."""
+    """Build pqh, the reference keyed hash, at the requested output length."""
     name = f"pqh{8 * output_bytes}"
     if key:
         name += f"-k{key.hex()}"
@@ -192,4 +214,39 @@ def make_hash(output_bytes: int = 32, key: bytes = b"") -> HashFunction:
                         lambda data: new_state().update(data).digest(), new_state)
 
 
-DEFAULT_HASH = make_hash(32)
+class _Blake2bState:
+    """A blake2b object whose update returns the state, as PqhState's does."""
+
+    __slots__ = ("_b",)
+
+    def __init__(self, b: blake2b):
+        self._b = b
+
+    def update(self, data: bytes) -> "_Blake2bState":
+        self._b.update(data)
+        return self
+
+    def copy(self) -> "_Blake2bState":
+        return _Blake2bState(self._b.copy())
+
+    def digest(self) -> bytes:
+        return self._b.digest()
+
+
+def make_blake2b(output_bytes: int = 32, key: bytes = b"") -> HashFunction:
+    """BLAKE2b (RFC 7693) at the requested output length, keyed when key is
+    given.  An output length outside 1-64 bytes or a key over 64 bytes
+    raises ValueError here, not at the first call."""
+    name = f"blake2b{8 * output_bytes}"
+    if key:
+        name += f"-k{key.hex()}"
+    empty = blake2b(digest_size=output_bytes, key=key)
+
+    def apply(data: bytes) -> bytes:
+        return blake2b(data, digest_size=output_bytes, key=key).digest()
+
+    return HashFunction(name, output_bytes, apply,
+                        lambda: _Blake2bState(empty.copy()))
+
+
+DEFAULT_HASH = make_blake2b(32)

@@ -7,9 +7,11 @@ signer but the discrete-log one, whose secret is its exponent and public
 value, goes through _seeded_sig: keypair builds the full key from a
 16-byte seed and keeps (key, seed) as the secret.  Randomized signing
 draws from a hash of (seed or exponent, message), so sign is a pure
-function of (secret, message) as the contract requires.  Every verify
-returns False when the scheme rejects its input as malformed by raising
-a PqbenchError.
+function of (secret, message) as the contract requires.  That hash, and
+the one that stretches a seed into a key, is the instance's own h, so an
+instance hashes with nothing but the hash it was built with.  Every
+verify returns False when the scheme rejects its input as malformed by
+raising a PqbenchError.
 
 The stub instances are test doubles: honest implementations of the
 contracts with configurable key and payload sizes, used by the handshake
@@ -39,8 +41,6 @@ from .kex import (
 )
 from .serialize import MalformedFrame, pack, u32, unpack
 
-_H = DEFAULT_HASH
-
 LWE_PARAMS = lattice.guaranteed_params(n=4, q=521, m=8, b=10)
 UOV_PARAMS = mq.UovParams(o=2, v=4, q=7)
 # safe prime: g = 4 generates the order-2003 subgroup, so forged or
@@ -51,8 +51,8 @@ MSS_LEAVES = 8
 OTS_MSG_BITS = 32
 
 
-def _seed_rng(*parts: bytes) -> Random:
-    return Random(_H(b"".join(parts)))
+def _seed_rng(h: HashFunction, *parts: bytes) -> Random:
+    return Random(h(b"".join(parts)))
 
 
 # --- LWE as a KEM ---
@@ -102,7 +102,7 @@ def _lwe_decrypt_bit(secret: tuple[int, ...], block: int) -> int:
     return lattice.lwe_decrypt_bit(secret, (tuple(vals[:-1]), vals[-1]), LWE_PARAMS)
 
 
-def lwe_kem(h: HashFunction = _H) -> KemInstance:
+def lwe_kem(h: HashFunction = DEFAULT_HASH) -> KemInstance:
     return kem_from_encryption(
         "lwe-toy",
         _lwe_keygen,
@@ -133,7 +133,7 @@ def _mceliece_decrypt_bit(sk: codecrypt.McEliecePrivateKey, block: int) -> int:
     return m
 
 
-def mceliece_kem(h: HashFunction = _H) -> KemInstance:
+def mceliece_kem(h: HashFunction = DEFAULT_HASH) -> KemInstance:
     # each secret bit rides its own length-7 codeword
     return kem_from_encryption(
         "mceliece-toy",
@@ -149,14 +149,14 @@ def mceliece_kem(h: HashFunction = _H) -> KemInstance:
 # --- ECDH as a KEM ---
 
 
-def ecdh_toy_kem(h: HashFunction = _H) -> KemInstance:
+def ecdh_toy_kem(h: HashFunction = DEFAULT_HASH) -> KemInstance:
     return ecdh_kem(MAIN_CURVE, MAIN_GEN, MAIN_ORDER, h, name="ecdh-toy")
 
 
 # --- stubs ---
 
 
-def identity_stub_kem(h: HashFunction = _H) -> KemInstance:
+def identity_stub_kem(h: HashFunction = DEFAULT_HASH) -> KemInstance:
     """Identity 'encryption': the ciphertext is the bit string itself."""
     return kem_from_encryption(
         "stub-kem",
@@ -177,7 +177,7 @@ def _stretch(h: HashFunction, seed: bytes, size: int) -> bytes:
 
 
 def sized_stub_kem(name: str, public_bytes: int, ciphertext_bytes: int,
-                   h: HashFunction = _H) -> KemInstance:
+                   h: HashFunction = DEFAULT_HASH) -> KemInstance:
     """Honest KEM whose key and ciphertext sizes are dialed in from the
     outside; used to model wire costs of schemes not implemented here."""
 
@@ -229,7 +229,7 @@ def _seeded_sig(name: str, derive, sign, verify) -> SigInstance:
 
 
 def sized_stub_sig(name: str, public_bytes: int, signature_bytes: int,
-                   h: HashFunction = _H) -> SigInstance:
+                   h: HashFunction = DEFAULT_HASH) -> SigInstance:
     """Honest fixed-size signatures: the signature is a stretch of one
     digest of public key and message, so verification genuinely depends
     on every byte of both while hashing each of them only once."""
@@ -250,9 +250,9 @@ def sized_stub_sig(name: str, public_bytes: int, signature_bytes: int,
 # --- hash-based signers ---
 
 
-def lamport_sig(h: HashFunction = _H) -> SigInstance:
+def lamport_sig(h: HashFunction = DEFAULT_HASH) -> SigInstance:
     def derive(seed: bytes):
-        kp = hashsig.lamport_keygen(OTS_MSG_BITS, h, _seed_rng(b"lamport", seed))
+        kp = hashsig.lamport_keygen(OTS_MSG_BITS, h, _seed_rng(h, b"lamport", seed))
         return pack(pack(*kp.public[0]), pack(*kp.public[1])), kp
 
     def sign(kp, seed: bytes, msg: bytes):
@@ -267,11 +267,11 @@ def lamport_sig(h: HashFunction = _H) -> SigInstance:
     return _seeded_sig("lamport", derive, sign, verify)
 
 
-def wots_sig(h: HashFunction = _H) -> SigInstance:
+def wots_sig(h: HashFunction = DEFAULT_HASH) -> SigInstance:
     params = hashsig.WotsParams(w=4, msg_bits=OTS_MSG_BITS)
 
     def derive(seed: bytes):
-        sk, public = hashsig.wots_keygen(params, h, _seed_rng(b"wots", seed))
+        sk, public = hashsig.wots_keygen(params, h, _seed_rng(h, b"wots", seed))
         return pack(*public), sk
 
     def sign(sk, seed: bytes, msg: bytes):
@@ -285,10 +285,10 @@ def wots_sig(h: HashFunction = _H) -> SigInstance:
     return _seeded_sig("wots", derive, sign, verify)
 
 
-def mss_sig(h: HashFunction = _H) -> SigInstance:
+def mss_sig(h: HashFunction = DEFAULT_HASH) -> SigInstance:
     def derive(seed: bytes):
         signer = hashsig.MssSigner(
-            MSS_LEAVES, OTS_MSG_BITS, h, _seed_rng(b"mss", seed), stateless=True
+            MSS_LEAVES, OTS_MSG_BITS, h, _seed_rng(h, b"mss", seed), stateless=True
         )
         return signer.root, signer
 
@@ -305,13 +305,13 @@ def mss_sig(h: HashFunction = _H) -> SigInstance:
 # --- multivariate signer ---
 
 
-def uov_sig(h: HashFunction = _H) -> SigInstance:
+def uov_sig(h: HashFunction = DEFAULT_HASH) -> SigInstance:
     def derive(seed: bytes):
-        kp = mq.uov_keygen(UOV_PARAMS, _seed_rng(b"uov", seed))
+        kp = mq.uov_keygen(UOV_PARAMS, _seed_rng(h, b"uov", seed))
         return mq.serialize_system(kp.public), kp.private
 
     def sign(private, seed: bytes, msg: bytes):
-        return bytes(mq.uov_sign(private, msg, h, _seed_rng(b"uov-sign", seed, msg)))
+        return bytes(mq.uov_sign(private, msg, h, _seed_rng(h, b"uov-sign", seed, msg)))
 
     def verify(public: bytes, msg: bytes, signature: bytes):
         return mq.uov_verify(mq.deserialize_system(public), msg, tuple(signature), h)
@@ -322,7 +322,7 @@ def uov_sig(h: HashFunction = _H) -> SigInstance:
 # --- discrete-log signer ---
 
 
-def fs_dlog_sig(h: HashFunction = _H) -> SigInstance:
+def fs_dlog_sig(h: HashFunction = DEFAULT_HASH) -> SigInstance:
     setting = sigma.dlog_relation(DLOG_P, DLOG_G)
 
     def keypair(rng: Random):
@@ -331,7 +331,7 @@ def fs_dlog_sig(h: HashFunction = _H) -> SigInstance:
 
     def sign(secret: tuple[int, int], msg: bytes):
         x, y = secret
-        rng = _seed_rng(b"fs", x.to_bytes(8, "big"), msg)
+        rng = _seed_rng(h, b"fs", x.to_bytes(8, "big"), msg)
         sig = sigma.fs_sign(setting.relation, x, y, msg, h, rng)
         return pack(sig.commitment, sig.response)
 
@@ -347,11 +347,11 @@ def fs_dlog_sig(h: HashFunction = _H) -> SigInstance:
     return SigInstance("fs-dlog", keypair, sign, _rejecting(verify))
 
 
-def builtin_kems(h: HashFunction = _H) -> dict[str, KemInstance]:
+def builtin_kems(h: HashFunction = DEFAULT_HASH) -> dict[str, KemInstance]:
     kems = [ecdh_toy_kem(h), lwe_kem(h), mceliece_kem(h), identity_stub_kem(h)]
     return {k.name: k for k in kems}
 
 
-def builtin_sigs(h: HashFunction = _H) -> dict[str, SigInstance]:
+def builtin_sigs(h: HashFunction = DEFAULT_HASH) -> dict[str, SigInstance]:
     sigs = [lamport_sig(h), wots_sig(h), mss_sig(h), uov_sig(h), fs_dlog_sig(h)]
     return {s.name: s for s in sigs}

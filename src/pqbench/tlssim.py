@@ -55,7 +55,7 @@ from typing import Any, Callable
 
 from .bench import summarize
 from .errors import PqbenchError
-from .hashing import DEFAULT_HASH, HashFunction
+from .hashing import DEFAULT_HASH, HashFunction, make_hash
 from .kex import KemInstance, SigInstance
 from .registry import Kind, Registry, default_registry
 from .serialize import MalformedFrame, pack, read_u32, u32, unpack
@@ -361,12 +361,15 @@ def pinned_issuer(sig: SigInstance) -> tuple[bytes, Any]:
     """The well-known issuer keypair for a signature scheme.
 
     Derived from a fixed seed so every party can recompute it; this is
-    the single trust anchor (no chains).  Memoised per SigInstance, so a
-    handshake pays for the derivation only the first time an instance
-    is used; timing the scheme's keypair itself goes through bench, which
+    the single trust anchor (no chains).  The seed is hashed with pqh
+    (make_hash(32)) whatever hash the instance uses, so it depends on the
+    scheme name alone and never moves with the default hash; the keypair
+    drawn from it is the instance's own.  Memoised per SigInstance, so a
+    handshake pays for the derivation only the first time an instance is
+    used; timing the scheme's keypair itself goes through bench, which
     never sees this cache.
     """
-    seed = DEFAULT_HASH(b"pqbench pinned issuer: " + sig.name.encode())
+    seed = make_hash(32)(b"pqbench pinned issuer: " + sig.name.encode())
     return sig.keypair(Random(seed))
 
 

@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
-from pqbench.hashing import DEFAULT_HASH, HashFunction, make_hash, mix64
+from pqbench.hashing import DEFAULT_HASH, HashFunction, make_blake2b, make_hash, mix64
 
 
 def test_mix64_is_deterministic_and_64bit():
@@ -10,6 +12,11 @@ def test_mix64_is_deterministic_and_64bit():
         assert 0 <= mix64(x) < 2**64
     # frozen from a first run, guards against accidental constant edits
     assert mix64(1) == 0x5692161D100B05E5
+
+
+def test_default_is_blake2b_256():
+    assert DEFAULT_HASH.name == "blake2b256"
+    assert DEFAULT_HASH.output_bytes == 32
 
 
 def test_digest_length_and_determinism():
@@ -21,7 +28,7 @@ def test_digest_length_and_determinism():
 
 
 def test_empty_and_length_separation():
-    h = DEFAULT_HASH
+    h = make_hash(32)
     assert h(b"") != h(b"\x00")
     # absorbing happens in 8-byte words; the length absorb must keep
     # short zero-padded inputs apart
@@ -42,7 +49,7 @@ def test_keyed_variant_differs():
 
 
 def test_single_bit_flip_diffuses():
-    h = DEFAULT_HASH
+    h = make_hash(32)
     base = h(b"diffusion probe")
     for byte_i in range(8):
         for bit in range(8):
@@ -59,6 +66,38 @@ def test_apply_must_honor_declared_length():
     bad = HashFunction("bad", 32, lambda data: b"short")
     with pytest.raises(ValueError):
         bad(b"x")
+
+
+def test_blake2b_matches_the_rfc_7693_vector():
+    # RFC 7693, Appendix A: BLAKE2b-512("abc")
+    assert make_blake2b(64)(b"abc").hex() == (
+        "ba80a53f981c4d0d6a2797b69f12f6e94c212f14685ac4b74b12bb6fdbffa2d1"
+        "7d87c5392aab792dc252d5de4533cc9518d38aa8dbf1925ab92386edd4009923"
+    )
+
+
+def test_blake2b_256_is_hashlibs_blake2b():
+    h = make_blake2b(32)
+    for n in (0, 1, 63, 64, 65, 1024):
+        want = hashlib.blake2b(message(n), digest_size=32).digest()
+        assert h(message(n)) == want
+        assert h.new().update(message(n)).digest() == want
+
+
+def test_blake2b_names_and_keys():
+    assert make_blake2b(32).name == "blake2b256"
+    assert make_blake2b(32, key=b"k").name == "blake2b256-k6b"
+    assert make_blake2b(32, key=b"k1")(b"m") != make_blake2b(32, key=b"k2")(b"m")
+    assert make_blake2b(32, key=b"k1")(b"m") != make_blake2b(32)(b"m")
+    assert make_blake2b(32, key=b"k")(b"m") == \
+        hashlib.blake2b(b"m", digest_size=32, key=b"k").digest()
+
+
+@pytest.mark.parametrize("output_bytes, key", [(0, b""), (65, b""), (-1, b""), (32, bytes(65))],
+                         ids=["empty", "over-64", "negative", "long-key"])
+def test_blake2b_rejects_bad_sizes_when_built(output_bytes, key):
+    with pytest.raises(ValueError):
+        make_blake2b(output_bytes, key)
 
 
 # 64-byte pqh digests of message(n) under three keys, frozen from the
@@ -231,7 +270,8 @@ def bare(h):
     return HashFunction(h.name, h.output_bytes, h.apply)
 
 
-HASHES = [make_hash(n, key) for n in (8, 32, 33) for key in VECTOR_KEYS]
+HASHES = [make(n, key) for make in (make_hash, make_blake2b)
+          for n in (8, 32, 33) for key in VECTOR_KEYS]
 hashes = st.sampled_from(HASHES + [bare(h) for h in HASHES])
 
 

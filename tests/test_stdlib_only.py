@@ -1,6 +1,9 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and not
+hashlib either."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,3 +30,14 @@ def test_package_imports_only_the_standard_library():
         if name.split(".")[0] not in sys.stdlib_module_names
     }
     assert foreign == set()
+
+
+def test_importing_the_package_leaves_hashlib_unloaded():
+    # hashlib loads OpenSSL's _hashlib, about 3.6 MB of resident memory;
+    # the default hash comes from _blake2 directly to stay clear of it
+    probe = ("import sys, pqbench.cli, pqbench.tlssim, pqbench.suites; "
+             "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert done.stdout.strip() == "[]"

@@ -12,7 +12,7 @@ import pytest
 from pqbench import tlssim
 from pqbench.bench import FakeClock
 from pqbench.errors import PqbenchError
-from pqbench.hashing import DEFAULT_HASH, HashFunction
+from pqbench.hashing import DEFAULT_HASH, HashFunction, make_hash
 from pqbench.kex import KemInstance, SigInstance
 from pqbench.serialize import MalformedFrame, u32
 from pqbench.suites import builtin_kems, builtin_sigs, sized_stub_kem, sized_stub_sig
@@ -358,13 +358,19 @@ def test_handshake_is_deterministic_under_seed():
     assert a.messages == b.messages
 
 
+# the golden values were pinned under pqh, the reference hash, and stay
+# pinned to it whatever the default; "toy-default" pins the default hash
+PQH = make_hash(32)
+
+
 def golden_suites():
-    kems = builtin_kems(H)
-    sigs = builtin_sigs(H)
+    kems = builtin_kems(PQH)
+    sigs = builtin_sigs(PQH)
     return {
-        "toy": SuiteConfig(kems["lwe-toy"], sigs["wots"], H, "toy"),
-        "Kyber-768": next(c for c in registry_kem_suites() if c.label == "Kyber-768"),
-        "mceliece-mss": SuiteConfig(kems["mceliece-toy"], sigs["mss"], H, "mceliece-mss"),
+        "toy": SuiteConfig(kems["lwe-toy"], sigs["wots"], PQH, "toy"),
+        "Kyber-768": next(c for c in registry_kem_suites(h=PQH) if c.label == "Kyber-768"),
+        "mceliece-mss": SuiteConfig(kems["mceliece-toy"], sigs["mss"], PQH, "mceliece-mss"),
+        "toy-default": SuiteConfig(builtin_kems(H)["lwe-toy"], builtin_sigs(H)["wots"], H, "toy"),
     }
 
 
@@ -382,6 +388,10 @@ GOLDEN_HANDSHAKES = {
         (45, 53, 5, 3665, 3608, 37, 37), 7368, 82,
         "08635abf909baa450d82f9a9b515e003afc0d940bb7a634df0eb6e264b0dfbd4",
     ),
+    "toy-default": (
+        (132, 216, 5, 751, 365, 37, 37), 1374, 169,
+        "39baf18a1bd5c0889cd02d0cc7b2ea2ac4a99607e4c347ab6968a583bf600087",
+    ),
 }
 
 
@@ -398,7 +408,7 @@ def test_handshake_matches_golden_values(label):
 
 def test_buffering_hash_gives_the_golden_toy_digest():
     # a hash known only by its apply streams the transcript by buffering
-    h = HashFunction(H.name, H.output_bytes, H.apply)
+    h = HashFunction(PQH.name, PQH.output_bytes, PQH.apply)
     cfg = SuiteConfig(builtin_kems(h)["lwe-toy"], builtin_sigs(h)["wots"], h, "toy")
     t = run_handshake(cfg, cfg, rng=Random(0))
     assert t.client_key_digest.hex() == GOLDEN_HANDSHAKES["toy"][3]
