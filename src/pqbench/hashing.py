@@ -12,7 +12,10 @@ rather than to the hash.  It is imported from _blake2 rather than
 through hashlib: it is the same class (hashlib.blake2b is
 _blake2.blake2b), but importing hashlib also loads OpenSSL's _hashlib,
 which adds about 3.6 MB to a bare interpreter's resident set for
-nothing the package uses.
+nothing the package uses.  The package therefore needs a Python with
+the built-in _blake2, as every default CPython build since 3.6 has; a
+build without it has no hashlib.blake2b either, since hashlib never
+takes blake2b from OpenSSL.
 
 pqh (make_hash) is the reference a reader can trace by hand: a keyed
 iterated hash over a public 64-bit mixing permutation, deterministic
@@ -233,20 +236,18 @@ class _Blake2bState:
         return self._b.digest()
 
 
-def make_blake2b(output_bytes: int = 32, key: bytes = b"") -> HashFunction:
-    """BLAKE2b (RFC 7693) at the requested output length, keyed when key is
-    given.  An output length outside 1-64 bytes or a key over 64 bytes
-    raises ValueError here, not at the first call."""
-    name = f"blake2b{8 * output_bytes}"
-    if key:
-        name += f"-k{key.hex()}"
-    empty = blake2b(digest_size=output_bytes, key=key)
+def _make_blake2b256() -> HashFunction:
+    """BLAKE2b-256 (RFC 7693).  Each call copies a prepared empty object,
+    which skips the constructor's keyword parsing."""
+    empty = blake2b(digest_size=32)
 
     def apply(data: bytes) -> bytes:
-        return blake2b(data, digest_size=output_bytes, key=key).digest()
+        b = empty.copy()
+        b.update(data)
+        return b.digest()
 
-    return HashFunction(name, output_bytes, apply,
+    return HashFunction("blake2b256", 32, apply,
                         lambda: _Blake2bState(empty.copy()))
 
 
-DEFAULT_HASH = make_blake2b(32)
+DEFAULT_HASH = _make_blake2b256()

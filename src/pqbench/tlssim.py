@@ -362,9 +362,10 @@ def pinned_issuer(sig: SigInstance) -> tuple[bytes, Any]:
 
     Derived from a fixed seed so every party can recompute it; this is
     the single trust anchor (no chains).  The seed is hashed with pqh
-    (make_hash(32)) whatever hash the instance uses, so it depends on the
-    scheme name alone and never moves with the default hash; the keypair
-    drawn from it is the instance's own.  Memoised per SigInstance, so a
+    (make_hash(32)), as it was before BLAKE2b became the default, so the
+    golden handshakes keep their values.  The keypair drawn from the seed
+    is derived with the instance's own hash, so two parties agree on the
+    anchor only when they use the same hash.  Memoised per SigInstance, so a
     handshake pays for the derivation only the first time an instance is
     used; timing the scheme's keypair itself goes through bench, which
     never sees this cache.

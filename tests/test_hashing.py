@@ -3,7 +3,7 @@ import hashlib
 import pytest
 from hypothesis import given, strategies as st
 
-from pqbench.hashing import DEFAULT_HASH, HashFunction, make_blake2b, make_hash, mix64
+from pqbench.hashing import DEFAULT_HASH, HashFunction, make_hash, mix64
 
 
 def test_mix64_is_deterministic_and_64bit():
@@ -68,36 +68,15 @@ def test_apply_must_honor_declared_length():
         bad(b"x")
 
 
-def test_blake2b_matches_the_rfc_7693_vector():
-    # RFC 7693, Appendix A: BLAKE2b-512("abc")
-    assert make_blake2b(64)(b"abc").hex() == (
-        "ba80a53f981c4d0d6a2797b69f12f6e94c212f14685ac4b74b12bb6fdbffa2d1"
-        "7d87c5392aab792dc252d5de4533cc9518d38aa8dbf1925ab92386edd4009923"
+def test_default_is_hashlibs_blake2b_256():
+    # BLAKE2b-256("abc"), the RFC 7693 function at a 32-byte digest size
+    assert DEFAULT_HASH(b"abc").hex() == (
+        "bddd813c634239723171ef3fee98579b94964e3bb1cb3e427262c8c068d52319"
     )
-
-
-def test_blake2b_256_is_hashlibs_blake2b():
-    h = make_blake2b(32)
     for n in (0, 1, 63, 64, 65, 1024):
         want = hashlib.blake2b(message(n), digest_size=32).digest()
-        assert h(message(n)) == want
-        assert h.new().update(message(n)).digest() == want
-
-
-def test_blake2b_names_and_keys():
-    assert make_blake2b(32).name == "blake2b256"
-    assert make_blake2b(32, key=b"k").name == "blake2b256-k6b"
-    assert make_blake2b(32, key=b"k1")(b"m") != make_blake2b(32, key=b"k2")(b"m")
-    assert make_blake2b(32, key=b"k1")(b"m") != make_blake2b(32)(b"m")
-    assert make_blake2b(32, key=b"k")(b"m") == \
-        hashlib.blake2b(b"m", digest_size=32, key=b"k").digest()
-
-
-@pytest.mark.parametrize("output_bytes, key", [(0, b""), (65, b""), (-1, b""), (32, bytes(65))],
-                         ids=["empty", "over-64", "negative", "long-key"])
-def test_blake2b_rejects_bad_sizes_when_built(output_bytes, key):
-    with pytest.raises(ValueError):
-        make_blake2b(output_bytes, key)
+        assert DEFAULT_HASH(message(n)) == want
+        assert DEFAULT_HASH.new().update(message(n)).digest() == want
 
 
 # 64-byte pqh digests of message(n) under three keys, frozen from the
@@ -270,8 +249,7 @@ def bare(h):
     return HashFunction(h.name, h.output_bytes, h.apply)
 
 
-HASHES = [make(n, key) for make in (make_hash, make_blake2b)
-          for n in (8, 32, 33) for key in VECTOR_KEYS]
+HASHES = [make_hash(n, key) for n in (8, 32, 33) for key in VECTOR_KEYS] + [DEFAULT_HASH]
 hashes = st.sampled_from(HASHES + [bare(h) for h in HASHES])
 
 
