@@ -24,6 +24,7 @@ expands to three records carrying only cycle counts.
 from __future__ import annotations
 
 import itertools
+import math
 import statistics
 import time
 from dataclasses import dataclass, field, replace
@@ -77,8 +78,10 @@ class BenchConfig:
     clock: Callable[[], int] = time.monotonic_ns
 
     def __post_init__(self):
-        if self.interval_seconds <= 0:
-            raise ValueError("interval_seconds must be positive")
+        # the harness times in whole nanoseconds, so the interval must be
+        # a positive, finite count of them (this also rejects nan)
+        if not 0 < self.interval_seconds * 1e9 < math.inf:
+            raise ValueError("interval_seconds must be positive and finite")
         if self.min_samples < 1:
             raise ValueError("min_samples must be >= 1")
 
@@ -282,24 +285,21 @@ def emit_csv(records: Iterable[BenchRecord]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def emit_chart_data(records: Iterable[BenchRecord], group_by: str = "scheme") -> str:
-    """Grouped `label value` lines; value is the mean in microseconds.
+def emit_chart_data(records: Iterable[BenchRecord]) -> str:
+    """`operation value` lines grouped under a `# scheme` line; value is
+    the mean in microseconds.
 
-    Groups keep first-seen order, records keep input order inside each
-    group, so the data-line count always equals the record count.
+    Schemes keep first-seen order, records keep input order inside each
+    scheme, so the data-line count always equals the record count.
     """
-    if group_by not in ("scheme", "operation"):
-        raise ValueError("group_by must be 'scheme' or 'operation'")
     groups: dict[str, list[BenchRecord]] = {}
     for r in records:
-        key = r.scheme if group_by == "scheme" else r.operation
-        groups.setdefault(key, []).append(r)
+        groups.setdefault(r.scheme, []).append(r)
     blocks = []
-    for key, rs in groups.items():
-        lines = [f"# {key}"]
+    for scheme, rs in groups.items():
+        lines = [f"# {scheme}"]
         for r in rs:
-            label = r.operation if group_by == "scheme" else r.scheme
-            lines.append(f"{label} {r.stats.mean_us:.3f}")
+            lines.append(f"{r.operation} {r.stats.mean_us:.3f}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 

@@ -3,7 +3,7 @@
 Everything downstream (signatures, key derivation, Fiat-Shamir, the
 handshake transcript) takes a HashFunction rather than a hard-coded
 algorithm, so any hash with a fixed output length can be swapped in.
-Two are built here.
+Two are built here, each one fixed hash with a 32-byte output.
 
 DEFAULT_HASH is BLAKE2b-256 (RFC 7693), from CPython's built-in _blake2
 module.  It is native code, as the hashing in real TLS stacks is, so a
@@ -17,22 +17,23 @@ the built-in _blake2, as every default CPython build since 3.6 has; a
 build without it has no hashlib.blake2b either, since hashlib never
 takes blake2b from OpenSSL.
 
-pqh (make_hash) is the reference a reader can trace by hand: a keyed
+PQH is pqh-256, the reference a reader can trace by hand: an unkeyed
 iterated hash over a public 64-bit mixing permutation, deterministic
-across platforms and with any output length, pinned by frozen vectors.
+across platforms, with a 256-bit output pinned by frozen vectors.
 Cryptographic strength is explicitly not a goal of it.  Its core is
 mix64, the well-known splitmix64 finalizer: a fixed public bijection on
-64-bit words.  Four lanes of state absorb the input one 64-bit word at a
-time, each absorption followed by a round that stirs every lane through
-mix64.  Finalization absorbs the message length (so "ab","c" and "a","bc"
-separate), runs blank rounds, then squeezes lanes as big-endian words
-until enough output has accumulated.
+64-bit words.  Four lanes of state, seeded with four constants, absorb
+the input one 64-bit word at a time, each absorption followed by a round
+that stirs every lane through mix64.  Finalization absorbs the message
+length (so "ab","c" and "a","bc" separate), runs four blank rounds and
+outputs the four lanes as big-endian words.
 
-Both hashes stream: a state's update returns the state, digest leaves it
-able to go on absorbing, and copy forks it.  pqh absorbs each whole word
-as soon as it arrives and buffers the partial last word, which it absorbs
-with the length only at finalization, so the digest does not depend on
-how the input was split across updates.
+Both hashes stream through states shaped like hashlib objects: update
+returns None, digest leaves the state able to go on absorbing, and copy
+forks it.  DEFAULT_HASH's states are blake2b objects themselves.  pqh
+absorbs each whole word as soon as it arrives and buffers the partial
+last word, which it absorbs with the length only at finalization, so the
+digest does not depend on how the input was split across updates.
 """
 
 import struct
@@ -47,7 +48,7 @@ _MASK = (1 << 64) - 1
 class HashState(Protocol):
     """A running hash computation, shaped like a hashlib object."""
 
-    def update(self, data: bytes) -> "HashState": ...
+    def update(self, data: bytes) -> None: ...
 
     def copy(self) -> "HashState": ...
 
@@ -98,34 +99,27 @@ def _absorb(lanes: tuple[int, int, int, int], words) -> tuple[int, int, int, int
     return a, b, c, d
 
 
-def _keyed_lanes(key: bytes) -> tuple[int, int, int, int]:
-    # lane seeds: distinct constants perturbed by the key, then each key
-    # word XORed into the lanes in turn, one round after each
-    lanes = [mix64(0x9E3779B97F4A7C15 * (i + 1) + len(key)) for i in range(4)]
-    for i in range(0, len(key), 8):
-        lanes[(i // 8) % 4] ^= int.from_bytes(key[i : i + 8], "big")
-        lanes = list(_absorb(lanes, (0,)))
-    return tuple(lanes)
+# lane seeds: four distinct constants, each put through mix64
+_SEED_LANES = tuple(mix64(0x9E3779B97F4A7C15 * (i + 1)) for i in range(4))
 
 
 class PqhState:
     """A running pqh computation.
 
-    update() absorbs the whole words it can and returns the state;
-    digest() finalizes a private copy of the lanes, so the state can go on
-    absorbing after it; copy() forks an independent state.
+    update() absorbs the whole words it can; digest() finalizes a private
+    copy of the lanes, so the state can go on absorbing after it; copy()
+    forks an independent state.
     """
 
-    __slots__ = ("_lanes", "_output_bytes", "_tail", "_length")
+    __slots__ = ("_lanes", "_tail", "_length")
 
-    def __init__(self, lanes: tuple[int, int, int, int], output_bytes: int,
+    def __init__(self, lanes: tuple[int, int, int, int] = _SEED_LANES,
                  tail: bytes = b"", length: int = 0):
         self._lanes = lanes
-        self._output_bytes = output_bytes
         self._tail = tail
         self._length = length
 
-    def update(self, data: bytes) -> "PqhState":
+    def update(self, data: bytes) -> None:
         self._length += len(data)
         if self._tail:
             data = self._tail + data
@@ -133,22 +127,16 @@ class PqhState:
         if words:
             self._lanes = _absorb(self._lanes, struct.unpack_from(f">{words}Q", data))
         self._tail = data[words << 3 :]
-        return self
 
     def copy(self) -> "PqhState":
-        return PqhState(self._lanes, self._output_bytes, self._tail, self._length)
+        return PqhState(self._lanes, self._tail, self._length)
 
     def digest(self) -> bytes:
         lanes = self._lanes
         if self._tail:
             lanes = _absorb(lanes, (int.from_bytes(self._tail, "big"),))
         a, b, c, d = lanes
-        lanes = _absorb((a, b ^ self._length, c, d), (0, 0, 0, 0))
-        out = struct.pack(">4Q", *lanes)
-        while len(out) < self._output_bytes:
-            lanes = _absorb(lanes, (0,))
-            out += struct.pack(">4Q", *lanes)
-        return out[: self._output_bytes]
+        return struct.pack(">4Q", *_absorb((a, b ^ self._length, c, d), (0, 0, 0, 0)))
 
 
 class _BufferedState:
@@ -161,9 +149,8 @@ class _BufferedState:
         self._h = h
         self._data = data
 
-    def update(self, data: bytes) -> "_BufferedState":
+    def update(self, data: bytes) -> None:
         self._data += data
-        return self
 
     def copy(self) -> "_BufferedState":
         return _BufferedState(self._h, self._data)
@@ -203,42 +190,18 @@ class HashFunction:
         return self.new_state()
 
 
-def make_hash(output_bytes: int = 32, key: bytes = b"") -> HashFunction:
-    """Build pqh, the reference keyed hash, at the requested output length."""
-    name = f"pqh{8 * output_bytes}"
-    if key:
-        name += f"-k{key.hex()}"
-    lanes = _keyed_lanes(key)
-
-    def new_state() -> PqhState:
-        return PqhState(lanes, output_bytes)
-
-    return HashFunction(name, output_bytes,
-                        lambda data: new_state().update(data).digest(), new_state)
+def _pqh256(data: bytes) -> bytes:
+    state = PqhState()
+    state.update(data)
+    return state.digest()
 
 
-class _Blake2bState:
-    """A blake2b object whose update returns the state, as PqhState's does."""
-
-    __slots__ = ("_b",)
-
-    def __init__(self, b: blake2b):
-        self._b = b
-
-    def update(self, data: bytes) -> "_Blake2bState":
-        self._b.update(data)
-        return self
-
-    def copy(self) -> "_Blake2bState":
-        return _Blake2bState(self._b.copy())
-
-    def digest(self) -> bytes:
-        return self._b.digest()
+PQH = HashFunction("pqh256", 32, _pqh256, PqhState)
 
 
 def _make_blake2b256() -> HashFunction:
-    """BLAKE2b-256 (RFC 7693).  Each call copies a prepared empty object,
-    which skips the constructor's keyword parsing."""
+    """BLAKE2b-256 (RFC 7693).  Each call, and each new state, copies a
+    prepared empty object, which skips the constructor's keyword parsing."""
     empty = blake2b(digest_size=32)
 
     def apply(data: bytes) -> bytes:
@@ -246,8 +209,7 @@ def _make_blake2b256() -> HashFunction:
         b.update(data)
         return b.digest()
 
-    return HashFunction("blake2b256", 32, apply,
-                        lambda: _Blake2bState(empty.copy()))
+    return HashFunction("blake2b256", 32, apply, empty.copy)
 
 
 DEFAULT_HASH = _make_blake2b256()

@@ -25,6 +25,7 @@ from .kex import is_prime
 
 PREIMAGE_CAP = 10**6
 MAX_FIELD = 31
+MAX_RETRIES = 100  # vinegar draws uov_sign tries before RetriesExhausted
 
 
 class RetriesExhausted(PqbenchError):
@@ -379,16 +380,15 @@ def hash_to_vector(h: HashFunction, msg: bytes, count: int, q: int) -> tuple[int
     return tuple(out)
 
 
-def uov_sign(sk: UovPrivateKey, msg: bytes, h: HashFunction, rng: Random,
-             max_retries: int = 100) -> tuple[int, ...]:
+def uov_sign(sk: UovPrivateKey, msg: bytes, h: HashFunction, rng: Random) -> tuple[int, ...]:
     """Fix vinegar at random, solve the oil system, undo the variable change.
 
-    Raises RetriesExhausted after max_retries singular vinegar draws.
+    Raises RetriesExhausted after MAX_RETRIES singular vinegar draws.
     """
     params = sk.params
     f = sk.central.field
     target = hash_to_vector(h, msg, params.o, params.q)
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         vinegar = [f.rand(rng) for _ in range(params.v)]
         matrix = []
         rhs = []
@@ -411,7 +411,7 @@ def uov_sign(sk: UovPrivateKey, msg: bytes, h: HashFunction, rng: Random,
         if oil is not None:
             preimage = tuple(vinegar) + oil
             return sk.t_map.apply_inverse(preimage)
-    raise RetriesExhausted(f"no invertible oil system in {max_retries} vinegar draws")
+    raise RetriesExhausted(f"no invertible oil system in {MAX_RETRIES} vinegar draws")
 
 
 def uov_verify(public: MqSystem, msg: bytes, sig, h: HashFunction) -> bool:

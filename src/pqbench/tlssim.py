@@ -55,9 +55,9 @@ from typing import Any, Callable
 
 from .bench import summarize
 from .errors import PqbenchError
-from .hashing import DEFAULT_HASH, HashFunction, make_hash
+from .hashing import DEFAULT_HASH, PQH, HashFunction
 from .kex import KemInstance, SigInstance
-from .registry import Kind, Registry, default_registry
+from .registry import Kind, default_registry
 from .serialize import MalformedFrame, pack, read_u32, u32, unpack
 from .suites import sized_stub_kem, sized_stub_sig
 
@@ -362,7 +362,7 @@ def pinned_issuer(sig: SigInstance) -> tuple[bytes, Any]:
 
     Derived from a fixed seed so every party can recompute it; this is
     the single trust anchor (no chains).  The seed is hashed with pqh
-    (make_hash(32)), as it was before BLAKE2b became the default, so the
+    (hashing.PQH), as it was before BLAKE2b became the default, so the
     golden handshakes keep their values.  The keypair drawn from the seed
     is derived with the instance's own hash, so two parties agree on the
     anchor only when they use the same hash.  Memoised per SigInstance, so a
@@ -370,7 +370,7 @@ def pinned_issuer(sig: SigInstance) -> tuple[bytes, Any]:
     used; timing the scheme's keypair itself goes through bench, which
     never sees this cache.
     """
-    seed = make_hash(32)(b"pqbench pinned issuer: " + sig.name.encode())
+    seed = PQH(b"pqbench pinned issuer: " + sig.name.encode())
     return sig.keypair(Random(seed))
 
 
@@ -636,19 +636,18 @@ def stub_suite(label: str, public_key_bytes: int,
     )
 
 
-def registry_kem_suites(registry: Registry | None = None,
-                        h: HashFunction = DEFAULT_HASH) -> list[SuiteConfig]:
-    """One stub suite per registry KEM, public key sized per the registry
-    and ciphertext fixed at the shared stub size.  Handshake totals then
-    rank the KEMs purely by published key size."""
-    registry = registry if registry is not None else default_registry()
+def registry_kem_suites(h: HashFunction = DEFAULT_HASH) -> list[SuiteConfig]:
+    """One stub suite per KEM of the default registry, public key sized per
+    the registry and ciphertext fixed at the shared stub size.  Handshake
+    totals then rank the KEMs purely by published key size."""
     return [
         stub_suite(m.name, m.public_key_bytes, h=h)
-        for m in registry.schemes(Kind.KEM)
+        for m in default_registry().schemes(Kind.KEM)
     ]
 
 
-def handshake_total_bytes(cfg: SuiteConfig, rng: Random | None = None) -> tuple[int, int, int]:
-    """(client read, client write, total) for one handshake of cfg."""
-    t = run_handshake(cfg, cfg, rng=rng if rng is not None else Random(0))
+def handshake_total_bytes(cfg: SuiteConfig) -> tuple[int, int, int]:
+    """(client read, client write, total) for one handshake of cfg under
+    Random(0)."""
+    t = run_handshake(cfg, cfg, rng=Random(0))
     return t.client_read_bytes, t.client_write_bytes, t.client_read_bytes + t.client_write_bytes

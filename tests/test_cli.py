@@ -146,6 +146,15 @@ def test_bench_kem_bad_interval_is_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("verb,scheme", (("bench-kem", "lwe-toy"), ("bench-sig", "wots")))
+@pytest.mark.parametrize("interval", ("inf", "1e300", "nan"))
+def test_bench_non_finite_interval_is_usage_error(capsys, verb, scheme, interval):
+    code, out, err = run_cli(capsys, verb, "--scheme", scheme, "--interval", interval)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error:")
+
+
 def test_bench_kem_emits_three_records(capsys):
     code, out, err = run_cli(
         capsys, "bench-kem", "--scheme", "lwe-toy",

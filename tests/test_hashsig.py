@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pqbench.errors import LengthMismatch
-from pqbench.hashing import make_hash
+from pqbench.hashing import PQH
 from pqbench.hashsig import (
     IndexOutOfRange,
     InvalidBundle,
@@ -29,7 +29,7 @@ from pqbench.hashsig import (
     wots_verify,
 )
 
-H = make_hash(32)
+H = PQH
 
 
 def test_hash_chain_zero_steps_is_identity():

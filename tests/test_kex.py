@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from pqbench.errors import TooLarge
-from pqbench.hashing import make_hash
+from pqbench.hashing import PQH
 from pqbench.kex import (
     INFINITY,
     MAIN_CURVE,
@@ -32,7 +32,7 @@ from pqbench.kex import (
     scalar_mul,
 )
 
-H = make_hash()
+H = PQH
 
 
 def test_curve_params_validation():

@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from pqbench.errors import DimensionMismatch, LengthMismatch, TooLarge
-from pqbench.hashing import make_hash
+from pqbench.hashing import PQH
 from pqbench.mq import (
     AffineMap,
     MqSystem,
@@ -29,7 +29,7 @@ from pqbench.mq import (
 )
 from pqbench.serialize import MalformedFrame
 
-H = make_hash(32)
+H = PQH
 
 
 def naive_eval(p: QuadPoly, x) -> int:

@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from pqbench.hashing import make_hash
+from pqbench.hashing import PQH
 from pqbench.sigma import (
     FsSignature,
     InvalidGroup,
@@ -15,7 +15,7 @@ from pqbench.sigma import (
     run_interactive,
 )
 
-H = make_hash(32)
+H = PQH
 
 
 def test_dlog_group_validation():

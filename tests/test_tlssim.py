@@ -8,11 +8,12 @@ import time
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pqbench import tlssim
 from pqbench.bench import FakeClock
 from pqbench.errors import PqbenchError
-from pqbench.hashing import DEFAULT_HASH, HashFunction, make_hash
+from pqbench.hashing import DEFAULT_HASH, PQH, HashFunction
 from pqbench.kex import KemInstance, SigInstance
 from pqbench.serialize import MalformedFrame, u32
 from pqbench.suites import builtin_kems, builtin_sigs, sized_stub_kem, sized_stub_sig
@@ -360,9 +361,6 @@ def test_handshake_is_deterministic_under_seed():
 
 # the golden values were pinned under pqh, the reference hash, and stay
 # pinned to it whatever the default; "toy-default" pins the default hash
-PQH = make_hash(32)
-
-
 def golden_suites():
     kems = builtin_kems(PQH)
     sigs = builtin_sigs(PQH)
@@ -523,6 +521,24 @@ def test_tampered_client_finished_rejected_by_server():
         run_handshake(small_suite(), small_suite(), transport, rng=Random(9))
 
 
+def assert_ends_in_pqbench_error(handshake):
+    """Run handshake on a helper thread: within 10 s it must raise a
+    PqbenchError, and neither complete nor raise anything else."""
+    outcome = {}
+
+    def attempt():
+        try:
+            handshake()
+        except Exception as e:
+            outcome["error"] = e
+
+    helper = threading.Thread(target=attempt, daemon=True)
+    helper.start()
+    helper.join(timeout=10)
+    assert not helper.is_alive(), "handshake still running after 10 s"
+    assert isinstance(outcome.get("error"), PqbenchError), outcome
+
+
 @pytest.mark.parametrize("index", range(1, 5))
 @pytest.mark.parametrize("bit", (0, 7))
 def test_corrupted_client_hello_length_ends_in_pqbench_error(monkeypatch, index, bit):
@@ -535,20 +551,40 @@ def test_corrupted_client_hello_length_ends_in_pqbench_error(monkeypatch, index,
             return data
         return data[:index] + bytes([data[index] ^ (1 << bit)]) + data[index + 1:]
 
-    outcome = {}
+    assert_ends_in_pqbench_error(lambda: run_handshake(
+        small_suite(), small_suite(), memory_pair(client_send_hook=flip), rng=Random(index)))
 
-    def attempt():
-        transport = memory_pair(client_send_hook=flip)
-        try:
-            run_handshake(small_suite(), small_suite(), transport, rng=Random(index))
-        except Exception as e:
-            outcome["error"] = e
 
-    helper = threading.Thread(target=attempt, daemon=True)
-    helper.start()
-    helper.join(timeout=10)
-    assert not helper.is_alive(), "handshake still running after 10 s"
-    assert isinstance(outcome.get("error"), PqbenchError), outcome
+BUILTIN_SUITES = [SuiteConfig(kem, sig, H, f"{kem.name}+{sig.name}")
+                  for kem in builtin_kems(H).values() for sig in builtin_sigs(H).values()]
+CLIENT_TAGS = (1, 7)  # ClientHello and FinishedClient; the server sends tags 2-6
+
+
+# about a quarter of the examples wait out the read deadline, hence the cap;
+# the deadline is set by hand because hypothesis reruns the body without
+# resetting function-scoped fixtures such as monkeypatch
+@settings(max_examples=100, deadline=None)
+@given(cfg=st.sampled_from(BUILTIN_SUITES), tag=st.integers(1, 7), cut=st.booleans(),
+       where=st.integers(0, 2**16), delta=st.integers(1, 255))
+def test_corrupted_or_cut_frame_ends_in_pqbench_error(cfg, tag, cut, where, delta):
+    # one frame, picked by its tag, loses its tail or has one byte
+    # (header included) replaced by a different value
+    def corrupt(data):
+        if data[0] != tag:
+            return data
+        i = where % len(data)
+        if cut:
+            return data[:i]
+        return data[:i] + bytes([(data[i] + delta) % 256]) + data[i + 1:]
+
+    side = "client_send_hook" if tag in CLIENT_TAGS else "server_send_hook"
+    saved = tlssim.READ_DEADLINE_S
+    tlssim.READ_DEADLINE_S = 0.05
+    try:
+        assert_ends_in_pqbench_error(lambda: run_handshake(
+            cfg, cfg, memory_pair(**{side: corrupt}), rng=Random(where)))
+    finally:
+        tlssim.READ_DEADLINE_S = saved
 
 
 # --- measurement ---
