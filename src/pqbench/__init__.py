@@ -13,5 +13,3 @@ Subpackage map:
 * tlssim    - simulated TLS 1.3 handshake with exact byte accounting
 * cli       - command-line front end over all of the above
 """
-
-__version__ = "0.1.0"

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -84,6 +85,9 @@ class BenchConfig:
             raise ValueError("interval_seconds must be positive and finite")
         if self.min_samples < 1:
             raise ValueError("min_samples must be >= 1")
+        # adaptive_bench scales the interval by min_samples as a float
+        if self.min_samples > sys.float_info.max:
+            raise ValueError("min_samples is too large to become a float")
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,11 @@ class BenchStats:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.stddev_us < 0:
-            raise ValueError("stddev must be >= 0")
+        # no measurement yields a negative or non-finite duration
+        if not 0 <= self.mean_us < math.inf:
+            raise ValueError("mean must be finite and >= 0")
+        if not 0 <= self.stddev_us < math.inf:
+            raise ValueError("stddev must be finite and >= 0")
         if self.mean_us * self.n > self.total_elapsed_us * (1 + 1e-9) + 1e-6:
             raise ValueError("mean * n exceeds total elapsed time")
 
@@ -113,6 +120,8 @@ class BenchRecord:
     def __post_init__(self):
         if self.operation not in KEM_OPS + SIG_OPS:
             raise ValueError(f"unknown operation {self.operation!r}")
+        if self.cycles is not None and self.cycles < 0:
+            raise ValueError("cycles must be >= 0")
 
 
 def summarize(durations_us: list[float], total_elapsed_us: float) -> BenchStats:
@@ -265,13 +274,12 @@ def parse_text(text: str) -> list[BenchRecord]:
             raise ParseError(line_no, f"expected `name v v v` row, got {len(tokens)} tokens")
         if column_ops is None:
             raise ParseError(line_no, "cycle row before any table header")
+        empty = BenchStats(1, 0.0, 0.0, total_elapsed_us=0.0)
         try:
-            values = [int(t) for t in tokens[1:]]
+            records += [BenchRecord(tokens[0], op_name, empty, int(cycles))
+                        for op_name, cycles in zip(column_ops, tokens[1:])]
         except ValueError as e:
             raise ParseError(line_no, f"bad cycle count: {e}") from e
-        empty = BenchStats(1, 0.0, 0.0, total_elapsed_us=0.0)
-        for op_name, cycles in zip(column_ops, values):
-            records.append(BenchRecord(tokens[0], op_name, empty, cycles))
     return records
 
 

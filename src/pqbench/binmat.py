@@ -73,21 +73,6 @@ class BinaryMatrix:
             v &= v - 1
         return acc
 
-    def transpose(self) -> "BinaryMatrix":
-        out = [0] * self.cols
-        for i, row in enumerate(self.data):
-            r = row
-            while r:
-                j = (r & -r).bit_length() - 1
-                out[j] |= 1 << i
-                r &= r - 1
-        return BinaryMatrix(self.cols, self.rows, out)
-
-    def xor(self, other: "BinaryMatrix") -> "BinaryMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in xor")
-        return BinaryMatrix(self.rows, self.cols, [a ^ b for a, b in zip(self.data, other.data)])
-
     def permute_cols(self, perm: list[int]) -> "BinaryMatrix":
         """Column i of self becomes column perm[i] of the result."""
         if sorted(perm) != list(range(self.cols)):

@@ -168,6 +168,11 @@ def _hostport(text) -> tuple[str, int]:
     return host, int(port)
 
 
+def _result_line(label, verb, result) -> str:
+    return (f"{label} | {verb} | read={result.read_bytes} | write={result.write_bytes} "
+            f"| digest={result.key_digest.hex()[:16]}")
+
+
 def cmd_tls_serve(ns) -> int:
     host, port = _hostport(ns.listen)
     if ns.iterations < 1:
@@ -195,9 +200,7 @@ def cmd_tls_serve(ns) -> int:
                 failed += 1
                 print(f"error: {type(e).__name__}: {e}", file=sys.stderr, flush=True)
                 continue
-            print(f"{cfg.label} | tls-serve | read={result.read_bytes} "
-                  f"| write={result.write_bytes} "
-                  f"| digest={result.key_digest.hex()[:16]}", flush=True)
+            print(_result_line(cfg.label, "tls-serve", result), flush=True)
     finally:
         listener.close()
     return 1 if failed else 0
@@ -209,9 +212,7 @@ def cmd_tls_client(ns) -> int:
     sock = socket.create_connection((host, port), timeout=10)
     result = tlssim.client_handshake(cfg, tlssim.SocketConnection(sock),
                                      Random(ns.seed))
-    print(f"{cfg.label} | tls-client | read={result.read_bytes} "
-          f"| write={result.write_bytes} "
-          f"| digest={result.key_digest.hex()[:16]}")
+    print(_result_line(cfg.label, "tls-client", result))
     return 0
 
 

@@ -83,13 +83,6 @@ def _require_on_curve(p: Point, curve: CurveParams) -> None:
         raise PointNotOnCurve(f"({p.x}, {p.y}) not on y^2 = x^3 + {curve.a}x + {curve.b} mod {curve.q}")
 
 
-def point_neg(p: Point, curve: CurveParams) -> Point:
-    _require_on_curve(p, curve)
-    if p.is_infinity:
-        return p
-    return Point(p.x, -p.y % curve.q)
-
-
 def point_add(p1: Point, p2: Point, curve: CurveParams) -> Point:
     """Chord-and-tangent addition."""
     _require_on_curve(p1, curve)

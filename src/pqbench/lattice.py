@@ -141,15 +141,6 @@ def lwe_decrypt_bit(secret, ct, params: LweParams) -> int:
     return 0 if abs(d) < params.q / 4 else 1
 
 
-def ct_add(ct1, ct2, params: LweParams):
-    """Componentwise ciphertext sum; decrypts to the XOR while noise allows."""
-    a1, b1 = ct1
-    a2, b2 = ct2
-    if len(a1) != len(a2):
-        raise LengthMismatch("ciphertext dimension mismatch")
-    return tuple((x + y) % params.q for x, y in zip(a1, a2)), (b1 + b2) % params.q
-
-
 # --- short integer solution oracle ---
 
 

@@ -45,9 +45,6 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.q
 
-    def sub(self, a, b):
-        return (a - b) % self.q
-
     def mul(self, a, b):
         return (a * b) % self.q
 
@@ -191,10 +188,6 @@ class AffineMap:
             sum(c * s for c, s in zip(row, shifted)) % self.field.q
             for row in self._inverse_matrix
         )
-
-    def inverse(self) -> "AffineMap":
-        off = self.apply_inverse(tuple([0] * self.n))
-        return AffineMap(self.field, self._inverse_matrix, off)
 
 
 def identity_map(field: PrimeField, n: int) -> AffineMap:

@@ -192,21 +192,6 @@ class SecurityAssessment:
             raise ValueError("venerability_years must be >= 0")
 
 
-def metadata_line(m: SchemeMetadata) -> str:
-    return "|".join(
-        [
-            m.name,
-            m.family.value,
-            m.kind.value,
-            str(m.nist_level),
-            str(m.private_key_bytes),
-            str(m.public_key_bytes),
-            str(m.payload_bytes),
-            "y" if m.in_liboqs else "n",
-        ]
-    )
-
-
 def parse_metadata_line(line: str) -> SchemeMetadata:
     parts = line.split("|")
     if len(parts) != 8:
@@ -305,22 +290,6 @@ class Registry:
     def schemes(self, kind: Kind | None = None) -> list[SchemeMetadata]:
         out = [m for m in self._schemes.values() if kind is None or m.kind is kind]
         return sorted(out, key=lambda m: m.name.lower())
-
-    def assessments(self) -> list[tuple[str, SecurityAssessment]]:
-        return sorted(self._assessments.values(), key=lambda t: t[0].lower())
-
-    # --- persistence ---
-
-    def save(self, directory) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        for fname, kind in (("registry.kem", Kind.KEM), ("registry.sig", Kind.SIGNATURE)):
-            lines = [REGISTRY_HEADER]
-            lines += [metadata_line(m) for m in self.schemes(kind)]
-            (directory / fname).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        lines = [REGISTRY_HEADER]
-        lines += [assessment_line(n, a) for n, a in self.assessments()]
-        (directory / "registry.assess").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
     def from_texts(cls, kem_text: str, sig_text: str, assess_text: str) -> "Registry":

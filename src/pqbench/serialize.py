@@ -73,9 +73,3 @@ def pack_bits(bits) -> bytes:
         if b:
             out[i // 8] |= 0x80 >> (i % 8)
     return bytes(out)
-
-
-def unpack_bits(data: bytes, nbits: int) -> list[int]:
-    if nbits > 8 * len(data):
-        raise MalformedFrame(f"{nbits} bits do not fit in {len(data)} bytes")
-    return [(data[i // 8] >> (7 - i % 8)) & 1 for i in range(nbits)]

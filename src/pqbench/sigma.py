@@ -1,17 +1,16 @@
 """Three-move identification protocols and their signature transform.
 
-A relation bundles the four moves as callables: commit produces a
-commitment plus prover state, the verifier draws a challenge from a
-finite space, respond answers it from the state, and check decides the
-transcript.  Honest runs always accept; a prover without the secret can
-answer at most one challenge per commitment, which is what makes the
-challenge space size the soundness error.
+A relation bundles the moves as callables: commit produces a commitment
+plus prover state, respond answers a challenge from a finite space out
+of that state, and check decides the transcript.  A prover without the
+secret can answer at most one challenge per commitment, which is what
+makes the challenge space size the soundness error.
 
-The non-interactive transform replaces the verifier's draw with a hash
-of (public input, commitment, message).  Binding the message into that
-hash is what turns the identification scheme into a signature scheme,
-so the message is hashed here by design.  Reduction of the hash to the
-challenge space rejects the biased tail instead of folding it in.
+The challenge is a hash of (public input, commitment, message), the
+Fiat-Shamir transform.  Binding the message into that hash is what turns
+the identification scheme into a signature scheme, so the message is
+hashed here by design.  Reduction of the hash to the challenge space
+rejects the biased tail instead of folding it in.
 
 One concrete relation ships: knowledge of a discrete logarithm in a
 small prime-field subgroup, with the group order found by enumeration.
@@ -46,22 +45,6 @@ class SigmaRelation:
     def __post_init__(self):
         if self.challenge_count < 2:
             raise ValueError("challenge space needs at least two elements")
-
-
-@dataclass(frozen=True)
-class Transcript:
-    commitment: bytes
-    challenge: int
-    response: bytes
-    accepted: bool
-
-
-def run_interactive(rel: SigmaRelation, secret, public, rng: Random) -> Transcript:
-    """One full commit / random challenge / respond / check round."""
-    co, state = rel.commit(secret, public, rng)
-    challenge = rng.randrange(rel.challenge_count)
-    response = rel.respond(state, challenge)
-    return Transcript(co, challenge, response, rel.check(public, co, challenge, response))
 
 
 def fs_challenge(rel: SigmaRelation, public, commitment: bytes, msg: bytes,
@@ -125,12 +108,12 @@ class DlogSetting:
         return x, pow(self.g, x, self.p)
 
 
-def dlog_relation(p: int, g: int, challenge_count: int | None = None) -> DlogSetting:
+def dlog_relation(p: int, g: int) -> DlogSetting:
     """Build the dlog relation, computing the order of g by enumeration.
 
     The prover commits to g^k, responds r = k + c x mod order, and the
-    verifier checks g^r == commitment * y^c.  challenge_count defaults to
-    the group order.
+    verifier checks g^r == commitment * y^c.  Challenges range over the
+    group order.
     """
     if not is_prime(p):
         raise InvalidGroup(f"p={p} is not prime")
@@ -143,8 +126,6 @@ def dlog_relation(p: int, g: int, challenge_count: int | None = None) -> DlogSet
         order += 1
     if order < 2:
         raise InvalidGroup("generator has trivial order")
-    if challenge_count is None:
-        challenge_count = order
 
     def commit(secret, public, rng: Random):
         k = rng.randrange(order)
@@ -165,20 +146,10 @@ def dlog_relation(p: int, g: int, challenge_count: int | None = None) -> DlogSet
         p, g, order,
         SigmaRelation(
             name=f"dlog-p{p}-g{g}",
-            challenge_count=challenge_count,
+            challenge_count=order,
             commit=commit,
             respond=respond,
             check=check,
             encode_public=_int_bytes,
         ),
     )
-
-
-def dlog_extract(order: int, c1: int, r1: int, c2: int, r2: int) -> int:
-    """Recover the secret from two accepting transcripts on one commitment.
-
-    Needs gcd(c1 - c2, order) = 1; raises ValueError otherwise.
-    """
-    if c1 == c2:
-        raise ValueError("challenges must differ")
-    return (r1 - r2) * pow(c1 - c2, -1, order) % order

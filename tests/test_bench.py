@@ -45,6 +45,8 @@ def test_config_validation():
         BenchConfig(interval_seconds=0)
     with pytest.raises(ValueError):
         BenchConfig(min_samples=0)
+    with pytest.raises(ValueError):
+        BenchConfig(min_samples=10**400)  # adaptive_bench could not scale by it
     # the harness counts whole nanoseconds: no infinite, overflowing or nan interval
     for interval in (math.inf, 1e300, math.nan):
         with pytest.raises(ValueError):
@@ -249,6 +251,17 @@ def test_parse_error_carries_line_number():
         parse_text("a | nosuchop | n=1 | mean_us=0.0 | stddev_us=0.0 | cycles=-\n")
     with pytest.raises(ParseError):
         parse_text("a | keygen | n=1 | wrongkey=0.0 | stddev_us=0.0 | cycles=-\n")
+    # values no measurement can produce
+    for bad in ("mean_us=-5.0 | stddev_us=0.0 | cycles=-",
+                "mean_us=nan | stddev_us=0.0 | cycles=-",
+                "mean_us=1.0 | stddev_us=inf | cycles=-",
+                "mean_us=1.0 | stddev_us=0.0 | cycles=-7"):
+        with pytest.raises(ParseError) as e:
+            parse_text(f"# header\na | keygen | n=1 | {bad}\n")
+        assert e.value.line_no == 2
+    with pytest.raises(ParseError) as e:
+        parse_text("Cipher Dec Enc Keygen\nKyber768 1 -7 3\n")
+    assert e.value.line_no == 2
 
 
 def test_parse_appendix_style_rows():

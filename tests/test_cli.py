@@ -155,6 +155,14 @@ def test_bench_non_finite_interval_is_usage_error(capsys, verb, scheme, interval
     assert err.startswith("usage error:")
 
 
+def test_bench_min_samples_beyond_a_float_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "bench-kem", "--scheme", "stub-kem", "--interval",
+                             "0.001", "--min-samples", "1" + "0" * 400)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error:")
+
+
 def test_bench_kem_emits_three_records(capsys):
     code, out, err = run_cli(
         capsys, "bench-kem", "--scheme", "lwe-toy",

@@ -27,7 +27,6 @@ from pqbench.kex import (
     kem_from_encryption,
     on_curve,
     point_add,
-    point_neg,
     point_order,
     scalar_mul,
 )
@@ -67,10 +66,11 @@ def test_group_law_exhaustive_on_tiny():
         s = point_add(p1, p2, TINY_CURVE)
         assert on_curve(s, TINY_CURVE)
         assert s == point_add(p2, p1, TINY_CURVE)
-    # identity and inverses
+    # identity and inverses; pts[0] is infinity, and -(x, y) = (x, -y)
     for p in pts:
         assert point_add(p, INFINITY, TINY_CURVE) == p
-        assert point_add(p, point_neg(p, TINY_CURVE), TINY_CURVE) == INFINITY
+    for p in pts[1:]:
+        assert point_add(p, Point(p.x, -p.y % TINY_CURVE.q), TINY_CURVE) == INFINITY
     # associativity over every triple (13^3 cases)
     for p1, p2, p3 in itertools.product(pts, repeat=3):
         left = point_add(point_add(p1, p2, TINY_CURVE), p3, TINY_CURVE)
@@ -106,8 +106,6 @@ def test_off_curve_points_rejected():
         point_add(bad, TINY_GEN, TINY_CURVE)
     with pytest.raises(PointNotOnCurve):
         scalar_mul(2, bad, TINY_CURVE)
-    with pytest.raises(PointNotOnCurve):
-        point_neg(bad, TINY_CURVE)
 
 
 def test_ecdh_agreement_many_exchanges():

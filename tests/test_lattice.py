@@ -11,7 +11,6 @@ from pqbench.lattice import (
     LweParams,
     SisInstance,
     centered,
-    ct_add,
     guaranteed_params,
     lwe_decrypt_bit,
     lwe_encrypt_bit,
@@ -113,19 +112,6 @@ def test_roundtrip_guaranteed_params(n):
         bit = i & 1
         ct = lwe_encrypt_bit(kp, bit, params, rng)
         assert lwe_decrypt_bit(kp.secret, ct, params) == bit
-
-
-def test_homomorphic_zero_sum():
-    # two encryptions of 0 add to an encryption of 0 while noise stays
-    # under half the decryption margin
-    params = guaranteed_params(n=3, q=521, m=6, b=10)
-    assert 2 * params.m * params.b < params.q / 4
-    rng = Random(50)
-    kp = lwe_keygen(params, rng)
-    for _ in range(200):
-        c1 = lwe_encrypt_bit(kp, 0, params, rng)
-        c2 = lwe_encrypt_bit(kp, 0, params, rng)
-        assert lwe_decrypt_bit(kp.secret, ct_add(c1, c2, params), params) == 0
 
 
 def test_decision_lwe_distinguisher_z_test():
