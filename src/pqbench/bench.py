@@ -165,6 +165,9 @@ def adaptive_bench(op: Callable[[], object], config: BenchConfig) -> BenchStats:
     if first.n >= config.min_samples or first.mean_us <= 0:
         return first
     stretched = first.mean_us * config.min_samples * 1.25 / 1e6
+    if not stretched * 1e9 < math.inf:
+        raise ValueError(f"min_samples={config.min_samples} would stretch the interval "
+                         f"to {stretched:g} s, too long to time")
     return run_timed(op, replace(config, interval_seconds=stretched))
 
 

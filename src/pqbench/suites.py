@@ -39,7 +39,7 @@ from .kex import (
     ecdh_kem,
     kem_from_encryption,
 )
-from .serialize import MalformedFrame, pack, u32, unpack
+from .serialize import MalformedFrame, pack, unpack
 
 LWE_PARAMS = lattice.guaranteed_params(n=4, q=521, m=8, b=10)
 UOV_PARAMS = mq.UovParams(o=2, v=4, q=7)
@@ -170,10 +170,19 @@ def identity_stub_kem(h: HashFunction = DEFAULT_HASH) -> KemInstance:
 
 
 def _stretch(h: HashFunction, seed: bytes, size: int) -> bytes:
-    """size bytes expanded from one digest of seed, in counter mode."""
-    digest = h(seed)
-    blocks = -(-size // h.output_bytes)
-    return b"".join(h(digest + u32(counter)) for counter in range(blocks))[:size]
+    """size bytes expanded from one digest of seed, in counter mode: block
+    i is h(h(seed) + u32(i)).  Each block forks one state that has already
+    absorbed h(seed), so the digest is not hashed again per block.  The
+    counter is packed inline rather than through u32, whose range check
+    cannot fail here and costs a tenth of this loop."""
+    primed = h.new()
+    primed.update(h(seed))
+    out = []
+    for counter in range(-(-size // h.output_bytes)):
+        block = primed.copy()
+        block.update(counter.to_bytes(4, "big"))
+        out.append(block.digest())
+    return b"".join(out)[:size]
 
 
 def sized_stub_kem(name: str, public_bytes: int, ciphertext_bytes: int,

@@ -28,14 +28,20 @@ The key derivation is a labeled-hash construction, not HKDF: real TLS
 avoids reimplementing HMAC, and the labels ("c hs", "s hs", "fin c",
 "fin s") keep the four keys domain-separated.
 
-Both sides talk through SocketConnection, over TCP or over a local
-socket pair (memory_pair).  A socket call silent for READ_DEADLINE_S
-raises PeerTimeout, any other socket error ConnectionClosed (the OSError
-is the cause), and a frame over MAX_FRAME_BYTES MalformedFrame.  When a
-payload is cut short, the error names the frame, its announced length
-and the bytes that arrived.  server_handshake raises any failure that is
-not a PqbenchError as ServerCrashed.  Wall time starts once the server
-identity (keypair and certificate) exists.
+Each side is a generator that yields at the end of its flight: the
+client after ClientHello, the server after its Finished.  The transport
+picks the driver.  In-process endpoints (memory_pair) run both sides in
+lockstep on the caller's thread, with no socket and no thread, so a read
+the buffer cannot cover ends at once in ConnectionClosed.  Over a
+SocketConnection (TCP for tls-serve and tls-client) the server runs on a
+helper thread, since a flight can exceed the kernel's buffers; a socket
+call silent for READ_DEADLINE_S raises PeerTimeout and any other socket
+error ConnectionClosed (the OSError is the cause).  A frame over
+MAX_FRAME_BYTES is MalformedFrame, and when a payload is cut short the
+error names the frame, its announced length and the bytes that arrived.
+The server side raises any failure that is not a PqbenchError as
+ServerCrashed.  Wall time starts once the server identity (keypair and
+certificate) exists.
 
 Divergence worth knowing: here the signature suite changes the size of
 CertificateVerify and of the certificate itself, so handshake totals DO
@@ -46,7 +52,6 @@ are classical see no such variation.
 from __future__ import annotations
 
 import functools
-import socket
 import threading
 import time
 from dataclasses import astuple, dataclass
@@ -288,11 +293,54 @@ class SocketConnection:
             pass
 
 
+class MemoryConnection:
+    """One end of an in-process byte stream, for handshakes run in lockstep
+    on one thread.
+
+    send appends to the peer's buffer and recv_exact takes from this end's;
+    nothing waits.  In lockstep a side reads only once its peer has sent
+    all it can before hearing back, so a read the buffer cannot cover ends
+    at once in ConnectionClosed.  send_hook and the counters are as for
+    SocketConnection.
+    """
+
+    def __init__(self, send_hook=None):
+        self._hook = send_hook
+        self._inbox = bytearray()
+        self._peer: MemoryConnection | None = None
+        self.closed = False
+        self.bytes_sent = 0
+        self.bytes_received = 0
+
+    def send(self, data: bytes) -> None:
+        if self._hook is not None:
+            data = self._hook(data)
+        if self.closed or self._peer.closed:
+            raise ConnectionClosed("send: connection closed")
+        self._peer._inbox += data
+        self.bytes_sent += len(data)
+
+    def recv_exact(self, n: int) -> bytes:
+        have = len(self._inbox)
+        if have < n:
+            e = ConnectionClosed(f"peer has nothing more to send: {have} of {n} bytes read")
+            e.received = have
+            raise e
+        data = bytes(self._inbox[:n])
+        del self._inbox[:n]
+        self.bytes_received += n
+        return data
+
+    def close(self) -> None:
+        self.closed = True
+
+
 def memory_pair(client_send_hook=None, server_send_hook=None):
-    """(client endpoint, server endpoint) over a local socket pair."""
-    client_sock, server_sock = socket.socketpair()
-    return (SocketConnection(client_sock, client_send_hook),
-            SocketConnection(server_sock, server_send_hook))
+    """(client endpoint, server endpoint) joined in process: no socket and
+    no thread."""
+    client, server = MemoryConnection(client_send_hook), MemoryConnection(server_send_hook)
+    client._peer, server._peer = server, client
+    return client, server
 
 
 def read_message(conn):
@@ -447,12 +495,14 @@ class _Side:
         return SideResult(digest, tuple(self.messages), self.read, self.write)
 
 
-def client_handshake(cfg: SuiteConfig, conn, rng: Random) -> SideResult:
-    """Drive the client side to mutual Finished over conn."""
+def _client_flights(cfg: SuiteConfig, conn, rng: Random):
+    """The client side as a generator: it yields once, after ClientHello,
+    and returns its SideResult."""
     side = _Side(cfg, conn)
     try:
         kem_public, kem_secret = cfg.kem.keypair(rng)
         side.send(ClientHello((cfg.label,), kem_public))
+        yield
         sh = side.expect(ServerHello)
         if sh.chosen_suite != cfg.label:
             raise NegotiationFailure(f"server chose unoffered suite {sh.chosen_suite!r}")
@@ -479,11 +529,9 @@ def client_handshake(cfg: SuiteConfig, conn, rng: Random) -> SideResult:
         conn.close()
 
 
-def server_handshake(cfg: SuiteConfig, identity: Identity, conn,
-                     rng: Random) -> SideResult:
-    """Drive the server side; sends nothing if negotiation fails.  A
-    failure that is not a PqbenchError is raised as ServerCrashed, with
-    the original as its cause."""
+def _server_flights(cfg: SuiteConfig, identity: Identity, conn, rng: Random):
+    """The server side as a generator: it yields once, after its Finished,
+    and returns its SideResult.  It sends nothing if negotiation fails."""
     side = _Side(cfg, conn)
     try:
         ch = side.expect(ClientHello)
@@ -498,6 +546,7 @@ def server_handshake(cfg: SuiteConfig, identity: Identity, conn,
         side.send(CertificateMessage(identity.certificate))
         side.send(CertificateVerify(cfg.sig.sign(identity.sig_secret, side.transcript_hash())))
         side.send(FinishedServer(side.finished_mac(keys.fin_s)))
+        yield
         client_mac = side.finished_mac(keys.fin_c)
         if side.expect(FinishedClient).mac != client_mac:
             raise MacMismatch("client Finished MAC rejected")
@@ -508,6 +557,29 @@ def server_handshake(cfg: SuiteConfig, identity: Identity, conn,
         raise ServerCrashed(f"server raised {type(e).__name__}: {e}") from e
     finally:
         conn.close()
+
+
+def _finish(flights):
+    """Run one side's generator to its end; its SideResult."""
+    try:
+        while True:
+            next(flights)
+    except StopIteration as done:
+        return done.value
+
+
+def client_handshake(cfg: SuiteConfig, conn, rng: Random) -> SideResult:
+    """Drive the client side to mutual Finished over conn, reading with
+    conn's own blocking reads."""
+    return _finish(_client_flights(cfg, conn, rng))
+
+
+def server_handshake(cfg: SuiteConfig, identity: Identity, conn,
+                     rng: Random) -> SideResult:
+    """Drive the server side, as client_handshake does.  A failure that is
+    not a PqbenchError is raised as ServerCrashed, with the original as
+    its cause."""
+    return _finish(_server_flights(cfg, identity, conn, rng))
 
 
 # --- orchestration ---
@@ -523,14 +595,53 @@ class HandshakeTranscript:
     server_key_digest: bytes
 
 
+def _in_lockstep(client, server):
+    """Both sides on this thread, each run to its next yield in turn,
+    client first, until both have ended.  Each side's outcome is its
+    SideResult or the exception it ended in."""
+    outcomes = {}
+    while len(outcomes) < 2:
+        for side in (client, server):
+            if side not in outcomes:
+                try:
+                    next(side)
+                except StopIteration as done:
+                    outcomes[side] = done.value
+                except Exception as e:
+                    outcomes[side] = e
+    return outcomes[client], outcomes[server]
+
+
+def _on_threads(client, server):
+    """The server on a helper thread and the client on this one, each run
+    to its end with its endpoint's blocking reads; outcomes as for
+    _in_lockstep."""
+    outcomes = {}
+
+    def run(side):
+        try:
+            outcomes[side] = _finish(side)
+        except Exception as e:  # reaches the caller, not threading.excepthook
+            outcomes[side] = e
+
+    worker = threading.Thread(target=run, args=(server,), name="tls-server")
+    worker.start()
+    run(client)
+    worker.join()
+    return outcomes[client], outcomes[server]
+
+
 def run_handshake(client_cfg: SuiteConfig, server_cfg: SuiteConfig,
                   transport=None, rng: Random | None = None,
                   clock: Callable[[], int] = time.monotonic_ns) -> HandshakeTranscript:
-    """One complete handshake, server on a helper thread.
+    """One complete handshake.
 
     transport is a (client endpoint, server endpoint) pair, by default a
-    fresh memory_pair.  Failures on either side unblock the peer by
-    closing the transport; the server's error wins when both sides fail,
+    fresh memory_pair.  The transport picks the driver: a SocketConnection
+    read blocks until the peer sends, so over one the server runs on a
+    helper thread; any other pair runs in lockstep on the caller's thread,
+    where no read waits.  A side that fails closes its endpoint, which ends
+    the peer's next read.  The server's error wins when both sides fail,
     since the client usually just sees the connection drop.  The clock
     starts after make_identity, which a server does once, not per connection.
     """
@@ -542,37 +653,25 @@ def run_handshake(client_cfg: SuiteConfig, server_cfg: SuiteConfig,
 
     identity = make_identity(server_cfg.sig, "server", identity_rng)
     start = clock()
-    outcome: dict = {}
-
-    def serve():
-        try:
-            outcome["result"] = server_handshake(server_cfg, identity, server_end, server_rng)
-        except PqbenchError as e:  # reaches the caller, not threading.excepthook
-            outcome["error"] = e
-
-    worker = threading.Thread(target=serve, name="tls-server")
-    worker.start()
-    try:
-        client_result = client_handshake(client_cfg, client_end, client_rng)
-    except PqbenchError as client_error:
-        worker.join()
-        server_error = outcome.get("error")
-        if isinstance(client_error, ConnectionClosed) and server_error is not None:
-            raise server_error
-        raise
-    worker.join()
+    drive = (_on_threads if any(isinstance(end, SocketConnection)
+                                for end in (client_end, server_end)) else _in_lockstep)
+    client, server = drive(_client_flights(client_cfg, client_end, client_rng),
+                           _server_flights(server_cfg, identity, server_end, server_rng))
     end = clock()
-    if "error" in outcome:
-        raise outcome["error"]
-    server_result = outcome["result"]
+    if isinstance(client, Exception):
+        if isinstance(client, ConnectionClosed) and isinstance(server, PqbenchError):
+            raise server
+        raise client
+    if isinstance(server, Exception):
+        raise server
 
     return HandshakeTranscript(
-        messages=client_result.messages,
-        client_read_bytes=client_result.read_bytes,
-        client_write_bytes=client_result.write_bytes,
+        messages=client.messages,
+        client_read_bytes=client.read_bytes,
+        client_write_bytes=client.write_bytes,
         wall_time_us=(end - start) / 1000,
-        client_key_digest=client_result.key_digest,
-        server_key_digest=server_result.key_digest,
+        client_key_digest=client.key_digest,
+        server_key_digest=server.key_digest,
     )
 
 

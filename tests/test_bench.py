@@ -131,6 +131,16 @@ def test_adaptive_no_rerun_at_min_samples_one():
     assert stats.n == 2
 
 
+def test_adaptive_names_min_samples_when_the_stretch_overflows():
+    # 10**308 fits a float, but 1 ms per call times it does not
+    clock = FakeClock()
+    with pytest.raises(ValueError) as info:
+        adaptive_bench(ticking_op(clock, MS), cfg(clock, min_samples=10**308, interval=0.001))
+    assert f"min_samples={10**308}" in str(info.value)
+    assert "inf s" in str(info.value)
+    assert "interval_seconds" not in str(info.value)
+
+
 def test_adaptive_enough_samples_first_try():
     clock = FakeClock()
     stats = adaptive_bench(ticking_op(clock, MS), cfg(clock, min_samples=30, interval=0.05))

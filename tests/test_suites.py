@@ -8,9 +8,9 @@ from hypothesis import example, given, strategies as st
 
 from pqbench import codecrypt, suites
 from pqbench.errors import PqbenchError
-from pqbench.hashing import DEFAULT_HASH, HashFunction
+from pqbench.hashing import DEFAULT_HASH, PQH, HashFunction
 from pqbench.kex import DecapsFailure
-from pqbench.serialize import pack
+from pqbench.serialize import pack, u32
 from pqbench.suites import (
     _stretch,
     builtin_kems,
@@ -205,6 +205,15 @@ def test_stretch_hashes_its_seed_once(seed_len, size):
     block = counting.h.output_bytes
     blocks = -(-size // block)
     assert sum(counting.lengths) == seed_len + blocks * (block + 4)
+
+
+@pytest.mark.parametrize("h", (DEFAULT_HASH, PQH), ids=lambda h: h.name)
+@pytest.mark.parametrize("size", (0, 1, 32, 33, 15632))
+def test_stretch_matches_the_one_shot_formula(h, size):
+    seed = b"stretch seed"
+    blocks = -(-size // h.output_bytes)
+    want = b"".join(h(h(seed) + u32(i)) for i in range(blocks))[:size]
+    assert _stretch(h, seed, size) == want
 
 
 def test_stretch_prefixes_agree_and_depend_on_seed():

@@ -1,6 +1,7 @@
 """Handshake simulator tests: wire codec, key schedule, state machines,
 failure modes, byte accounting, and the registry-sized stub suites."""
 
+import dataclasses
 import socket
 import sys
 import threading
@@ -173,10 +174,16 @@ def test_read_message_rejects_oversized_frame_before_reading_it():
     assert sock.asked == [5]
 
 
+def socket_pair():
+    """(client, server) endpoints over a local socket pair."""
+    client, server = socket.socketpair()
+    return SocketConnection(client), SocketConnection(server)
+
+
 @pytest.mark.parametrize("close", (False, True), ids=("silent", "closed"))
 def test_read_message_names_the_frame_it_lost(monkeypatch, close):
     monkeypatch.setattr(tlssim, "READ_DEADLINE_S", 0.05)
-    client, server = memory_pair()
+    client, server = socket_pair()
     client.send(b"\x01" + u32(100) + bytes(10))  # a ClientHello cut short
     if close:
         client.close()
@@ -312,12 +319,42 @@ def test_memory_endpoint_counts_bytes():
     assert server.recv_exact(2) == b"12"
     assert server.recv_exact(3) == b"345"
     assert server.bytes_received == 5
+    server.send(b"ok")
+    assert client.recv_exact(2) == b"ok"
+    assert (server.bytes_sent, client.bytes_received) == (2, 2)
     client.close()
     server.close()
 
 
-def test_memory_pair_send_after_peer_closed_raises_connection_closed():
+def test_memory_endpoint_short_read_ends_at_once(monkeypatch):
+    # no deadline applies: an in-process read never waits for its peer
+    monkeypatch.setattr(tlssim, "READ_DEADLINE_S", 3600)
     client, server = memory_pair()
+    client.send(b"abc")
+    started = time.monotonic()
+    with pytest.raises(ConnectionClosed) as info:
+        server.recv_exact(5)
+    assert time.monotonic() - started < 1
+    assert not isinstance(info.value, PeerTimeout)
+    assert info.value.received == 3
+    assert server.bytes_received == 0
+    # the peer is still open: the bytes stay for a read they cover
+    assert server.recv_exact(3) == b"abc"
+
+
+def test_memory_send_after_peer_closed_raises_connection_closed():
+    client, server = memory_pair()
+    client.close()
+    with pytest.raises(ConnectionClosed):
+        server.send(b"late")
+    assert server.bytes_sent == 0
+    with pytest.raises(ConnectionClosed):
+        client.send(b"after own close")
+    assert client.bytes_sent == 0
+
+
+def test_socket_send_after_peer_closed_raises_connection_closed():
+    client, server = socket_pair()
     client.close()
     with pytest.raises(ConnectionClosed) as info:
         server.send(b"late")
@@ -328,7 +365,7 @@ def test_memory_pair_send_after_peer_closed_raises_connection_closed():
 
 def test_silent_peer_raises_peer_timeout(monkeypatch):
     monkeypatch.setattr(tlssim, "READ_DEADLINE_S", 0.05)
-    client, server = memory_pair()
+    client, server = socket_pair()
     with pytest.raises(PeerTimeout) as info:
         client.recv_exact(1)
     assert isinstance(info.value, ConnectionClosed)
@@ -402,6 +439,29 @@ def test_handshake_matches_golden_values(label):
     assert (t.client_read_bytes, t.client_write_bytes) == (read, write)
     assert t.client_key_digest.hex() == digest
     assert t.server_key_digest == t.client_key_digest
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN_HANDSHAKES))
+def test_both_drivers_give_the_same_handshake(label):
+    # in-process endpoints run both sides in lockstep on this thread; TCP
+    # endpoints run the server on a helper thread
+    cfg = golden_suites()[label]
+    lockstep = run_handshake(cfg, cfg, rng=Random(0))
+    threaded = run_handshake(cfg, cfg, tcp_pair(), rng=Random(0))
+    assert dataclasses.replace(threaded, wall_time_us=0) == \
+        dataclasses.replace(lockstep, wall_time_us=0)
+    assert lockstep.client_key_digest.hex() == GOLDEN_HANDSHAKES[label][3]
+
+
+def test_in_process_handshake_starts_no_thread_and_opens_no_socket(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an in-process handshake needs no thread or socket")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(socket, "socket", refuse)
+    monkeypatch.setattr(socket, "socketpair", refuse)
+    t = run_handshake(small_suite(), small_suite(), rng=Random(7))
+    assert t.client_key_digest == t.server_key_digest
 
 
 def test_buffering_hash_gives_the_golden_toy_digest():
@@ -523,7 +583,8 @@ def test_tampered_client_finished_rejected_by_server():
 
 def assert_ends_in_pqbench_error(handshake):
     """Run handshake on a helper thread: within 10 s it must raise a
-    PqbenchError, and neither complete nor raise anything else."""
+    PqbenchError, and neither complete nor raise anything else.  Returns
+    the error."""
     outcome = {}
 
     def attempt():
@@ -537,15 +598,14 @@ def assert_ends_in_pqbench_error(handshake):
     helper.join(timeout=10)
     assert not helper.is_alive(), "handshake still running after 10 s"
     assert isinstance(outcome.get("error"), PqbenchError), outcome
+    return outcome["error"]
 
 
 @pytest.mark.parametrize("index", range(1, 5))
 @pytest.mark.parametrize("bit", (0, 7))
-def test_corrupted_client_hello_length_ends_in_pqbench_error(monkeypatch, index, bit):
-    # a longer announced payload leaves the server waiting for bytes the
-    # client never sends, and the client waiting for a ServerHello
-    monkeypatch.setattr(tlssim, "READ_DEADLINE_S", 0.3)
-
+def test_corrupted_client_hello_length_ends_in_pqbench_error(index, bit):
+    # a longer announced payload asks the server for bytes the client
+    # never sends; in process that ends at once, with no deadline to wait out
     def flip(data):
         if data[0] != 1:
             return data
@@ -555,14 +615,27 @@ def test_corrupted_client_hello_length_ends_in_pqbench_error(monkeypatch, index,
         small_suite(), small_suite(), memory_pair(client_send_hook=flip), rng=Random(index)))
 
 
+def test_longer_client_hello_length_ends_without_waiting(monkeypatch):
+    # no deadline comes into it: the in-process server sees at once that
+    # the client has nothing more to send
+    monkeypatch.setattr(tlssim, "READ_DEADLINE_S", 3600)
+    cfg = golden_suites()["toy-default"]  # lwe-toy+wots, labelled "toy"
+
+    def flip(data):  # the low bit of length byte 3 adds 256 to the announced length
+        return data[:3] + bytes([data[3] ^ 1]) + data[4:] if data[0] == 1 else data
+
+    error = assert_ends_in_pqbench_error(lambda: run_handshake(
+        cfg, cfg, memory_pair(client_send_hook=flip), rng=Random(0)))
+    assert type(error) is ConnectionClosed
+    assert "ClientHello frame announced 383 payload bytes, 127 arrived" in str(error)
+
+
 BUILTIN_SUITES = [SuiteConfig(kem, sig, H, f"{kem.name}+{sig.name}")
                   for kem in builtin_kems(H).values() for sig in builtin_sigs(H).values()]
 CLIENT_TAGS = (1, 7)  # ClientHello and FinishedClient; the server sends tags 2-6
 
 
-# about a quarter of the examples wait out the read deadline, hence the cap;
-# the deadline is set by hand because hypothesis reruns the body without
-# resetting function-scoped fixtures such as monkeypatch
+# in process no example waits out the read deadline, whatever the corruption
 @settings(max_examples=100, deadline=None)
 @given(cfg=st.sampled_from(BUILTIN_SUITES), tag=st.integers(1, 7), cut=st.booleans(),
        where=st.integers(0, 2**16), delta=st.integers(1, 255))
@@ -578,13 +651,8 @@ def test_corrupted_or_cut_frame_ends_in_pqbench_error(cfg, tag, cut, where, delt
         return data[:i] + bytes([(data[i] + delta) % 256]) + data[i + 1:]
 
     side = "client_send_hook" if tag in CLIENT_TAGS else "server_send_hook"
-    saved = tlssim.READ_DEADLINE_S
-    tlssim.READ_DEADLINE_S = 0.05
-    try:
-        assert_ends_in_pqbench_error(lambda: run_handshake(
-            cfg, cfg, memory_pair(**{side: corrupt}), rng=Random(where)))
-    finally:
-        tlssim.READ_DEADLINE_S = saved
+    assert_ends_in_pqbench_error(lambda: run_handshake(
+        cfg, cfg, memory_pair(**{side: corrupt}), rng=Random(where)))
 
 
 # --- measurement ---
