@@ -17,6 +17,7 @@ preimage enumerator is included exactly for that purpose.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from random import Random
 
 from .errors import DimensionMismatch, LengthMismatch, PqbenchError, TooLarge
@@ -157,16 +158,18 @@ class AffineMap:
     field: PrimeField
     matrix: tuple[tuple[int, ...], ...]
     offset: tuple[int, ...]
-    _inverse_matrix: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False, default=())
+    # computed here unless the caller already inverted the matrix
+    _inverse_matrix: tuple[tuple[int, ...], ...] = field(repr=False, compare=False, default=())
 
     def __post_init__(self):
         n = len(self.matrix)
         if any(len(r) != n for r in self.matrix) or len(self.offset) != n:
             raise DimensionMismatch("affine map must be square with matching offset")
-        inv = _matrix_inverse(self.field, self.matrix)
-        if inv is None:
-            raise ValueError("affine map matrix is singular")
-        object.__setattr__(self, "_inverse_matrix", tuple(tuple(r) for r in inv))
+        if not self._inverse_matrix:
+            inv = _matrix_inverse(self.field, self.matrix)
+            if inv is None:
+                raise ValueError("affine map matrix is singular")
+            object.__setattr__(self, "_inverse_matrix", tuple(tuple(r) for r in inv))
 
     @property
     def n(self) -> int:
@@ -198,95 +201,64 @@ def identity_map(field: PrimeField, n: int) -> AffineMap:
 def random_affine(field: PrimeField, n: int, rng: Random, offset_zero: bool = True) -> AffineMap:
     while True:
         matrix = tuple(tuple(field.rand(rng) for _ in range(n)) for _ in range(n))
-        if _matrix_inverse(field, matrix) is not None:
+        inverse = _matrix_inverse(field, matrix)
+        if inverse is not None:
             break
     offset = tuple([0] * n if offset_zero else [field.rand(rng) for _ in range(n)])
-    return AffineMap(field, matrix, offset)
+    return AffineMap(field, matrix, offset, tuple(tuple(r) for r in inverse))
 
 
 # --- symbolic composition ---
 
 
-class _Accum:
-    """Mutable (const, linear, quad) coefficient triple during composition."""
+def _substitute(p: QuadPoly, t_map: AffineMap) -> list[int]:
+    """The coefficients of p(T(x)), flat: const, linear, then the folded
+    upper-triangular quad table row by row, each reduced mod q.
 
-    def __init__(self, q: int, n: int):
-        self.q = q
-        self.n = n
-        self.const = 0
-        self.linear = [0] * n
-        self.quad = [[0] * n for _ in range(n)]
-
-    def add_scaled(self, other: "_Accum", scale: int):
-        self.const = (self.const + scale * other.const) % self.q
-        for j in range(self.n):
-            self.linear[j] = (self.linear[j] + scale * other.linear[j]) % self.q
-            for k in range(j, self.n):
-                self.quad[j][k] = (self.quad[j][k] + scale * other.quad[j][k]) % self.q
-
-    def add_product(self, u0, u_lin, w0, w_lin, scale: int):
-        """scale * (u0 + sum u_j x_j)(w0 + sum w_k x_k), folded upper-triangular."""
-        self.const = (self.const + scale * u0 * w0) % self.q
-        for j in range(self.n):
-            self.linear[j] = (self.linear[j] + scale * (u0 * w_lin[j] + w0 * u_lin[j])) % self.q
-        for j in range(self.n):
-            if not u_lin[j] and not w_lin[j]:
-                continue
-            self.quad[j][j] = (self.quad[j][j] + scale * u_lin[j] * w_lin[j]) % self.q
-            for k in range(j + 1, self.n):
-                cross = u_lin[j] * w_lin[k] + u_lin[k] * w_lin[j]
-                self.quad[j][k] = (self.quad[j][k] + scale * cross) % self.q
-
-    def freeze(self) -> QuadPoly:
-        return QuadPoly(
-            self.q,
-            self.const,
-            tuple(self.linear),
-            tuple(tuple(r) for r in self.quad),
-        )
+    With T(x) = A x + b and p(y) = c + L.y + y'Qy, the substituted
+    polynomial is (c + L.b + b'Qb) + (L + (Q + Q')b)'A x + x'(A'QA)x.
+    """
+    a, b, quad = t_map.matrix, t_map.offset, p.quad
+    n = len(a)
+    a_cols = list(zip(*a))
+    qb = [sum(map(mul, row, b)) for row in quad]
+    # the gradient of p at b, L + (Q + Q')b
+    grad = [lin + qb_l + sum(map(mul, col, b))
+            for lin, qb_l, col in zip(p.linear, qb, zip(*quad))]
+    qa_cols = list(zip(*([sum(map(mul, row, col)) for col in a_cols] for row in quad)))
+    full = [[sum(map(mul, a_col, qa_col)) for qa_col in qa_cols] for a_col in a_cols]
+    coeffs = [p.const + sum(map(mul, p.linear, b)) + sum(map(mul, b, qb))]
+    coeffs += [sum(map(mul, grad, col)) for col in a_cols]
+    for j in range(n):
+        coeffs += [0] * j + [full[j][j]] + [full[j][k] + full[k][j] for k in range(j + 1, n)]
+    return [c % p.q for c in coeffs]
 
 
-def compose_trapdoor(s_map: AffineMap, central: MqSystem, t_map: AffineMap) -> MqSystem:
+def _freeze(q: int, n: int, coeffs: list[int]) -> QuadPoly:
+    """A QuadPoly from coefficients laid out as _substitute returns them."""
+    quad = coeffs[1 + n:]
+    return QuadPoly(q, coeffs[0], tuple(coeffs[1:1 + n]),
+                    tuple(tuple(quad[j * n:(j + 1) * n]) for j in range(n)))
+
+
+def compose_trapdoor(s_map: AffineMap | None, central: MqSystem, t_map: AffineMap) -> MqSystem:
     """Expand S(central(T(x))) into an explicit quadratic system.
 
-    T substitutes an affine form for every central variable, products of
-    forms are expanded symbolically, and S mixes the resulting
-    polynomials.  The output is what gets published as the key.
+    T substitutes an affine form for every central variable, and S, unless
+    it is None, mixes the resulting polynomials.  The output is what gets
+    published as the key.
     """
-    q = central.field.q
-    if t_map.n != central.n or s_map.n != central.m:
+    q, n = central.field.q, t_map.n
+    if n != central.n or (s_map is not None and s_map.n != central.m):
         raise DimensionMismatch("map dimensions do not match the central system")
-    n = t_map.n
-    # affine form feeding central variable l: (t_offset[l], row l of T)
-    t_forms = [(t_map.offset[l], t_map.matrix[l]) for l in range(central.n)]
-
-    inner = []
-    for p in central.polys:
-        acc = _Accum(q, n)
-        acc.const = p.const
-        for l, beta in enumerate(p.linear):
-            if beta:
-                c0, lin = t_forms[l]
-                acc.const = (acc.const + beta * c0) % q
-                for j in range(n):
-                    acc.linear[j] = (acc.linear[j] + beta * lin[j]) % q
-        for l in range(central.n):
-            for l2 in range(l, central.n):
-                gamma = p.quad[l][l2]
-                if gamma:
-                    u0, u_lin = t_forms[l]
-                    w0, w_lin = t_forms[l2]
-                    acc.add_product(u0, u_lin, w0, w_lin, gamma)
-        inner.append(acc)
-
+    inner = [_substitute(p, t_map) for p in central.polys]
+    if s_map is None:
+        return MqSystem(central.field, tuple(_freeze(q, n, coeffs) for coeffs in inner))
     outer = []
-    for i in range(s_map.n):
-        acc = _Accum(q, n)
-        acc.const = s_map.offset[i]
-        for j, coeff in enumerate(s_map.matrix[i]):
-            if coeff:
-                acc.add_scaled(inner[j], coeff)
-        outer.append(acc.freeze())
+    for row, offset in zip(s_map.matrix, s_map.offset):
+        mixed = [sum(map(mul, row, column)) for column in zip(*inner)]
+        mixed[0] += offset
+        outer.append(_freeze(q, n, [c % q for c in mixed]))
     return MqSystem(central.field, tuple(outer))
 
 
@@ -353,9 +325,8 @@ def uov_keygen(params: UovParams, rng: Random) -> UovKeypair:
     top, the variable change alone hides the oil block.
     """
     central = random_central_map(params, rng)
-    f = central.field
-    t_map = random_affine(f, params.n, rng)
-    public = compose_trapdoor(identity_map(f, params.o), central, t_map)
+    t_map = random_affine(central.field, params.n, rng)
+    public = compose_trapdoor(None, central, t_map)
     return UovKeypair(public, UovPrivateKey(params, central, t_map))
 
 

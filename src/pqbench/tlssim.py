@@ -29,14 +29,17 @@ avoids reimplementing HMAC, and the labels ("c hs", "s hs", "fin c",
 "fin s") keep the four keys domain-separated.
 
 Each side is a generator that yields at the end of its flight: the
-client after ClientHello, the server after its Finished.  The transport
-picks the driver.  In-process endpoints (memory_pair) run both sides in
-lockstep on the caller's thread, with no socket and no thread, so a read
-the buffer cannot cover ends at once in ConnectionClosed.  Over a
-SocketConnection (TCP for tls-serve and tls-client) the server runs on a
-helper thread, since a flight can exceed the kernel's buffers; a socket
-call silent for READ_DEADLINE_S raises PeerTimeout and any other socket
-error ConnectionClosed (the OSError is the cause).  A frame over
+client after ClientHello, the server after its Finished.  run_handshake
+runs both sides in lockstep on the caller's thread and starts no thread,
+so a read the delivered bytes cannot cover ends at once in
+ConnectionClosed.  In-process endpoints (memory_pair) pass the bytes in
+memory.  Over a pair of SocketConnections each side's flight is held
+until its step ends and then relayed through the kernel, one chunk at a
+time, so no flight can fill the kernel's buffers and stall.  tls-serve
+and tls-client hold one SocketConnection each and drive their side with
+blocking reads.  A socket call silent for READ_DEADLINE_S raises
+PeerTimeout and any other socket error ConnectionClosed (the OSError is
+the cause).  A frame over
 MAX_FRAME_BYTES is MalformedFrame, and when a payload is cut short the
 error names the frame, its announced length and the bytes that arrived.
 The server side raises any failure that is not a PqbenchError as
@@ -52,9 +55,8 @@ are classical see no such variation.
 from __future__ import annotations
 
 import functools
-import threading
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from random import Random
 from typing import Any, Callable
 
@@ -183,7 +185,13 @@ _MESSAGE_TAGS = {
     FinishedClient: 7,
 }
 _TAG_TYPES = {tag: cls for cls, tag in _MESSAGE_TAGS.items()}
-_SINGLE_FIELD = (EncryptedExtensions, CertificateVerify, FinishedServer, FinishedClient)
+# the one field each single-field message carries as its whole payload
+_SINGLE_FIELD = {
+    EncryptedExtensions: "payload",
+    CertificateVerify: "signature",
+    FinishedServer: "mac",
+    FinishedClient: "mac",
+}
 
 
 def _decode_label(raw: bytes) -> str:
@@ -194,6 +202,9 @@ def _decode_label(raw: bytes) -> str:
 
 
 def _encode_payload(msg) -> bytes:
+    single = _SINGLE_FIELD.get(type(msg))
+    if single is not None:
+        return getattr(msg, single)
     if isinstance(msg, ClientHello):
         return u32(len(msg.offered_suites)) + pack(
             *(s.encode() for s in msg.offered_suites), msg.kem_public
@@ -202,9 +213,6 @@ def _encode_payload(msg) -> bytes:
         return pack(msg.chosen_suite.encode(), msg.kem_ciphertext)
     if isinstance(msg, CertificateMessage):
         return certificate_signing_bytes(msg.cert) + pack(msg.cert.issuer_signature)
-    if isinstance(msg, _SINGLE_FIELD):
-        (payload,) = astuple(msg)
-        return payload
     raise TypeError(f"not a handshake message: {msg!r}")
 
 
@@ -321,18 +329,26 @@ class MemoryConnection:
         self.bytes_sent += len(data)
 
     def recv_exact(self, n: int) -> bytes:
-        have = len(self._inbox)
-        if have < n:
-            e = ConnectionClosed(f"peer has nothing more to send: {have} of {n} bytes read")
-            e.received = have
-            raise e
-        data = bytes(self._inbox[:n])
-        del self._inbox[:n]
+        data = _take(self._inbox, n)
         self.bytes_received += n
         return data
 
     def close(self) -> None:
         self.closed = True
+
+
+def _take(inbox: bytearray, n: int) -> bytes:
+    """The first n bytes of inbox, removed from it.  In lockstep a short
+    inbox will not grow before this side moves on, so the read ends at
+    once in ConnectionClosed."""
+    have = len(inbox)
+    if have < n:
+        e = ConnectionClosed(f"peer has nothing more to send: {have} of {n} bytes read")
+        e.received = have
+        raise e
+    data = bytes(inbox[:n])
+    del inbox[:n]
+    return data
 
 
 def memory_pair(client_send_hook=None, server_send_hook=None):
@@ -341,6 +357,55 @@ def memory_pair(client_send_hook=None, server_send_hook=None):
     client, server = MemoryConnection(client_send_hook), MemoryConnection(server_send_hook)
     client._peer, server._peer = server, client
     return client, server
+
+
+class _Relayed:
+    """A SocketConnection as its side sees it when both sides of one
+    connection run in lockstep on one thread.
+
+    send applies the endpoint's send hook and holds the bytes until the
+    side's step ends; relay_to then moves them through the kernel into the
+    peer's inbox.  recv_exact takes from the inbox, so, as over memory, a
+    read the relayed bytes cannot cover ends at once in ConnectionClosed.
+    The endpoint's counters move as if it had sent and read the bytes
+    itself.  close does nothing: the driver closes both sockets once both
+    sides have ended, after it has relayed their last bytes.
+    """
+
+    def __init__(self, end: SocketConnection):
+        self.end = end
+        self.held = bytearray()
+        self.inbox = bytearray()
+
+    def send(self, data: bytes) -> None:
+        if self.end._hook is not None:
+            data = self.end._hook(data)
+        self.held += data
+
+    def recv_exact(self, n: int) -> bytes:
+        data = _take(self.inbox, n)
+        self.end.bytes_received += n
+        return data
+
+    def close(self) -> None:
+        pass
+
+    def relay_to(self, peer: _Relayed) -> None:
+        """Move the held bytes into peer's inbox, one chunk at a time: this
+        socket takes what fits in its buffer, and the peer reads all of it
+        out before the next chunk goes, so no flight fills the buffers."""
+        src, dst = self.end, peer.end
+        held, self.held = memoryview(self.held), bytearray()
+        while held:
+            sent = src._call(src._sock.send, held)
+            src.bytes_sent += sent
+            held = held[sent:]
+            while sent:
+                got = dst._call(dst._sock.recv, sent)
+                if not got:
+                    raise ConnectionClosed(f"peer closed with {sent} relayed bytes unread")
+                peer.inbox += got
+                sent -= len(got)
 
 
 def read_message(conn):
@@ -595,13 +660,14 @@ class HandshakeTranscript:
     server_key_digest: bytes
 
 
-def _in_lockstep(client, server):
+def _in_lockstep(client, server, relays=(None, None)):
     """Both sides on this thread, each run to its next yield in turn,
-    client first, until both have ended.  Each side's outcome is its
-    SideResult or the exception it ended in."""
+    client first, until both have ended.  After each step, that side's
+    relay, if it has one, delivers what the side sent.  Each side's
+    outcome is its SideResult or the exception it ended in."""
     outcomes = {}
     while len(outcomes) < 2:
-        for side in (client, server):
+        for side, relay in zip((client, server), relays):
             if side not in outcomes:
                 try:
                     next(side)
@@ -609,54 +675,51 @@ def _in_lockstep(client, server):
                     outcomes[side] = done.value
                 except Exception as e:
                     outcomes[side] = e
-    return outcomes[client], outcomes[server]
-
-
-def _on_threads(client, server):
-    """The server on a helper thread and the client on this one, each run
-    to its end with its endpoint's blocking reads; outcomes as for
-    _in_lockstep."""
-    outcomes = {}
-
-    def run(side):
-        try:
-            outcomes[side] = _finish(side)
-        except Exception as e:  # reaches the caller, not threading.excepthook
-            outcomes[side] = e
-
-    worker = threading.Thread(target=run, args=(server,), name="tls-server")
-    worker.start()
-    run(client)
-    worker.join()
+                if relay is not None:
+                    relay()
     return outcomes[client], outcomes[server]
 
 
 def run_handshake(client_cfg: SuiteConfig, server_cfg: SuiteConfig,
                   transport=None, rng: Random | None = None,
                   clock: Callable[[], int] = time.monotonic_ns) -> HandshakeTranscript:
-    """One complete handshake.
+    """One complete handshake, both sides in lockstep on the caller's thread.
 
     transport is a (client endpoint, server endpoint) pair, by default a
-    fresh memory_pair.  The transport picks the driver: a SocketConnection
-    read blocks until the peer sends, so over one the server runs on a
-    helper thread; any other pair runs in lockstep on the caller's thread,
-    where no read waits.  A side that fails closes its endpoint, which ends
-    the peer's next read.  The server's error wins when both sides fail,
-    since the client usually just sees the connection drop.  The clock
-    starts after make_identity, which a server does once, not per connection.
+    fresh memory_pair.  Over a pair of SocketConnections, whose reads
+    would block, each side's sends are held until its step ends and then
+    relayed through the kernel to the peer, chunk by chunk, so a flight of
+    any size crosses without a second thread; both sockets are closed when
+    the handshake ends, however it ends.  A side that fails closes its
+    endpoint, and the peer's next read ends at once.  The server's error
+    wins when both sides fail, since the client usually just sees the
+    connection drop; a relay that fails raises its own ConnectionClosed or
+    PeerTimeout.  The clock starts after make_identity, which a server does
+    once, not per connection.
     """
     rng = rng if rng is not None else Random()
     client_end, server_end = transport if transport is not None else memory_pair()
+    # a socket pair is relayed, and closed here once both sides have ended;
+    # any other endpoint is closed by its own side
+    sockets, relays = (), (None, None)
+    if isinstance(client_end, SocketConnection) and isinstance(server_end, SocketConnection):
+        sockets = (client_end, server_end)
+        client_end, server_end = _Relayed(client_end), _Relayed(server_end)
+        relays = (functools.partial(client_end.relay_to, server_end),
+                  functools.partial(server_end.relay_to, client_end))
     client_rng = Random(rng.randrange(2**63))
     server_rng = Random(rng.randrange(2**63))
     identity_rng = Random(rng.randrange(2**63))
 
-    identity = make_identity(server_cfg.sig, "server", identity_rng)
-    start = clock()
-    drive = (_on_threads if any(isinstance(end, SocketConnection)
-                                for end in (client_end, server_end)) else _in_lockstep)
-    client, server = drive(_client_flights(client_cfg, client_end, client_rng),
-                           _server_flights(server_cfg, identity, server_end, server_rng))
+    try:
+        identity = make_identity(server_cfg.sig, "server", identity_rng)
+        start = clock()
+        client, server = _in_lockstep(
+            _client_flights(client_cfg, client_end, client_rng),
+            _server_flights(server_cfg, identity, server_end, server_rng), relays)
+    finally:
+        for endpoint in sockets:
+            endpoint.close()
     end = clock()
     if isinstance(client, Exception):
         if isinstance(client, ConnectionClosed) and isinstance(server, PqbenchError):

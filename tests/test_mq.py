@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from random import Random
 
@@ -203,6 +204,21 @@ def test_uov_retries_exhausted_on_degenerate_key():
     sk = UovPrivateKey(params, central, identity_map(f, 3))
     with pytest.raises(RetriesExhausted):
         uov_sign(sk, b"m", H, Random(10))
+
+
+def test_uov_keygen_matches_pinned_keys():
+    # public key, central map and variable change for seeds 0-49 under the
+    # uov suite's parameters, as one digest: a faster keygen must draw
+    # and build exactly the same keys
+    params = UovParams(o=2, v=4, q=7)
+    digest = hashlib.sha256()
+    for seed in range(50):
+        kp = uov_keygen(params, Random(seed))
+        t = kp.private.t_map
+        digest.update(serialize_system(kp.public) + serialize_system(kp.private.central)
+                      + bytes(c for row in t.matrix for c in row) + bytes(t.offset))
+    assert digest.hexdigest() == \
+        "7ddba122c1721085fbbc127bbf052b3f446fb22d5c702e7cfca9a6d551bf0670"
 
 
 def test_signatures_live_in_brute_force_preimage_set():

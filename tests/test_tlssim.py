@@ -443,12 +443,13 @@ def test_handshake_matches_golden_values(label):
 
 @pytest.mark.parametrize("label", sorted(GOLDEN_HANDSHAKES))
 def test_both_drivers_give_the_same_handshake(label):
-    # in-process endpoints run both sides in lockstep on this thread; TCP
-    # endpoints run the server on a helper thread
+    # both drivers run the two sides in lockstep on this thread: in-process
+    # endpoints pass bytes in memory, TCP endpoints relay each flight
+    # through the kernel
     cfg = golden_suites()[label]
     lockstep = run_handshake(cfg, cfg, rng=Random(0))
-    threaded = run_handshake(cfg, cfg, tcp_pair(), rng=Random(0))
-    assert dataclasses.replace(threaded, wall_time_us=0) == \
+    relayed = run_handshake(cfg, cfg, tcp_pair(), rng=Random(0))
+    assert dataclasses.replace(relayed, wall_time_us=0) == \
         dataclasses.replace(lockstep, wall_time_us=0)
     assert lockstep.client_key_digest.hex() == GOLDEN_HANDSHAKES[label][3]
 
@@ -782,12 +783,19 @@ def test_stub_total_moves_one_for_one_with_public_key():
 # --- TCP transport ---
 
 
-def tcp_pair():
-    """(client, server) endpoints over one loopback TCP connection."""
+def tcp_pair(buffer_bytes=None, client_send_hook=None):
+    """(client, server) endpoints over one loopback TCP connection, with
+    SO_SNDBUF and SO_RCVBUF set to buffer_bytes on both sockets if given."""
     with socket.create_server(("127.0.0.1", 0)) as listener:
-        client = socket.create_connection(listener.getsockname(), timeout=5)
+        client = socket.socket()
+        if buffer_bytes is not None:
+            for sock in (listener, client):  # an accepted socket inherits the listener's
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, buffer_bytes)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, buffer_bytes)
+        client.settimeout(5)
+        client.connect(listener.getsockname())
         server, _ = listener.accept()
-    return SocketConnection(client), SocketConnection(server)
+    return SocketConnection(client, client_send_hook), SocketConnection(server)
 
 
 def test_handshake_over_tcp():
@@ -832,3 +840,78 @@ def test_tcp_server_sees_rejected_certificate_as_connection_closed():
     assert not worker.is_alive()
     assert isinstance(outcome["error"], ConnectionClosed)
     assert isinstance(outcome["error"].__cause__, OSError)
+
+
+# --- TCP in lockstep: each flight relayed through the socket pair ---
+
+
+def test_relay_carries_a_flight_larger_than_the_socket_buffers():
+    # a 1 MB ClientHello through 64 KiB buffers: no flight can fill them
+    cfg = stub_suite("big-key", 1_000_000)
+    in_memory = run_handshake(cfg, cfg, rng=Random(0))
+    client_end, server_end = tcp_pair(buffer_bytes=64 * 1024)
+    t = run_handshake(cfg, cfg, (client_end, server_end), rng=Random(0))
+    assert dataclasses.replace(t, wall_time_us=0) == \
+        dataclasses.replace(in_memory, wall_time_us=0)
+    # the endpoints count what crossed them, as if they had moved it themselves
+    assert client_end.bytes_sent == server_end.bytes_received == t.client_write_bytes
+    assert server_end.bytes_sent == client_end.bytes_received == t.client_read_bytes
+
+
+def test_tcp_handshake_starts_no_thread(monkeypatch):
+    transport = tcp_pair()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a handshake over a socket pair needs no thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    t = run_handshake(small_suite(), small_suite(), transport, rng=Random(7))
+    assert t.client_key_digest == t.server_key_digest
+
+
+def test_longer_client_hello_length_over_tcp_ends_without_waiting():
+    # the relayed bytes cannot cover the announced length, so the server's
+    # read ends at once instead of waiting out the read deadline
+    cfg = golden_suites()["toy-default"]
+
+    def flip(data):  # the low bit of length byte 3 adds 256 to the announced length
+        return data[:3] + bytes([data[3] ^ 1]) + data[4:] if data[0] == 1 else data
+
+    started = time.monotonic()
+    with pytest.raises(ConnectionClosed) as info:
+        run_handshake(cfg, cfg, tcp_pair(client_send_hook=flip), rng=Random(0))
+    assert time.monotonic() - started < tlssim.READ_DEADLINE_S / 5
+    assert type(info.value) is ConnectionClosed
+    assert "ClientHello frame announced 383 payload bytes, 127 arrived" in str(info.value)
+
+
+def test_failing_tcp_handshake_closes_both_sockets():
+    kem, sigs = builtin_kems(H)["lwe-toy"], builtin_sigs(H)
+    server_cfg = SuiteConfig(kem, sigs["wots"], H, "lwe")
+    client_cfg = SuiteConfig(kem, sigs["lamport"], H, "lwe")
+    transport = tcp_pair()
+    with pytest.raises(CertVerifyFailure):
+        run_handshake(client_cfg, server_cfg, transport, rng=Random(3))
+    assert [end._sock.fileno() for end in transport] == [-1, -1]
+
+
+def test_relay_to_a_closed_socket_raises_connection_closed():
+    transport = tcp_pair()
+    transport[1].close()
+    with pytest.raises(ConnectionClosed):
+        run_handshake(small_suite(), small_suite(), transport, rng=Random(3))
+    assert [end._sock.fileno() for end in transport] == [-1, -1]
+
+
+def test_relay_that_hears_nothing_raises_peer_timeout(monkeypatch):
+    # the client's bytes go down one connection, the server listens on
+    # another: the relay's read gives up after READ_DEADLINE_S
+    monkeypatch.setattr(tlssim, "READ_DEADLINE_S", 0.05)
+    client_end, stray_server = socket_pair()
+    stray_client, server_end = socket_pair()
+    with pytest.raises(PeerTimeout):
+        run_handshake(small_suite(), small_suite(), (client_end, server_end), rng=Random(1))
+    assert [end._sock.fileno() for end in (client_end, server_end)] == [-1, -1]
+    stray_server.close()
+    stray_client.close()
+
