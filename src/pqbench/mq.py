@@ -17,6 +17,7 @@ preimage enumerator is included exactly for that purpose.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import mul
 from random import Random
 
@@ -158,18 +159,16 @@ class AffineMap:
     field: PrimeField
     matrix: tuple[tuple[int, ...], ...]
     offset: tuple[int, ...]
-    # computed here unless the caller already inverted the matrix
-    _inverse_matrix: tuple[tuple[int, ...], ...] = field(repr=False, compare=False, default=())
+    _inverse_matrix: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         n = len(self.matrix)
         if any(len(r) != n for r in self.matrix) or len(self.offset) != n:
             raise DimensionMismatch("affine map must be square with matching offset")
-        if not self._inverse_matrix:
-            inv = _matrix_inverse(self.field, self.matrix)
-            if inv is None:
-                raise ValueError("affine map matrix is singular")
-            object.__setattr__(self, "_inverse_matrix", tuple(tuple(r) for r in inv))
+        inv = _matrix_inverse(self.field, self.matrix)
+        if inv is None:
+            raise ValueError("affine map matrix is singular")
+        object.__setattr__(self, "_inverse_matrix", tuple(tuple(r) for r in inv))
 
     @property
     def n(self) -> int:
@@ -201,11 +200,14 @@ def identity_map(field: PrimeField, n: int) -> AffineMap:
 def random_affine(field: PrimeField, n: int, rng: Random, offset_zero: bool = True) -> AffineMap:
     while True:
         matrix = tuple(tuple(field.rand(rng) for _ in range(n)) for _ in range(n))
-        inverse = _matrix_inverse(field, matrix)
-        if inverse is not None:
+        try:
+            linear = AffineMap(field, matrix, (0,) * n)
             break
-    offset = tuple([0] * n if offset_zero else [field.rand(rng) for _ in range(n)])
-    return AffineMap(field, matrix, offset, tuple(tuple(r) for r in inverse))
+        except ValueError:  # a singular draw
+            continue
+    if offset_zero:
+        return linear
+    return AffineMap(field, matrix, tuple(field.rand(rng) for _ in range(n)))
 
 
 # --- symbolic composition ---
@@ -241,22 +243,30 @@ def _freeze(q: int, n: int, coeffs: list[int]) -> QuadPoly:
                     tuple(tuple(quad[j * n:(j + 1) * n]) for j in range(n)))
 
 
-def compose_trapdoor(s_map: AffineMap | None, central: MqSystem, t_map: AffineMap) -> MqSystem:
+def _substitute_system(central: MqSystem, t_map: AffineMap) -> MqSystem:
+    """central(T(x)) as an explicit quadratic system."""
+    if t_map.n != central.n:
+        raise DimensionMismatch("map dimensions do not match the central system")
+    q, n = central.field.q, t_map.n
+    return MqSystem(central.field,
+                    tuple(_freeze(q, n, _substitute(p, t_map)) for p in central.polys))
+
+
+def compose_trapdoor(s_map: AffineMap, central: MqSystem, t_map: AffineMap) -> MqSystem:
     """Expand S(central(T(x))) into an explicit quadratic system.
 
-    T substitutes an affine form for every central variable, and S, unless
-    it is None, mixes the resulting polynomials.  The output is what gets
-    published as the key.
+    T substitutes an affine form for every central variable, and S mixes
+    the resulting polynomials.
     """
-    q, n = central.field.q, t_map.n
-    if n != central.n or (s_map is not None and s_map.n != central.m):
+    if s_map.n != central.m:
         raise DimensionMismatch("map dimensions do not match the central system")
-    inner = [_substitute(p, t_map) for p in central.polys]
-    if s_map is None:
-        return MqSystem(central.field, tuple(_freeze(q, n, coeffs) for coeffs in inner))
+    inner = _substitute_system(central, t_map)
+    q, n = central.field.q, t_map.n
+    # each polynomial flat, in _freeze's layout
+    flat = [[p.const, *p.linear, *chain.from_iterable(p.quad)] for p in inner.polys]
     outer = []
     for row, offset in zip(s_map.matrix, s_map.offset):
-        mixed = [sum(map(mul, row, column)) for column in zip(*inner)]
+        mixed = [sum(map(mul, row, column)) for column in zip(*flat)]
         mixed[0] += offset
         outer.append(_freeze(q, n, [c % q for c in mixed]))
     return MqSystem(central.field, tuple(outer))
@@ -326,7 +336,7 @@ def uov_keygen(params: UovParams, rng: Random) -> UovKeypair:
     """
     central = random_central_map(params, rng)
     t_map = random_affine(central.field, params.n, rng)
-    public = compose_trapdoor(None, central, t_map)
+    public = _substitute_system(central, t_map)
     return UovKeypair(public, UovPrivateKey(params, central, t_map))
 
 

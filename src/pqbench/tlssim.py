@@ -33,15 +33,15 @@ client after ClientHello, the server after its Finished.  run_handshake
 runs both sides in lockstep on the caller's thread and starts no thread,
 so a read the delivered bytes cannot cover ends at once in
 ConnectionClosed.  In-process endpoints (memory_pair) pass the bytes in
-memory.  Over a pair of SocketConnections each side's flight is held
-until its step ends and then relayed through the kernel, one chunk at a
-time, so no flight can fill the kernel's buffers and stall.  tls-serve
+memory.  Over a pair of SocketConnections each send is relayed through
+the kernel into the peer's inbox before it returns, one chunk at a
+time, so no message can fill the kernel's buffers and stall.  tls-serve
 and tls-client hold one SocketConnection each and drive their side with
 blocking reads.  A socket call silent for READ_DEADLINE_S raises
 PeerTimeout and any other socket error ConnectionClosed (the OSError is
-the cause).  A frame over
-MAX_FRAME_BYTES is MalformedFrame, and when a payload is cut short the
-error names the frame, its announced length and the bytes that arrived.
+the cause).  A frame over MAX_FRAME_BYTES is MalformedFrame, and when a
+payload is cut short the error names the frame, its announced length
+and the bytes that arrived.
 The server side raises any failure that is not a PqbenchError as
 ServerCrashed.  Wall time starts once the server identity (keypair and
 certificate) exists.
@@ -256,12 +256,21 @@ class SocketConnection:
 
     send_hook, when set, may rewrite outgoing bytes; tests use it to
     corrupt frames in flight.  Counters track post-hook sizes.
+
+    When run_handshake holds both ends of one connection it joins them
+    (relay_to), so both sides can run in lockstep on one thread: send then
+    relays its bytes through the kernel into the peer's inbox before it
+    returns, and recv_exact takes from this end's inbox, so, as over
+    memory, a read the relayed bytes cannot cover ends at once in
+    ConnectionClosed.
     """
 
     def __init__(self, sock, send_hook=None):
         sock.settimeout(READ_DEADLINE_S)
         self._sock = sock
         self._hook = send_hook
+        self._peer: SocketConnection | None = None
+        self._inbox = bytearray()
         self.bytes_sent = 0
         self.bytes_received = 0
 
@@ -274,13 +283,41 @@ class SocketConnection:
         except OSError as e:
             raise ConnectionClosed(f"{op.__name__} failed: {e!r}") from e
 
+    def relay_to(self, peer: SocketConnection) -> None:
+        """Join this end and peer, the other end of its connection, so that
+        each end's send relays into the other's inbox."""
+        self._peer, peer._peer = peer, self
+
     def send(self, data: bytes) -> None:
         if self._hook is not None:
             data = self._hook(data)
+        if self._peer is not None:
+            self._relay(data)
+            return
         self._call(self._sock.sendall, data)
         self.bytes_sent += len(data)
 
+    def _relay(self, data: bytes) -> None:
+        """Send data one chunk at a time: this socket takes what fits in its
+        buffer, and the peer reads all of it out into its inbox before the
+        next chunk goes, so no message can fill the buffers and stall."""
+        peer, rest = self._peer, memoryview(data)
+        while rest:
+            sent = self._call(self._sock.send, rest)
+            self.bytes_sent += sent
+            rest = rest[sent:]
+            while sent:
+                got = peer._call(peer._sock.recv, sent)
+                if not got:
+                    raise ConnectionClosed(f"peer closed with {sent} relayed bytes unread")
+                peer._inbox += got
+                sent -= len(got)
+
     def recv_exact(self, n: int) -> bytes:
+        if self._peer is not None:
+            data = _take(self._inbox, n)
+            self.bytes_received += n
+            return data
         buf = b""
         try:
             while len(buf) < n:
@@ -357,55 +394,6 @@ def memory_pair(client_send_hook=None, server_send_hook=None):
     client, server = MemoryConnection(client_send_hook), MemoryConnection(server_send_hook)
     client._peer, server._peer = server, client
     return client, server
-
-
-class _Relayed:
-    """A SocketConnection as its side sees it when both sides of one
-    connection run in lockstep on one thread.
-
-    send applies the endpoint's send hook and holds the bytes until the
-    side's step ends; relay_to then moves them through the kernel into the
-    peer's inbox.  recv_exact takes from the inbox, so, as over memory, a
-    read the relayed bytes cannot cover ends at once in ConnectionClosed.
-    The endpoint's counters move as if it had sent and read the bytes
-    itself.  close does nothing: the driver closes both sockets once both
-    sides have ended, after it has relayed their last bytes.
-    """
-
-    def __init__(self, end: SocketConnection):
-        self.end = end
-        self.held = bytearray()
-        self.inbox = bytearray()
-
-    def send(self, data: bytes) -> None:
-        if self.end._hook is not None:
-            data = self.end._hook(data)
-        self.held += data
-
-    def recv_exact(self, n: int) -> bytes:
-        data = _take(self.inbox, n)
-        self.end.bytes_received += n
-        return data
-
-    def close(self) -> None:
-        pass
-
-    def relay_to(self, peer: _Relayed) -> None:
-        """Move the held bytes into peer's inbox, one chunk at a time: this
-        socket takes what fits in its buffer, and the peer reads all of it
-        out before the next chunk goes, so no flight fills the buffers."""
-        src, dst = self.end, peer.end
-        held, self.held = memoryview(self.held), bytearray()
-        while held:
-            sent = src._call(src._sock.send, held)
-            src.bytes_sent += sent
-            held = held[sent:]
-            while sent:
-                got = dst._call(dst._sock.recv, sent)
-                if not got:
-                    raise ConnectionClosed(f"peer closed with {sent} relayed bytes unread")
-                peer.inbox += got
-                sent -= len(got)
 
 
 def read_message(conn):
@@ -660,14 +648,13 @@ class HandshakeTranscript:
     server_key_digest: bytes
 
 
-def _in_lockstep(client, server, relays=(None, None)):
+def _in_lockstep(client, server):
     """Both sides on this thread, each run to its next yield in turn,
-    client first, until both have ended.  After each step, that side's
-    relay, if it has one, delivers what the side sent.  Each side's
-    outcome is its SideResult or the exception it ended in."""
+    client first, until both have ended.  Each side's outcome is its
+    SideResult or the exception it ended in."""
     outcomes = {}
     while len(outcomes) < 2:
-        for side, relay in zip((client, server), relays):
+        for side in (client, server):
             if side not in outcomes:
                 try:
                     next(side)
@@ -675,8 +662,6 @@ def _in_lockstep(client, server, relays=(None, None)):
                     outcomes[side] = done.value
                 except Exception as e:
                     outcomes[side] = e
-                if relay is not None:
-                    relay()
     return outcomes[client], outcomes[server]
 
 
@@ -686,27 +671,20 @@ def run_handshake(client_cfg: SuiteConfig, server_cfg: SuiteConfig,
     """One complete handshake, both sides in lockstep on the caller's thread.
 
     transport is a (client endpoint, server endpoint) pair, by default a
-    fresh memory_pair.  Over a pair of SocketConnections, whose reads
-    would block, each side's sends are held until its step ends and then
-    relayed through the kernel to the peer, chunk by chunk, so a flight of
-    any size crosses without a second thread; both sockets are closed when
-    the handshake ends, however it ends.  A side that fails closes its
-    endpoint, and the peer's next read ends at once.  The server's error
-    wins when both sides fail, since the client usually just sees the
-    connection drop; a relay that fails raises its own ConnectionClosed or
-    PeerTimeout.  The clock starts after make_identity, which a server does
-    once, not per connection.
+    fresh memory_pair.  A pair of SocketConnections, whose reads would
+    block, is joined first (SocketConnection.relay_to): each send then
+    relays its bytes through the kernel into the peer's inbox, chunk by
+    chunk, so a message of any size crosses without a second thread.  A
+    side that fails closes its endpoint, and the peer's next read or relay
+    ends at once; both endpoints are closed when the handshake ends,
+    however it ends.  The server's error wins when both sides fail, since
+    the client usually just sees the connection drop.  The clock starts
+    after make_identity, which a server does once, not per connection.
     """
     rng = rng if rng is not None else Random()
     client_end, server_end = transport if transport is not None else memory_pair()
-    # a socket pair is relayed, and closed here once both sides have ended;
-    # any other endpoint is closed by its own side
-    sockets, relays = (), (None, None)
     if isinstance(client_end, SocketConnection) and isinstance(server_end, SocketConnection):
-        sockets = (client_end, server_end)
-        client_end, server_end = _Relayed(client_end), _Relayed(server_end)
-        relays = (functools.partial(client_end.relay_to, server_end),
-                  functools.partial(server_end.relay_to, client_end))
+        client_end.relay_to(server_end)
     client_rng = Random(rng.randrange(2**63))
     server_rng = Random(rng.randrange(2**63))
     identity_rng = Random(rng.randrange(2**63))
@@ -716,10 +694,10 @@ def run_handshake(client_cfg: SuiteConfig, server_cfg: SuiteConfig,
         start = clock()
         client, server = _in_lockstep(
             _client_flights(client_cfg, client_end, client_rng),
-            _server_flights(server_cfg, identity, server_end, server_rng), relays)
+            _server_flights(server_cfg, identity, server_end, server_rng))
     finally:
-        for endpoint in sockets:
-            endpoint.close()
+        client_end.close()
+        server_end.close()
     end = clock()
     if isinstance(client, Exception):
         if isinstance(client, ConnectionClosed) and isinstance(server, PqbenchError):

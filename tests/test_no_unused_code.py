@@ -28,6 +28,7 @@ KEEP = {
     "lattice.sis_brute_force": "a brute-force oracle (criterion 4)",
     "lattice.svp_brute_force": "a brute-force oracle (criterion 4)",
     "mq.brute_force_preimages": "a brute-force oracle (criterion 4)",
+    "mq.compose_trapdoor": "a test reference: checks the UOV substitution pointwise",
     "mq.identity_map": "a test reference builder",
     "registry.Registry.lookup": "the registry's name mapping (ROADMAP item 9) needs it",
     "tlssim.handshake_total_bytes": "criterion 7 orders the suites by it",

@@ -444,8 +444,8 @@ def test_handshake_matches_golden_values(label):
 @pytest.mark.parametrize("label", sorted(GOLDEN_HANDSHAKES))
 def test_both_drivers_give_the_same_handshake(label):
     # both drivers run the two sides in lockstep on this thread: in-process
-    # endpoints pass bytes in memory, TCP endpoints relay each flight
-    # through the kernel
+    # endpoints pass bytes in memory, TCP endpoints relay each send through
+    # the kernel
     cfg = golden_suites()[label]
     lockstep = run_handshake(cfg, cfg, rng=Random(0))
     relayed = run_handshake(cfg, cfg, tcp_pair(), rng=Random(0))
@@ -842,7 +842,7 @@ def test_tcp_server_sees_rejected_certificate_as_connection_closed():
     assert isinstance(outcome["error"].__cause__, OSError)
 
 
-# --- TCP in lockstep: each flight relayed through the socket pair ---
+# --- TCP in lockstep: each send relayed through the socket pair ---
 
 
 def test_relay_carries_a_flight_larger_than_the_socket_buffers():
@@ -904,14 +904,17 @@ def test_relay_to_a_closed_socket_raises_connection_closed():
 
 
 def test_relay_that_hears_nothing_raises_peer_timeout(monkeypatch):
-    # the client's bytes go down one connection, the server listens on
-    # another: the relay's read gives up after READ_DEADLINE_S
+    # each end's peer listens on another connection: the relay's read
+    # gives up after READ_DEADLINE_S
     monkeypatch.setattr(tlssim, "READ_DEADLINE_S", 0.05)
     client_end, stray_server = socket_pair()
     stray_client, server_end = socket_pair()
+    client_end.relay_to(server_end)
     with pytest.raises(PeerTimeout):
+        client_end.send(b"hello")
+    # a handshake over such a pair ends, and closes both ends
+    with pytest.raises(ConnectionClosed):
         run_handshake(small_suite(), small_suite(), (client_end, server_end), rng=Random(1))
     assert [end._sock.fileno() for end in (client_end, server_end)] == [-1, -1]
     stray_server.close()
     stray_client.close()
-
