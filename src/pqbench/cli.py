@@ -180,14 +180,13 @@ def cmd_tls_serve(ns) -> int:
     cfg = _pick(_tls_suites(), ns.suite, "suite")
     rng = Random(ns.seed)
     identity = tlssim.make_identity(cfg.sig, "server", Random(rng.randrange(2**63)))
-    listener = socket.socket()
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((host, port))
-    listener.listen(4)
-    bound = listener.getsockname()
-    print(f"listening on {bound[0]}:{bound[1]}", file=sys.stderr, flush=True)
     failed = 0
-    try:
+    with socket.socket() as listener:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind((host, port))
+        listener.listen(4)
+        bound = listener.getsockname()
+        print(f"listening on {bound[0]}:{bound[1]}", file=sys.stderr, flush=True)
         for _ in range(ns.iterations):
             sock, peer = listener.accept()
             print(f"connection from {peer[0]}:{peer[1]}", file=sys.stderr, flush=True)
@@ -201,8 +200,6 @@ def cmd_tls_serve(ns) -> int:
                 print(f"error: {type(e).__name__}: {e}", file=sys.stderr, flush=True)
                 continue
             print(_result_line(cfg.label, "tls-serve", result), flush=True)
-    finally:
-        listener.close()
     return 1 if failed else 0
 
 

@@ -164,7 +164,9 @@ class HashFunction:
     """A named hash with a fixed output length.
 
     Instances are callable.  new_state, when given, builds the hash's own
-    streaming state; a hash built from apply alone streams by buffering.
+    streaming state, and a call hashes through one inline, so it costs one
+    Python frame; a hash built from apply alone calls apply and streams by
+    buffering.  Either way each call checks the declared output length.
     """
 
     name: str
@@ -173,10 +175,16 @@ class HashFunction:
     new_state: Callable[[], HashState] | None = field(default=None, repr=False)
 
     def __call__(self, data: bytes) -> bytes:
-        out = self.apply(data)
+        new_state = self.new_state
+        if new_state is None:
+            out = self.apply(data)
+        else:
+            state = new_state()
+            state.update(data)
+            out = state.digest()
         if len(out) != self.output_bytes:
             raise ValueError(
-                f"{self.name}: apply returned {len(out)} bytes, "
+                f"{self.name}: returned {len(out)} bytes, "
                 f"declared {self.output_bytes}"
             )
         return out

@@ -55,6 +55,15 @@ def message_bits(h: HashFunction, msg: bytes, nbits: int) -> list[int]:
     return [(digest[i // 8] >> (7 - i % 8)) & 1 for i in range(nbits)]
 
 
+def _secrets(rng: Random, k: int) -> list[bytes]:
+    """k secrets of SECRET_BYTES each, from one draw.  randbytes(n) is
+    getrandbits(8n) in little-endian order and SECRET_BYTES is a whole
+    number of 32-bit words, so these are the bytes that k separate
+    randbytes(SECRET_BYTES) calls would give."""
+    pool = rng.randbytes(k * SECRET_BYTES)
+    return [pool[i : i + SECRET_BYTES] for i in range(0, len(pool), SECRET_BYTES)]
+
+
 def _check_bits(bits, nbits):
     if len(bits) != nbits:
         raise LengthMismatch(f"expected {nbits} bits, got {len(bits)}")
@@ -77,10 +86,9 @@ class LamportKeypair:
 def lamport_keygen(msg_bits: int, h: HashFunction, rng: Random) -> LamportKeypair:
     if msg_bits <= 0:
         raise LengthMismatch("msg_bits must be positive")
-    secret = tuple(
-        [rng.randbytes(SECRET_BYTES) for _ in range(msg_bits)] for _ in range(2)
-    )
-    public = tuple([h(s) for s in side] for side in secret)
+    pool = _secrets(rng, 2 * msg_bits)
+    secret = (pool[:msg_bits], pool[msg_bits:])
+    public = tuple(list(map(h, side)) for side in secret)
     return LamportKeypair(msg_bits, secret, public)
 
 
@@ -175,7 +183,7 @@ def wots_keygen(params: WotsParams, h: HashFunction, rng: Random):
     Each public element is the chain walked to its end and hashed once
     more, so a full-depth signature element still needs one hash to check.
     """
-    secret = [rng.randbytes(SECRET_BYTES) for _ in range(params.total_chunks)]
+    secret = _secrets(rng, params.total_chunks)
     public = [hash_chain(h, s, params.chain_end + 1) for s in secret]
     return secret, public
 
@@ -338,6 +346,8 @@ def deserialize_mss_signature(data: bytes) -> MssSignature:
         siblings = unpack(sibs)
     except MalformedFrame as e:
         raise InvalidBundle(f"bundle does not parse: {e}") from None
+    if len(idx) != 4 or len(proof_idx) != 4:
+        raise InvalidBundle("index fields must be 4 bytes")
     if len(siblings) != len(sides):
         raise InvalidBundle("sibling count disagrees with side flags")
     if any(side not in (0, 1) for side in sides):

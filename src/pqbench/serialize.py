@@ -5,9 +5,12 @@ each field is a 4-byte big-endian length followed by the raw bytes, fields
 concatenated in declaration order.  Lengths must fit 32 bits.
 """
 
+import struct
+
 from .errors import PqbenchError
 
 U32_MAX = 2**32 - 1
+_U32 = struct.Struct(">I")
 
 
 class LengthOverflow(PqbenchError):
@@ -33,19 +36,14 @@ def read_u32(data: bytes, offset: int = 0) -> tuple[int, int]:
 
 def pack(*chunks: bytes) -> bytes:
     """Concatenate chunks, each with a 4-byte big-endian length prefix."""
-    out = bytearray()
-    for c in chunks:
-        out += u32(len(c))
-        out += c
-    return bytes(out)
-
-
-def take(data: bytes, offset: int = 0) -> tuple[bytes, int]:
-    """Read one length-prefixed chunk, return (chunk, new_offset)."""
-    n, offset = read_u32(data, offset)
-    if offset + n > len(data):
-        raise MalformedFrame(f"chunk claims {n} bytes, {len(data) - offset} remain")
-    return data[offset : offset + n], offset + n
+    parts = []
+    try:
+        for c in chunks:
+            parts.append(len(c).to_bytes(4, "big"))
+            parts.append(c)
+    except OverflowError:
+        raise LengthOverflow(f"length {len(c)} does not fit in 4 bytes") from None
+    return b"".join(parts)
 
 
 def unpack(data: bytes, count: int | None = None) -> list[bytes]:
@@ -56,10 +54,17 @@ def unpack(data: bytes, count: int | None = None) -> list[bytes]:
     """
     chunks = []
     offset = 0
-    while offset < len(data):
-        c, offset = take(data, offset)
-        chunks.append(c)
-        if count is not None and len(chunks) == count and offset != len(data):
+    end = len(data)
+    while offset < end:
+        start = offset + 4
+        if start > end:
+            raise MalformedFrame("truncated 4-byte length")
+        n = _U32.unpack_from(data, offset)[0]
+        offset = start + n
+        if offset > end:
+            raise MalformedFrame(f"chunk claims {n} bytes, {end - start} remain")
+        chunks.append(data[start:offset])
+        if len(chunks) == count and offset != end:
             raise MalformedFrame("trailing bytes after final chunk")
     if count is not None and len(chunks) != count:
         raise MalformedFrame(f"expected {count} chunks, found {len(chunks)}")

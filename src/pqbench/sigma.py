@@ -136,6 +136,9 @@ def dlog_relation(p: int, g: int) -> DlogSetting:
         return _int_bytes((k + challenge * x) % order)
 
     def check(public, commitment: bytes, challenge: int, response: bytes) -> bool:
+        # only the 8-byte width _int_bytes writes: one value, one encoding
+        if len(commitment) != 8 or len(response) != 8:
+            return False
         co = int.from_bytes(commitment, "big")
         r = int.from_bytes(response, "big")
         if not 0 < co < p or r >= order:

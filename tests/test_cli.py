@@ -1,5 +1,6 @@
 """CLI tests driven through main(argv) plus one subprocess sanity check."""
 
+import gc
 import re
 import shutil
 import socket
@@ -322,6 +323,20 @@ def test_serve_without_iterations_is_usage_error_before_binding(capsys, iteratio
                            "--iterations", iterations)
     assert code == 1
     assert "--iterations must be >= 1" in err
+    assert "listening" not in err
+
+
+def test_serve_on_a_port_in_use_exits_2_and_closes_its_socket(capsys):
+    # a listener left open when bind fails trips the ResourceWarning filter
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen(1)
+        port = holder.getsockname()[1]
+        code, out, err = run_cli(capsys, "tls-serve", "--listen", f"127.0.0.1:{port}")
+        gc.collect()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
     assert "listening" not in err
 
 

@@ -56,6 +56,14 @@ def test_apply_must_honor_declared_length():
         bad(b"x")
 
 
+def test_new_state_must_honor_declared_length():
+    # apply gives the declared length, but a call hashes through new_state
+    bad = HashFunction("bad", 32, lambda data: bytes(32),
+                       lambda: hashlib.blake2b(digest_size=16))
+    with pytest.raises(ValueError):
+        bad(b"x")
+
+
 def test_default_is_hashlibs_blake2b_256():
     # BLAKE2b-256("abc"), the RFC 7693 function at a 32-byte digest size
     assert DEFAULT_HASH(b"abc").hex() == (

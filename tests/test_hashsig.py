@@ -5,7 +5,10 @@ from hypothesis import given, strategies as st
 
 from pqbench.errors import LengthMismatch
 from pqbench.hashing import PQH
+from pqbench.serialize import pack, unpack
+from pqbench.suites import builtin_sigs
 from pqbench.hashsig import (
+    SECRET_BYTES,
     IndexOutOfRange,
     InvalidBundle,
     KeysExhausted,
@@ -58,6 +61,24 @@ def test_lamport_seed_determinism():
     assert a.public == b.public
     c = lamport_keygen(16, H, Random(8))
     assert a.secret != c.secret
+
+
+def test_keygen_secrets_equal_per_secret_draws():
+    # one randbytes draw per keypair gives the bytes, and leaves the rng in
+    # the state, that one randbytes(SECRET_BYTES) per secret would
+    keygen_rng = Random(7)
+    kp = lamport_keygen(16, H, keygen_rng)
+    rng = Random(7)
+    draws = [rng.randbytes(SECRET_BYTES) for _ in range(32)]
+    assert kp.secret == (draws[:16], draws[16:])
+    assert kp.public == ([H(s) for s in draws[:16]], [H(s) for s in draws[16:]])
+    assert keygen_rng.random() == rng.random()
+    params = WotsParams(4, 32)
+    keygen_rng = Random(8)
+    secret, _ = wots_keygen(params, H, keygen_rng)
+    rng = Random(8)
+    assert secret == [rng.randbytes(SECRET_BYTES) for _ in range(params.total_chunks)]
+    assert keygen_rng.random() == rng.random()
 
 
 def test_lamport_roundtrip():
@@ -378,3 +399,29 @@ def test_mss_bundle_rejects_garbage():
     bad = blob[:-1] + bytes([7])
     with pytest.raises(InvalidBundle):
         deserialize_mss_signature(bad)
+
+
+def _repacked_mss_signature(index_field) -> tuple[bytes, bytes, bytes]:
+    """(public, message, signature) from the built-in mss signer, with both
+    index fields replaced by index_field(the signed index)."""
+    sig = builtin_sigs(H)["mss"]
+    pk, sk = sig.keypair(Random(31))
+    msg = b"index width"
+    fields = unpack(sig.sign(sk, msg), 7)
+    assert sig.verify(pk, msg, pack(*fields))
+    fields[0] = fields[4] = index_field(int.from_bytes(fields[0], "big"))
+    return pk, msg, pack(*fields)
+
+
+@pytest.mark.parametrize("width", (3, 5, 6))
+def test_mss_bundle_index_fields_take_exactly_four_bytes(width):
+    pk, msg, blob = _repacked_mss_signature(lambda i: i.to_bytes(width, "big"))
+    with pytest.raises(InvalidBundle, match="index fields must be 4 bytes"):
+        deserialize_mss_signature(blob)
+    assert not builtin_sigs(H)["mss"].verify(pk, msg, blob)
+
+
+def test_mss_bundle_index_beyond_32_bits_is_invalid_bundle():
+    _, _, blob = _repacked_mss_signature(lambda i: (i + 2**32).to_bytes(5, "big"))
+    with pytest.raises(InvalidBundle, match="index fields must be 4 bytes"):
+        deserialize_mss_signature(blob)

@@ -30,6 +30,65 @@ def test_truncated_chunk_rejected():
         serialize.unpack(data)
 
 
+@pytest.mark.parametrize("data,count,message", [
+    (b"\x00\x00", None, "truncated 4-byte length"),
+    (serialize.u32(10) + b"short", None, "chunk claims 10 bytes, 5 remain"),
+    (serialize.pack(b"x", b"y"), 1, "trailing bytes after final chunk"),
+    (serialize.pack(b"x", b"y"), 3, "expected 3 chunks, found 2"),
+    (b"", 1, "expected 1 chunks, found 0"),
+])
+def test_malformed_frame_names_its_cause(data, count, message):
+    with pytest.raises(MalformedFrame) as e:
+        serialize.unpack(data, count)
+    assert str(e.value) == message
+
+
+def reference_unpack(data, count):
+    """Read every chunk to the end of data, then compare the count."""
+    chunks = []
+    while data:
+        if len(data) < 4 or int.from_bytes(data[:4], "big") > len(data) - 4:
+            raise MalformedFrame("does not parse")
+        end = 4 + int.from_bytes(data[:4], "big")
+        chunks.append(data[4:end])
+        data = data[end:]
+    if count is not None and len(chunks) != count:
+        raise MalformedFrame("wrong count")
+    return chunks
+
+
+# frames of small claimed lengths, so claims fall short of, match and
+# overrun what follows them, plus arbitrary bytes
+frames = st.one_of(
+    st.binary(max_size=24),
+    st.builds(
+        lambda pieces, tail: b"".join(serialize.u32(n) + body for n, body in pieces) + tail,
+        st.lists(st.tuples(st.integers(0, 8), st.binary(max_size=8)), max_size=5),
+        st.binary(max_size=5),
+    ),
+)
+
+
+@given(frames, st.none() | st.integers(0, 6))
+def test_unpack_agrees_with_a_reference_parser(data, count):
+    try:
+        want = reference_unpack(data, count)
+    except MalformedFrame:
+        with pytest.raises(MalformedFrame):
+            serialize.unpack(data, count)
+    else:
+        assert serialize.unpack(data, count) == want
+
+
+def test_pack_of_a_length_beyond_32_bits_overflows():
+    class Huge:
+        def __len__(self):
+            return 2**32
+
+    with pytest.raises(LengthOverflow, match="length 4294967296 does not fit in 4 bytes"):
+        serialize.pack(b"fits", Huge())
+
+
 def test_u32_range():
     assert serialize.u32(0) == b"\x00\x00\x00\x00"
     assert serialize.u32(2**32 - 1) == b"\xff\xff\xff\xff"

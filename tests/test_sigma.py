@@ -3,6 +3,7 @@ from random import Random
 import pytest
 
 from pqbench.hashing import PQH
+from pqbench.serialize import pack, unpack
 from pqbench.sigma import (
     FsSignature,
     InvalidGroup,
@@ -12,6 +13,7 @@ from pqbench.sigma import (
     fs_sign,
     fs_verify,
 )
+from pqbench.suites import builtin_sigs
 
 H = PQH
 
@@ -103,6 +105,33 @@ def test_fs_tamper_always_rejects():
             b ^ (0x80 if j == pos else 0) for j, b in enumerate(sig.commitment)
         )
         assert not fs_verify(rel, y, msg, FsSignature(flip, sig.response), H)
+
+
+def _rewidth(field: bytes, width: int) -> bytes:
+    return int.from_bytes(field, "big").to_bytes(width, "big")
+
+
+@pytest.mark.parametrize("width", (2, 9))
+def test_dlog_check_takes_only_eight_byte_fields(width):
+    setting = dlog_relation(103, 72)
+    rel = setting.relation
+    rng = Random(8)
+    x, y = setting.keypair(rng)
+    co, state = rel.commit(x, y, rng)
+    response = rel.respond(state, 5)
+    assert rel.check(y, co, 5, response)
+    assert not rel.check(y, _rewidth(co, width), 5, response)
+    assert not rel.check(y, co, 5, _rewidth(response, width))
+
+
+@pytest.mark.parametrize("width", (2, 9))
+def test_fs_dlog_signature_with_a_rewidthed_response_is_rejected(width):
+    sig = builtin_sigs(H)["fs-dlog"]
+    pk, sk = sig.keypair(Random(9))
+    msg = b"response width"
+    commitment, response = unpack(sig.sign(sk, msg), 2)
+    assert sig.verify(pk, msg, pack(commitment, response))
+    assert not sig.verify(pk, msg, pack(commitment, _rewidth(response, width)))
 
 
 def test_fs_challenge_depends_on_message():

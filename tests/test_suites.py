@@ -254,6 +254,27 @@ def test_lamport_sign_hashes_only_the_message():
     assert sig.verify(pk, b"m", signature)
 
 
+# hash calls of keypair, sign and verify under a fixed seed; they do not
+# depend on the host, so a kernel change that adds or drops hashing shows
+HASH_CALLS = {"lamport": (65, 1, 33), "wots": (161, 61, 101), "mss": (528, 2, 37)}
+
+
+@pytest.mark.parametrize("name", sorted(HASH_CALLS))
+def test_hash_based_signers_make_pinned_hash_calls(name):
+    counting = CountingHash()
+    sig = builtin_sigs(counting.h)[name]
+    calls = []
+    pk, sk = sig.keypair(Random(7))
+    calls.append(len(counting.lengths))
+    counting.lengths.clear()
+    signature = sig.sign(sk, b"pinned message")
+    calls.append(len(counting.lengths))
+    counting.lengths.clear()
+    assert sig.verify(pk, b"pinned message", signature)
+    calls.append(len(counting.lengths))
+    assert tuple(calls) == HASH_CALLS[name]
+
+
 def test_stub_kem_decaps_hashes_once():
     counting = CountingHash()
     kem = sized_stub_kem("x", 1184, 1088, counting.h)
