@@ -189,6 +189,10 @@ def deserialize_code_matrix(data: bytes) -> tuple[BinaryMatrix, int]:
     t = int.from_bytes(data[8:12], "big")
     if t > n:
         raise MalformedFrame(f"t={t} exceeds code length n={n}")
+    # checked before any matrix exists: k = 0 would pass the length check
+    # below and then build a 0 x n matrix whose masks hold n bits
+    if not 1 <= k <= n:
+        raise MalformedFrame(f"row count k={k} is outside 1..n={n}")
     row_bytes = (n + 7) // 8
     if len(data) != 12 + k * row_bytes:
         raise MalformedFrame(f"expected {12 + k * row_bytes} bytes, got {len(data)}")

@@ -232,7 +232,7 @@ class SigInstance:
 
 
 def ecdh_kem(curve: CurveParams, gen: Point, order: int, h: HashFunction,
-             name: str = "ecdh") -> KemInstance:
+             name: str) -> KemInstance:
     """ECDH as a KEM: encapsulation is an ephemeral keypair, the shared
     secret is the hash of the shared point's x-coordinate serialization."""
 

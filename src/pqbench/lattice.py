@@ -100,14 +100,13 @@ def lwe_keygen(params: LweParams, rng: Random) -> LweKeypair:
 
 
 def lwe_encrypt_bit(
-    kp_or_samples, bit: int, params: LweParams, rng: Random, subset=None
+    samples, bit: int, params: LweParams, rng: Random, subset=None
 ) -> tuple[tuple[int, ...], int]:
     """Sum a random nonempty subset of samples, add bit * floor(q/2).
 
     subset is a test hook: an iterable of sample indices.  The ciphertext
     is (a_sum, b_sum + bit * floor(q/2)), everything mod q.
     """
-    samples = kp_or_samples.samples if isinstance(kp_or_samples, LweKeypair) else kp_or_samples
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
     if len(samples) != params.m:

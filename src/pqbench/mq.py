@@ -197,17 +197,13 @@ def identity_map(field: PrimeField, n: int) -> AffineMap:
     return AffineMap(field, eye, tuple([0] * n))
 
 
-def random_affine(field: PrimeField, n: int, rng: Random, offset_zero: bool = True) -> AffineMap:
+def random_affine(field: PrimeField, n: int, rng: Random) -> AffineMap:
     while True:
         matrix = tuple(tuple(field.rand(rng) for _ in range(n)) for _ in range(n))
         try:
-            linear = AffineMap(field, matrix, (0,) * n)
-            break
+            return AffineMap(field, matrix, (0,) * n)
         except ValueError:  # a singular draw
             continue
-    if offset_zero:
-        return linear
-    return AffineMap(field, matrix, tuple(field.rand(rng) for _ in range(n)))
 
 
 # --- symbolic composition ---

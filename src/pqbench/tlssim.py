@@ -32,16 +32,17 @@ Each side is a generator that yields at the end of its flight: the
 client after ClientHello, the server after its Finished.  run_handshake
 runs both sides in lockstep on the caller's thread and starts no thread,
 so a read the delivered bytes cannot cover ends at once in
-ConnectionClosed.  In-process endpoints (memory_pair) pass the bytes in
-memory.  Over a pair of SocketConnections each send is relayed through
-the kernel into the peer's inbox before it returns, one chunk at a
-time, so no message can fill the kernel's buffers and stall.  tls-serve
-and tls-client hold one SocketConnection each and drive their side with
-blocking reads.  A socket call silent for READ_DEADLINE_S raises
-PeerTimeout and any other socket error ConnectionClosed (the OSError is
-the cause).  A frame over MAX_FRAME_BYTES is MalformedFrame, and when a
-payload is cut short the error names the frame, its announced length
-and the bytes that arrived.
+ConnectionClosed.  Every endpoint is a MemoryConnection, which takes
+reads from an inbox its peer's sends fill and counts a send only once it
+is delivered, so a send that fails counts nothing.  A SocketConnection
+joined to its peer relays each send through the kernel into the peer's
+inbox, one chunk at a time, so no message can fill the kernel's buffers
+and stall; alone, as tls-serve and tls-client hold it, it sends with
+sendall and fills its inbox with blocking reads.  A socket call silent
+for READ_DEADLINE_S raises PeerTimeout and any other socket error
+ConnectionClosed (the OSError is the cause).  A frame over
+MAX_FRAME_BYTES is MalformedFrame, and when a payload is cut short the
+error names the frame, its announced length and the bytes that arrived.
 The server side raises any failure that is not a PqbenchError as
 ServerCrashed.  Wall time starts once the server identity (keypair and
 certificate) exists.
@@ -251,102 +252,17 @@ def decode_message(data: bytes):
 # --- transports ---
 
 
-class SocketConnection:
-    """One end of a handshake's byte stream over a connected socket.
-
-    send_hook, when set, may rewrite outgoing bytes; tests use it to
-    corrupt frames in flight.  Counters track post-hook sizes.
-
-    When run_handshake holds both ends of one connection it joins them
-    (relay_to), so both sides can run in lockstep on one thread: send then
-    relays its bytes through the kernel into the peer's inbox before it
-    returns, and recv_exact takes from this end's inbox, so, as over
-    memory, a read the relayed bytes cannot cover ends at once in
-    ConnectionClosed.
-    """
-
-    def __init__(self, sock, send_hook=None):
-        sock.settimeout(READ_DEADLINE_S)
-        self._sock = sock
-        self._hook = send_hook
-        self._peer: SocketConnection | None = None
-        self._inbox = bytearray()
-        self.bytes_sent = 0
-        self.bytes_received = 0
-
-    def _call(self, op, arg):
-        """op(arg), with a socket error raised as ConnectionClosed."""
-        try:
-            return op(arg)
-        except TimeoutError as e:
-            raise PeerTimeout(f"{op.__name__}: peer silent for {READ_DEADLINE_S} s") from e
-        except OSError as e:
-            raise ConnectionClosed(f"{op.__name__} failed: {e!r}") from e
-
-    def relay_to(self, peer: SocketConnection) -> None:
-        """Join this end and peer, the other end of its connection, so that
-        each end's send relays into the other's inbox."""
-        self._peer, peer._peer = peer, self
-
-    def send(self, data: bytes) -> None:
-        if self._hook is not None:
-            data = self._hook(data)
-        if self._peer is not None:
-            self._relay(data)
-            return
-        self._call(self._sock.sendall, data)
-        self.bytes_sent += len(data)
-
-    def _relay(self, data: bytes) -> None:
-        """Send data one chunk at a time: this socket takes what fits in its
-        buffer, and the peer reads all of it out into its inbox before the
-        next chunk goes, so no message can fill the buffers and stall."""
-        peer, rest = self._peer, memoryview(data)
-        while rest:
-            sent = self._call(self._sock.send, rest)
-            self.bytes_sent += sent
-            rest = rest[sent:]
-            while sent:
-                got = peer._call(peer._sock.recv, sent)
-                if not got:
-                    raise ConnectionClosed(f"peer closed with {sent} relayed bytes unread")
-                peer._inbox += got
-                sent -= len(got)
-
-    def recv_exact(self, n: int) -> bytes:
-        if self._peer is not None:
-            data = _take(self._inbox, n)
-            self.bytes_received += n
-            return data
-        buf = b""
-        try:
-            while len(buf) < n:
-                got = self._call(self._sock.recv, n - len(buf))
-                if not got:
-                    raise ConnectionClosed(f"peer closed with {len(buf)} of {n} bytes read")
-                buf += got
-        except ConnectionClosed as e:
-            e.received = len(buf)
-            raise
-        self.bytes_received += n
-        return buf
-
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-
 class MemoryConnection:
-    """One end of an in-process byte stream, for handshakes run in lockstep
-    on one thread.
+    """One end of a handshake's byte stream: the endpoint every transport
+    builds on, joined in process by memory_pair.
 
-    send appends to the peer's buffer and recv_exact takes from this end's;
-    nothing waits.  In lockstep a side reads only once its peer has sent
-    all it can before hearing back, so a read the buffer cannot cover ends
-    at once in ConnectionClosed.  send_hook and the counters are as for
-    SocketConnection.
+    send applies send_hook, which may rewrite outgoing bytes (tests use it
+    to corrupt frames in flight), delivers the result into the peer's
+    inbox, and then counts it, so a send that fails counts nothing and
+    the counters track post-hook sizes.  recv_exact takes from this end's
+    inbox and never waits: in lockstep a side reads only once its peer
+    has sent all it can before hearing back, so a read the inbox cannot
+    cover ends at once in ConnectionClosed.
     """
 
     def __init__(self, send_hook=None):
@@ -357,16 +273,30 @@ class MemoryConnection:
         self.bytes_sent = 0
         self.bytes_received = 0
 
+    def relay_to(self, peer: MemoryConnection) -> None:
+        """Join this end and peer, the other end of its connection, so that
+        each end's send delivers into the other's inbox."""
+        self._peer, peer._peer = peer, self
+
     def send(self, data: bytes) -> None:
         if self._hook is not None:
             data = self._hook(data)
+        self._deliver(data)
+        self.bytes_sent += len(data)
+
+    def _deliver(self, data: bytes) -> None:
         if self.closed or self._peer.closed:
             raise ConnectionClosed("send: connection closed")
         self._peer._inbox += data
-        self.bytes_sent += len(data)
 
     def recv_exact(self, n: int) -> bytes:
-        data = _take(self._inbox, n)
+        have = len(self._inbox)
+        if have < n:
+            e = ConnectionClosed(f"peer has nothing more to send: {have} of {n} bytes read")
+            e.received = have
+            raise e
+        data = bytes(self._inbox[:n])
+        del self._inbox[:n]
         self.bytes_received += n
         return data
 
@@ -374,25 +304,77 @@ class MemoryConnection:
         self.closed = True
 
 
-def _take(inbox: bytearray, n: int) -> bytes:
-    """The first n bytes of inbox, removed from it.  In lockstep a short
-    inbox will not grow before this side moves on, so the read ends at
-    once in ConnectionClosed."""
-    have = len(inbox)
-    if have < n:
-        e = ConnectionClosed(f"peer has nothing more to send: {have} of {n} bytes read")
-        e.received = have
-        raise e
-    data = bytes(inbox[:n])
-    del inbox[:n]
-    return data
+class SocketConnection(MemoryConnection):
+    """A MemoryConnection whose bytes cross a connected socket.
+
+    Joined by run_handshake (relay_to), send relays through the kernel
+    into the peer's inbox before it returns, so both sides can run in
+    lockstep on one thread.  Alone, as tls-serve and tls-client hold it,
+    send is sendall and recv_exact fills the inbox with blocking reads
+    until it covers the read.
+    """
+
+    def __init__(self, sock, send_hook=None):
+        super().__init__(send_hook)
+        sock.settimeout(READ_DEADLINE_S)
+        self._sock = sock
+
+    def _call(self, op, arg):
+        """op(arg), with a socket error raised as ConnectionClosed."""
+        try:
+            return op(arg)
+        except TimeoutError as e:
+            raise PeerTimeout(f"{op.__name__}: peer silent for {READ_DEADLINE_S} s") from e
+        except OSError as e:
+            raise ConnectionClosed(f"{op.__name__} failed: {e!r}") from e
+
+    def _deliver(self, data: bytes) -> None:
+        """Joined, send data one chunk at a time: this socket takes what
+        fits in its buffer, and the peer reads all of it out into its inbox
+        before the next chunk goes, so no message can fill the buffers and
+        stall."""
+        peer = self._peer
+        if peer is None:
+            self._call(self._sock.sendall, data)
+            return
+        rest = memoryview(data)
+        while rest:
+            sent = self._call(self._sock.send, rest)
+            rest = rest[sent:]
+            while sent:
+                got = peer._call(peer._sock.recv, sent)
+                if not got:
+                    raise ConnectionClosed(f"peer closed with {sent} relayed bytes unread")
+                peer._inbox += got
+                sent -= len(got)
+
+    def recv_exact(self, n: int) -> bytes:
+        if self._peer is None:
+            inbox = self._inbox
+            try:
+                while len(inbox) < n:
+                    got = self._call(self._sock.recv, n - len(inbox))
+                    if not got:
+                        raise ConnectionClosed(f"peer closed with {len(inbox)} of {n} bytes read")
+                    inbox += got
+            except ConnectionClosed as e:
+                e.received = len(inbox)
+                raise
+        return super().recv_exact(n)
+
+    def close(self) -> None:
+        super().close()
+        try:
+            self._sock.close()
+        except OSError:
+            pass
 
 
 def memory_pair(client_send_hook=None, server_send_hook=None):
     """(client endpoint, server endpoint) joined in process: no socket and
     no thread."""
     client, server = MemoryConnection(client_send_hook), MemoryConnection(server_send_hook)
-    client._peer, server._peer = server, client
+    client.relay_to(server)
     return client, server
 
 
@@ -672,7 +654,7 @@ def run_handshake(client_cfg: SuiteConfig, server_cfg: SuiteConfig,
 
     transport is a (client endpoint, server endpoint) pair, by default a
     fresh memory_pair.  A pair of SocketConnections, whose reads would
-    block, is joined first (SocketConnection.relay_to): each send then
+    block, is joined first (relay_to): each send then
     relays its bytes through the kernel into the peer's inbox, chunk by
     chunk, so a message of any size crosses without a second thread.  A
     side that fails closes its endpoint, and the peer's next read or relay

@@ -148,7 +148,7 @@ def test_criterion_3_scheme_roundtrips():
             kp = lattice.lwe_keygen(params, rng)
             for i in range(count):
                 bit = rng.randrange(2)
-                ct = lattice.lwe_encrypt_bit(kp, bit, params, rng)
+                ct = lattice.lwe_encrypt_bit(kp.samples, bit, params, rng)
                 if lattice.lwe_decrypt_bit(kp.secret, ct, params) != bit:
                     failures.append(("lwe", params.n, i))
 

@@ -1,3 +1,4 @@
+import time
 from random import Random
 
 import pytest
@@ -17,6 +18,7 @@ from pqbench.codecrypt import (
 )
 from pqbench.errors import DimensionMismatch, TooLarge
 from pqbench.serialize import MalformedFrame
+from pqbench.suites import builtin_kems
 
 
 def test_weight_and_distance():
@@ -178,6 +180,19 @@ def test_matrix_serialization_rejects_malformed():
         deserialize_code_matrix(blob + b"\x00")
     with pytest.raises(MalformedFrame):
         deserialize_code_matrix(b"\x00" * 5)
+
+
+@pytest.mark.parametrize("n, k, rows", [(2**30, 0, b""), (1, 2, b"\x01\x01")])
+def test_matrix_deserialization_rejects_row_count_outside_1_to_n(n, k, rows):
+    # a 12-byte key announcing 2^30 columns and no rows must not allocate
+    # a 2^30-bit mask, in the decoder or in the suite's encaps
+    key = n.to_bytes(4, "big") + k.to_bytes(4, "big") + (0).to_bytes(4, "big") + rows
+    for parse in (deserialize_code_matrix,
+                  lambda pk: builtin_kems()["mceliece-toy"].encaps(pk, Random(0))):
+        started = time.monotonic()
+        with pytest.raises(MalformedFrame, match=f"row count k={k} "):
+            parse(key)
+        assert time.monotonic() - started < 0.1
 
 
 def test_matrix_deserialization_rejects_t_beyond_n():

@@ -150,7 +150,7 @@ def test_ecdh_kem_roundtrip():
 
 
 def test_ecdh_kem_rejects_off_curve_inputs():
-    kem = ecdh_kem(MAIN_CURVE, MAIN_GEN, MAIN_ORDER, H)
+    kem = ecdh_kem(MAIN_CURVE, MAIN_GEN, MAIN_ORDER, H, name="ecdh-test")
     rng = Random(8)
     pk, sk = kem.keypair(rng)
     with pytest.raises(PointNotOnCurve):

@@ -75,7 +75,7 @@ def test_subset_hook_matches_hand_computation():
         type(kp.samples[0])((10, 20), (5 * 10 + 11 * 20) % 97),
         type(kp.samples[0])((96, 1), (5 * 96 + 11 * 1) % 97),
     ])
-    a, b = lwe_encrypt_bit(kp, 1, params, rng, subset=[0, 2])
+    a, b = lwe_encrypt_bit(kp.samples, 1, params, rng, subset=[0, 2])
     assert a == ((3 + 96) % 97, (4 + 1) % 97)
     assert b == ((59 + 491) + 48) % 97
     assert lwe_decrypt_bit(secret, (a, b), params) == 1
@@ -85,11 +85,11 @@ def test_subset_hook_validation():
     params = LweParams(n=2, q=97, m=3, b=0)
     kp = lwe_keygen(params, Random(3))
     with pytest.raises(ValueError):
-        lwe_encrypt_bit(kp, 0, params, Random(3), subset=[])
+        lwe_encrypt_bit(kp.samples, 0, params, Random(3), subset=[])
     with pytest.raises(ValueError):
-        lwe_encrypt_bit(kp, 0, params, Random(3), subset=[1, 1])
+        lwe_encrypt_bit(kp.samples, 0, params, Random(3), subset=[1, 1])
     with pytest.raises(ValueError):
-        lwe_encrypt_bit(kp, 2, params, Random(3))
+        lwe_encrypt_bit(kp.samples, 2, params, Random(3))
 
 
 def test_halfway_point_decrypts_to_one():
@@ -110,7 +110,7 @@ def test_roundtrip_guaranteed_params(n):
     kp = lwe_keygen(params, rng)
     for i in range(500):
         bit = i & 1
-        ct = lwe_encrypt_bit(kp, bit, params, rng)
+        ct = lwe_encrypt_bit(kp.samples, bit, params, rng)
         assert lwe_decrypt_bit(kp.secret, ct, params) == bit
 
 

@@ -86,11 +86,17 @@ def test_quad_poly_validation():
         p.eval((1,))
 
 
+def random_offset_affine(f, n, rng):
+    """random_affine, then a uniform offset drawn after the matrix."""
+    linear = random_affine(f, n, rng)
+    return AffineMap(f, linear.matrix, tuple(f.rand(rng) for _ in range(n)))
+
+
 def test_affine_map_roundtrip_exhaustive():
     f = PrimeField(3)
     rng = Random(2)
     for _ in range(5):
-        m = random_affine(f, 3, rng, offset_zero=False)
+        m = random_offset_affine(f, 3, rng)
         for x in itertools.product(range(3), repeat=3):
             y = m.apply(x)
             assert m.apply_inverse(y) == x
@@ -128,8 +134,8 @@ def test_compose_matches_pointwise_application():
     for q in (2, 3):
         f = PrimeField(q)
         central = MqSystem(f, tuple(random_poly(q, 3, rng) for _ in range(2)))
-        s_map = random_affine(f, 2, rng, offset_zero=False)
-        t_map = random_affine(f, 3, rng, offset_zero=False)
+        s_map = random_offset_affine(f, 2, rng)
+        t_map = random_offset_affine(f, 3, rng)
         composed = compose_trapdoor(s_map, central, t_map)
         for x in itertools.product(range(q), repeat=3):
             direct = s_map.apply(eval_system(central, t_map.apply(x)))

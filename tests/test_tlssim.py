@@ -354,13 +354,17 @@ def test_memory_send_after_peer_closed_raises_connection_closed():
 
 
 def test_socket_send_after_peer_closed_raises_connection_closed():
-    client, server = socket_pair()
-    client.close()
-    with pytest.raises(ConnectionClosed) as info:
-        server.send(b"late")
-    assert isinstance(info.value.__cause__, OSError)
-    assert server.bytes_sent == 0
-    server.close()
+    # alone, send is sendall; joined, it relays into the closed peer: a
+    # send that fails counts nothing either way, not the bytes the kernel took
+    joined = tcp_pair()
+    joined[0].relay_to(joined[1])
+    for client, server in (socket_pair(), joined):
+        client.close()
+        with pytest.raises(ConnectionClosed) as info:
+            server.send(b"late")
+        assert isinstance(info.value.__cause__, OSError)
+        assert server.bytes_sent == 0
+        server.close()
 
 
 def test_silent_peer_raises_peer_timeout(monkeypatch):
