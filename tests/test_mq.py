@@ -227,6 +227,21 @@ def test_uov_keygen_matches_pinned_keys():
         "7ddba122c1721085fbbc127bbf052b3f446fb22d5c702e7cfca9a6d551bf0670"
 
 
+def test_uov_sign_matches_pinned_signatures():
+    # four signatures under each of the keys pinned above, as one digest:
+    # a faster signer must draw the same vinegar and solve to the same
+    # preimages
+    params = UovParams(o=2, v=4, q=7)
+    digest = hashlib.sha256()
+    for seed in range(50):
+        kp = uov_keygen(params, Random(seed))
+        rng = Random(seed)
+        for i in range(4):
+            digest.update(bytes(uov_sign(kp.private, f"message {i}".encode(), H, rng)))
+    assert digest.hexdigest() == \
+        "ac06ad3dc8f72eefb8c0bff4e53a2ca8e21ace165b9dc75600273a462d47e434"
+
+
 def test_signatures_live_in_brute_force_preimage_set():
     params = UovParams(o=1, v=2, q=3)
     rng = Random(11)

@@ -1,6 +1,7 @@
 """Every registered instance must honor the uniform KEM/signature contracts."""
 
 import functools
+import hashlib
 from random import Random
 
 import pytest
@@ -149,6 +150,22 @@ def test_lwe_kem_shared_secret_depends_on_bits():
     pk, sk = kem.keypair(rng)
     secrets = {kem.encaps(pk, rng)[1] for _ in range(20)}
     assert len(secrets) == 20  # 32 random bits should essentially never repeat
+
+
+def test_lwe_kem_matches_pinned_ciphertexts():
+    # two encapsulations under each of 50 seeded keys, as one digest of
+    # ciphertexts and shared secrets: a faster lwe-toy must draw the same
+    # samples, bits and subsets
+    kem = suites.lwe_kem(PQH)
+    digest = hashlib.sha256()
+    for seed in range(50):
+        rng = Random(seed)
+        pk, sk = kem.keypair(rng)
+        for _ in range(2):
+            ct, ss = kem.encaps(pk, rng)
+            digest.update(ct + ss)
+    assert digest.hexdigest() == \
+        "b59693593cfa913f74da8807994742cfc86dc8f6ad2e59a3725a4223504a2ed6"
 
 
 def test_mceliece_kem_bad_ciphertext_fails_closed():

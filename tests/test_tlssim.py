@@ -458,6 +458,57 @@ def test_both_drivers_give_the_same_handshake(label):
     assert lockstep.client_key_digest.hex() == GOLDEN_HANDSHAKES[label][3]
 
 
+# the eight tcp-light-suites suites under the default hash: message sizes
+# in wire order and client key digest under Random(0), pinned so a faster
+# uov or lwe-toy must give the same keys, signatures and ciphertexts
+TCP_LIGHT_HANDSHAKES = {
+    "ecdh-toy+uov": (
+        (38, 34, 5, 95, 11, 37, 37),
+        "9a61b29ac5aca877d2668b1bcbfec0b480d7a51184f744368fb498a68780da7f",
+    ),
+    "lwe-toy+uov": (
+        (140, 224, 5, 95, 11, 37, 37),
+        "7333d82a8fabf565de609ed227677ef63430dafbed9ec9692b2aa7a742ac9862",
+    ),
+    "mceliece-toy+uov": (
+        (49, 57, 5, 95, 11, 37, 37),
+        "14bd317abf0e235c08143ce905be6c3c413d9d29f5c8845de5e657b5f6beba0a",
+    ),
+    "stub-kem+uov": (
+        (29, 29, 5, 95, 11, 37, 37),
+        "adbc392a35e8df4b6d7979d471c62cf8caaa94326c9d2df4a11b38101043336c",
+    ),
+    "ecdh-toy+fs-dlog": (
+        (42, 38, 5, 66, 29, 37, 37),
+        "86863f13f103a24b55900dc6b4a18c3e8b8934dc768391cbf1422cc7ae8fa809",
+    ),
+    "lwe-toy+fs-dlog": (
+        (144, 228, 5, 66, 29, 37, 37),
+        "628ff162d780bed8a6f6e0c2b8def9a99965ee9509dd4b0503fbd096d9d0134e",
+    ),
+    "mceliece-toy+fs-dlog": (
+        (53, 61, 5, 66, 29, 37, 37),
+        "722b1d1a048a6f6b27c304567e357fd758d6c2e23674b44ddc308b5e67d8368e",
+    ),
+    "stub-kem+fs-dlog": (
+        (33, 33, 5, 66, 29, 37, 37),
+        "04b6d55f00f8ad05885270ba495c19466a0fedfd128e8ca10d41a0b68b6038b5",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(TCP_LIGHT_HANDSHAKES))
+def test_tcp_light_suites_match_pinned_handshakes(label):
+    kem_name, sig_name = label.split("+")
+    cfg = SuiteConfig(builtin_kems(H)[kem_name], builtin_sigs(H)[sig_name], H, label)
+    sizes, digest = TCP_LIGHT_HANDSHAKES[label]
+    for transport in (None, tcp_pair()):
+        t = run_handshake(cfg, cfg, transport, rng=Random(0))
+        assert t.messages == tuple(zip(MESSAGE_ORDER, sizes))
+        assert t.client_key_digest.hex() == digest
+        assert t.server_key_digest == t.client_key_digest
+
+
 def test_in_process_handshake_starts_no_thread_and_opens_no_socket(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an in-process handshake needs no thread or socket")
