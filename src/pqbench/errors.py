@@ -19,7 +19,8 @@ class DimensionMismatch(PqbenchError):
 
 
 class TooLarge(PqbenchError):
-    """A brute-force oracle was asked to search a space above its cap."""
+    """A size is above its cap: a brute-force oracle's search space, or a
+    count too large for the field that would carry it."""
 
 
 class DecodeFailure(PqbenchError):

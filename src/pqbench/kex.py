@@ -42,6 +42,24 @@ def is_prime(n: int) -> bool:
     return n >= 2 and all(n % p for p in range(2, int(n**0.5) + 1))
 
 
+def draws(rng: Random, n: int, count: int) -> list[int]:
+    """count values of rng.randrange(n), taken from the stream exactly as
+    randrange takes them: getrandbits(n.bit_length()), redrawn while the
+    value is not below n.  randint(a, b) is a + draws(rng, b - a + 1, 1)[0]."""
+    if n < 1:
+        raise ValueError(f"empty range: n = {n}")
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    append = out.append
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        append(r)
+    return out
+
+
 @dataclass(frozen=True)
 class CurveParams:
     """y^2 = x^3 + a x + b over F_q, nonsingular."""
@@ -286,7 +304,7 @@ def kem_from_encryption(
 
     def encaps(public: bytes, rng: Random):
         encrypt_bit = encryptor(public)
-        bits = [rng.randrange(2) for _ in range(secret_bits)]
+        bits = draws(rng, 2, secret_bits)
         acc = 0
         for bit in bits:
             block = encrypt_bit(bit, rng)

@@ -18,10 +18,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from random import Random
 
 from .errors import DimensionMismatch, LengthMismatch, PqbenchError, TooLarge
-from .kex import is_prime
+from .kex import draws, is_prime
 
 SIS_MAX_M = 18
 SVP_MAX_DIM = 4
@@ -87,14 +88,14 @@ def lwe_sample(secret, params: LweParams, rng: Random) -> LweSample:
     """One noisy inner product: (a, <s,a> + e mod q), e uniform on [-b, b]."""
     if len(secret) != params.n:
         raise LengthMismatch(f"secret length {len(secret)} != n={params.n}")
-    a = tuple(rng.randrange(params.q) for _ in range(params.n))
-    e = rng.randint(-params.b, params.b)
-    b = (sum(si * ai for si, ai in zip(secret, a)) + e) % params.q
+    a = tuple(draws(rng, params.q, params.n))
+    e = draws(rng, 2 * params.b + 1, 1)[0] - params.b
+    b = (sum(map(mul, secret, a)) + e) % params.q
     return LweSample(a, b)
 
 
 def lwe_keygen(params: LweParams, rng: Random) -> LweKeypair:
-    secret = tuple(rng.randrange(params.q) for _ in range(params.n))
+    secret = tuple(draws(rng, params.q, params.n))
     samples = [lwe_sample(secret, params, rng) for _ in range(params.m)]
     return LweKeypair(params, secret, samples)
 
@@ -113,22 +114,18 @@ def lwe_encrypt_bit(
         raise LengthMismatch(f"{len(samples)} samples != m={params.m}")
     if subset is None:
         while True:
-            subset = [i for i in range(params.m) if rng.randrange(2)]
+            subset = [i for i, take in enumerate(draws(rng, 2, params.m)) if take]
             if subset:
                 break
     else:
         subset = list(subset)
         if not subset or len(set(subset)) != len(subset):
             raise ValueError("subset hook must name distinct indices, at least one")
-    a_sum = [0] * params.n
-    b_sum = 0
-    for i in subset:
-        s = samples[i]
-        for j in range(params.n):
-            a_sum[j] += s.a[j]
-        b_sum += s.b
-    a_sum = tuple(x % params.q for x in a_sum)
-    return a_sum, (b_sum + bit * (params.q // 2)) % params.q
+    chosen = [samples[i] for i in subset]
+    q = params.q
+    a_sum = tuple(sum(column) % q for column in zip(*(s.a for s in chosen)))
+    b_sum = sum(s.b for s in chosen)
+    return a_sum, (b_sum + bit * (q // 2)) % q
 
 
 def lwe_decrypt_bit(secret, ct, params: LweParams) -> int:
@@ -136,7 +133,7 @@ def lwe_decrypt_bit(secret, ct, params: LweParams) -> int:
     a, b = ct
     if len(a) != params.n or len(secret) != params.n:
         raise LengthMismatch("ciphertext/secret dimension mismatch")
-    d = centered(b - sum(si * ai for si, ai in zip(secret, a)), params.q)
+    d = centered(b - sum(map(mul, secret, a)), params.q)
     return 0 if abs(d) < params.q / 4 else 1
 
 

@@ -16,14 +16,17 @@ preimage enumerator is included exactly for that purpose.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import cached_property
+from itertools import chain, islice
 from operator import mul
 from random import Random
 
 from .errors import DimensionMismatch, LengthMismatch, PqbenchError, TooLarge
 from .hashing import HashFunction
-from .kex import is_prime
+from .kex import draws, is_prime
+from .serialize import MalformedFrame
 
 PREIMAGE_CAP = 10**6
 MAX_FIELD = 31
@@ -55,9 +58,6 @@ class PrimeField:
             raise ZeroDivisionError("no inverse of 0")
         return pow(a, self.q - 2, self.q)
 
-    def rand(self, rng: Random):
-        return rng.randrange(self.q)
-
 
 @dataclass(frozen=True)
 class QuadPoly:
@@ -74,27 +74,25 @@ class QuadPoly:
 
     def __post_init__(self):
         n = len(self.linear)
-        if len(self.quad) != n or any(len(r) != n for r in self.quad):
+        quad = self.quad
+        if len(quad) != n or any(map(n.__ne__, map(len, quad))):
             raise DimensionMismatch("quad table must be n x n")
-        coeffs = [self.const, *self.linear, *(c for row in self.quad for c in row)]
-        if any(not 0 <= c < self.q for c in coeffs):
+        every = (self.const, *self.linear, *chain.from_iterable(quad))
+        if min(every) < 0 or max(every) >= self.q:
             raise ValueError("coefficients must lie in [0, q)")
-        if any(self.quad[j][k] for j in range(n) for k in range(j)):
+        if any(map(any, map(islice, quad, range(n)))):  # row j's first j entries
             raise ValueError("quad table must be upper triangular")
 
     @property
     def n(self) -> int:
         return len(self.linear)
 
-    def eval(self, x) -> int:
-        if len(x) != self.n:
-            raise LengthMismatch(f"expected {self.n} variables, got {len(x)}")
-        acc = self.const + sum(c * xi for c, xi in zip(self.linear, x))
-        for j in range(self.n):
-            if x[j]:
-                row = self.quad[j]
-                acc += x[j] * sum(row[k] * x[k] for k in range(j, self.n))
-        return acc % self.q
+    @property
+    def coefficients(self) -> tuple[int, ...]:
+        """Flat, in the order serialize_system writes them: const, linear,
+        then the upper triangle of quad row by row."""
+        return (self.const, *self.linear,
+                *chain.from_iterable(row[j:] for j, row in enumerate(self.quad)))
 
 
 @dataclass(frozen=True)
@@ -120,28 +118,57 @@ class MqSystem:
         return len(self.polys)
 
 
+def _evaluate(q: int, rows, x) -> tuple[int, ...]:
+    """Each coefficient row, laid out as QuadPoly.coefficients, at x mod q:
+    one monomial vector 1, x_0..x_{n-1}, x_j x_k (j <= k) serves them all."""
+    mono = [1, *x]
+    for j, xj in enumerate(x):
+        mono += [xj * xk for xk in x[j:]]
+    return tuple(sum(map(mul, row, mono)) % q for row in rows)
+
+
 def eval_system(system: MqSystem, x) -> tuple[int, ...]:
-    return tuple(p.eval(x) for p in system.polys)
+    if len(x) != system.n:
+        raise LengthMismatch(f"expected {system.n} variables, got {len(x)}")
+    return _evaluate(system.field.q, [p.coefficients for p in system.polys], x)
 
 
 # --- affine maps and linear solving ---
 
 
 def _matrix_inverse(field: PrimeField, matrix):
+    """The inverse of a square matrix mod q, or None when it is singular.
+
+    Gauss-Jordan in place: column k of the identity that [A | I] would
+    carry is stored in A's column k once elimination has cleared it, so each
+    row operation spans n entries, not 2n.  The row swaps, undone as column
+    swaps in reverse order, give the inverse of A itself.
+    """
+    q = field.q
     n = len(matrix)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] % field.q), None)
+    a = [list(row) for row in matrix]
+    swaps = []
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k] % q), None)
         if pivot is None:
             return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = field.inv(aug[col][col])
-        aug[col] = [c * inv % field.q for c in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(a - f * b) % field.q for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            swaps.append((k, pivot))
+        row = a[k]
+        inv = field.inv(row[k])
+        row[k] = 1
+        top = a[k] = [c * inv % q for c in row]
+        for i in range(n):
+            f = a[i][k]
+            if f and i != k:
+                row = a[i]
+                row[k] = 0
+                a[i] = [(c - f * t) % q for c, t in zip(row, top)]
+    for k, pivot in reversed(swaps):
+        for row in a:
+            row[k], row[pivot] = row[pivot], row[k]
+    return a
 
 
 def solve_linear(field: PrimeField, matrix, rhs):
@@ -149,7 +176,7 @@ def solve_linear(field: PrimeField, matrix, rhs):
     inverse = _matrix_inverse(field, matrix)
     if inverse is None:
         return None
-    return tuple(sum(c * r for c, r in zip(row, rhs)) % field.q for row in inverse)
+    return tuple(sum(map(mul, row, rhs)) % field.q for row in inverse)
 
 
 @dataclass(frozen=True)
@@ -177,19 +204,16 @@ class AffineMap:
     def apply(self, x) -> tuple[int, ...]:
         if len(x) != self.n:
             raise LengthMismatch(f"expected {self.n} coordinates, got {len(x)}")
-        return tuple(
-            (sum(c * xi for c, xi in zip(row, x)) + o) % self.field.q
-            for row, o in zip(self.matrix, self.offset)
-        )
+        q = self.field.q
+        return tuple((sum(map(mul, row, x)) + o) % q
+                     for row, o in zip(self.matrix, self.offset))
 
     def apply_inverse(self, y) -> tuple[int, ...]:
         if len(y) != self.n:
             raise LengthMismatch(f"expected {self.n} coordinates, got {len(y)}")
-        shifted = [(yi - o) % self.field.q for yi, o in zip(y, self.offset)]
-        return tuple(
-            sum(c * s for c, s in zip(row, shifted)) % self.field.q
-            for row in self._inverse_matrix
-        )
+        q = self.field.q
+        shifted = [(yi - o) % q for yi, o in zip(y, self.offset)]
+        return tuple(sum(map(mul, row, shifted)) % q for row in self._inverse_matrix)
 
 
 def identity_map(field: PrimeField, n: int) -> AffineMap:
@@ -199,7 +223,8 @@ def identity_map(field: PrimeField, n: int) -> AffineMap:
 
 def random_affine(field: PrimeField, n: int, rng: Random) -> AffineMap:
     while True:
-        matrix = tuple(tuple(field.rand(rng) for _ in range(n)) for _ in range(n))
+        values = draws(rng, field.q, n * n)
+        matrix = tuple(tuple(values[i * n:(i + 1) * n]) for i in range(n))
         try:
             return AffineMap(field, matrix, (0,) * n)
         except ValueError:  # a singular draw
@@ -207,36 +232,62 @@ def random_affine(field: PrimeField, n: int, rng: Random) -> AffineMap:
 
 
 # --- symbolic composition ---
+#
+# Substitution packs a vector of nonnegative ints into one int, entry k in
+# bits [64k, 64k + 64), so that adding or scaling whole vectors is one
+# big-int operation: sum(map(mul, coefficients, packed_rows)) is a
+# vector-matrix product.  Entries are reduced mod q only once unpacked, and
+# _substitute bounds them below 2^64 until then.
 
 
-def _substitute(p: QuadPoly, t_map: AffineMap) -> list[int]:
-    """The coefficients of p(T(x)), flat: const, linear, then the folded
-    upper-triangular quad table row by row, each reduced mod q.
+def _pack(values) -> int:
+    return int.from_bytes(struct.pack(f"<{len(values)}Q", *values), "little")
 
-    With T(x) = A x + b and p(y) = c + L.y + y'Qy, the substituted
-    polynomial is (c + L.b + b'Qb) + (L + (Q + Q')b)'A x + x'(A'QA)x.
+
+def _unpack(packed: int, count: int) -> tuple[int, ...]:
+    return struct.unpack(f"<{count}Q", packed.to_bytes(8 * count, "little"))
+
+
+def _substitute(p: QuadPoly, a, a_rows, b) -> list[int]:
+    """The coefficients of p(T(x)) in QuadPoly.coefficients order, each
+    reduced mod q, where T(x) = A x + b is given by A, A's packed rows and
+    b, all entries in [0, q).
+
+    With p(y) = c + L.y + y'Qy, the substituted polynomial is
+    (c + L.b + b'Qb) + (L + (Q + Q')b)'A x + x'(A'QA)x.  Only Q's nonzero
+    rows enter A'QA (a central map's oil rows are all zero), and b's terms
+    only when b is nonzero (it is zero in uov_keygen).  An entry of A'QA
+    sums n^2 products of three values below q, and an entry of grad'A n
+    products of a value below q and one below 3nq^2, so while n is below
+    10^6 no packed entry reaches 2^64.
     """
-    a, b, quad = t_map.matrix, t_map.offset, p.quad
-    n = len(a)
-    a_cols = list(zip(*a))
-    qb = [sum(map(mul, row, b)) for row in quad]
-    # the gradient of p at b, L + (Q + Q')b
-    grad = [lin + qb_l + sum(map(mul, col, b))
-            for lin, qb_l, col in zip(p.linear, qb, zip(*quad))]
-    qa_cols = list(zip(*([sum(map(mul, row, col)) for col in a_cols] for row in quad)))
-    full = [[sum(map(mul, a_col, qa_col)) for qa_col in qa_cols] for a_col in a_cols]
-    coeffs = [p.const + sum(map(mul, p.linear, b)) + sum(map(mul, b, qb))]
-    coeffs += [sum(map(mul, grad, col)) for col in a_cols]
+    n = len(b)
+    quad = p.quad
+    const, grad = p.const, p.linear  # grad: the gradient of p at b, L + (Q + Q')b
+    if any(b):
+        qb = [sum(map(mul, row, b)) for row in quad]
+        grad = [g + qb_k + sum(map(mul, col, b)) for g, qb_k, col in zip(grad, qb, zip(*quad))]
+        const += sum(map(mul, p.linear, b)) + sum(map(mul, b, qb))
+    live = [i for i, row in enumerate(quad) if any(row)]
+    qa = [sum(map(mul, quad[i], a_rows)) for i in live]  # QA's live rows
+    a_live = list(zip(*[a[i] for i in live])) or [()] * n  # A's live rows, by column
+    full = [_unpack(sum(map(mul, a_col, qa)), n) for a_col in a_live]  # A'QA by rows
+    coeffs = [const, *_unpack(sum(map(mul, grad, a_rows)), n)]
     for j in range(n):
-        coeffs += [0] * j + [full[j][j]] + [full[j][k] + full[k][j] for k in range(j + 1, n)]
+        row = full[j]
+        coeffs.append(row[j])
+        coeffs += [row[k] + full[k][j] for k in range(j + 1, n)]
     return [c % p.q for c in coeffs]
 
 
-def _freeze(q: int, n: int, coeffs: list[int]) -> QuadPoly:
-    """A QuadPoly from coefficients laid out as _substitute returns them."""
-    quad = coeffs[1 + n:]
-    return QuadPoly(q, coeffs[0], tuple(coeffs[1:1 + n]),
-                    tuple(tuple(quad[j * n:(j + 1) * n]) for j in range(n)))
+def _freeze(q: int, n: int, coeffs) -> QuadPoly:
+    """A QuadPoly from coefficients laid out as QuadPoly.coefficients."""
+    quad = []
+    pos = 1 + n
+    for j in range(n):
+        quad.append((0,) * j + tuple(coeffs[pos:pos + n - j]))
+        pos += n - j
+    return QuadPoly(q, coeffs[0], tuple(coeffs[1:1 + n]), tuple(quad))
 
 
 def _substitute_system(central: MqSystem, t_map: AffineMap) -> MqSystem:
@@ -244,8 +295,11 @@ def _substitute_system(central: MqSystem, t_map: AffineMap) -> MqSystem:
     if t_map.n != central.n:
         raise DimensionMismatch("map dimensions do not match the central system")
     q, n = central.field.q, t_map.n
-    return MqSystem(central.field,
-                    tuple(_freeze(q, n, _substitute(p, t_map)) for p in central.polys))
+    a = [[x % q for x in row] for row in t_map.matrix]
+    a_rows = [_pack(row) for row in a]
+    b = [x % q for x in t_map.offset]
+    return MqSystem(central.field, tuple(_freeze(q, n, _substitute(p, a, a_rows, b))
+                                         for p in central.polys))
 
 
 def compose_trapdoor(s_map: AffineMap, central: MqSystem, t_map: AffineMap) -> MqSystem:
@@ -258,8 +312,7 @@ def compose_trapdoor(s_map: AffineMap, central: MqSystem, t_map: AffineMap) -> M
         raise DimensionMismatch("map dimensions do not match the central system")
     inner = _substitute_system(central, t_map)
     q, n = central.field.q, t_map.n
-    # each polynomial flat, in _freeze's layout
-    flat = [[p.const, *p.linear, *chain.from_iterable(p.quad)] for p in inner.polys]
+    flat = [p.coefficients for p in inner.polys]
     outer = []
     for row, offset in zip(s_map.matrix, s_map.offset):
         mixed = [sum(map(mul, row, column)) for column in zip(*flat)]
@@ -295,6 +348,26 @@ class UovPrivateKey:
     central: MqSystem
     t_map: AffineMap
 
+    @cached_property
+    def oil_system(self) -> tuple[list, list]:
+        """The central map split for signing, built at the first sign.
+
+        With the vinegar fixed, each central polynomial is its vinegar-only
+        part, a polynomial in the v vinegar variables laid out as
+        QuadPoly.coefficients, plus one linear form in (1, vinegar) per oil
+        variable: its linear oil term, then its vinegar-times-oil column.
+        """
+        v = self.params.v
+        vinegar_parts = []
+        oil_forms = []
+        for p in self.central.polys:
+            vinegar_rows = p.quad[:v]
+            vinegar_parts.append([p.const, *p.linear[:v],
+                                  *chain.from_iterable(row[j:v] for j, row in enumerate(vinegar_rows))])
+            oil_forms.append([(lin, *column) for lin, column in
+                              zip(p.linear[v:], zip(*(row[v:] for row in vinegar_rows)))])
+        return vinegar_parts, oil_forms
+
 
 @dataclass
 class UovKeypair:
@@ -303,25 +376,21 @@ class UovKeypair:
 
 
 def random_central_map(params: UovParams, rng: Random) -> MqSystem:
-    """o random quadratics with the oil-times-oil block forced to zero."""
-    f = PrimeField(params.q)
-    n, v = params.n, params.v
+    """o random quadratics with the oil-times-oil block forced to zero.
+
+    Each polynomial draws the vinegar rows of its quad table's upper
+    triangle, row by row, then its constant, then its linear terms."""
+    q, n, v = params.q, params.n, params.v
+    vinegar_terms = sum(n - j for j in range(v))
+    per_poly = vinegar_terms + 1 + n
+    oil_terms = [0] * (n * (n + 1) // 2 - vinegar_terms)
+    values = draws(rng, q, params.o * per_poly)
     polys = []
-    for _ in range(params.o):
-        quad = [[0] * n for _ in range(n)]
-        for j in range(n):
-            for k in range(j, n):
-                if j < v:  # at least one vinegar variable in the term
-                    quad[j][k] = f.rand(rng)
-        polys.append(
-            QuadPoly(
-                params.q,
-                f.rand(rng),
-                tuple(f.rand(rng) for _ in range(n)),
-                tuple(tuple(r) for r in quad),
-            )
-        )
-    return MqSystem(f, tuple(polys))
+    for start in range(0, len(values), per_poly):
+        quad = values[start:start + vinegar_terms]
+        const_linear = values[start + vinegar_terms:start + per_poly]
+        polys.append(_freeze(q, n, const_linear + quad + oil_terms))
+    return MqSystem(PrimeField(q), tuple(polys))
 
 
 def uov_keygen(params: UovParams, rng: Random) -> UovKeypair:
@@ -355,41 +424,32 @@ def uov_sign(sk: UovPrivateKey, msg: bytes, h: HashFunction, rng: Random) -> tup
 
     Raises RetriesExhausted after MAX_RETRIES singular vinegar draws.
     """
-    params = sk.params
-    f = sk.central.field
-    target = hash_to_vector(h, msg, params.o, params.q)
+    q, v = sk.params.q, sk.params.v
+    target = hash_to_vector(h, msg, sk.params.o, q)
+    vinegar_parts, oil_forms = sk.oil_system
     for _ in range(MAX_RETRIES):
-        vinegar = [f.rand(rng) for _ in range(params.v)]
-        matrix = []
-        rhs = []
-        for p, t in zip(sk.central.polys, target):
-            const = p.const
-            oil_coeffs = [0] * params.o
-            for j in range(params.v):
-                xj = vinegar[j]
-                if xj:
-                    const += p.linear[j] * xj
-                    row = p.quad[j]
-                    const += xj * sum(row[k] * vinegar[k] for k in range(j, params.v))
-                    for k in range(params.o):
-                        oil_coeffs[k] += xj * row[params.v + k]
-            for k in range(params.o):
-                oil_coeffs[k] = (oil_coeffs[k] + p.linear[params.v + k]) % params.q
-            matrix.append(oil_coeffs)
-            rhs.append((t - const) % params.q)
-        oil = solve_linear(f, matrix, rhs)
+        vinegar = draws(rng, q, v)
+        consts = _evaluate(q, vinegar_parts, vinegar)
+        ones = (1, *vinegar)
+        matrix = [[sum(map(mul, form, ones)) % q for form in forms] for forms in oil_forms]
+        rhs = [(t - c) % q for t, c in zip(target, consts)]
+        oil = solve_linear(sk.central.field, matrix, rhs)
         if oil is not None:
-            preimage = tuple(vinegar) + oil
-            return sk.t_map.apply_inverse(preimage)
+            return sk.t_map.apply_inverse((*vinegar, *oil))
     raise RetriesExhausted(f"no invertible oil system in {MAX_RETRIES} vinegar draws")
 
 
-def uov_verify(public: MqSystem, msg: bytes, sig, h: HashFunction) -> bool:
-    if len(sig) != public.n:
-        raise LengthMismatch(f"signature length {len(sig)} != n={public.n}")
-    if any(not 0 <= s < public.field.q for s in sig):
+def uov_verify(public: bytes, msg: bytes, sig, h: HashFunction) -> bool:
+    """Check sig against a public key as serialize_system wrote it, by
+    evaluating the key's bytes directly.  A key that does not parse raises
+    MalformedFrame, and a signature of the wrong length LengthMismatch."""
+    q, n, m, per_poly = _system_header(public)
+    if len(sig) != n:
+        raise LengthMismatch(f"signature length {len(sig)} != n={n}")
+    if n and (min(sig) < 0 or max(sig) >= q):
         return False
-    return eval_system(public, sig) == hash_to_vector(h, msg, public.m, public.field.q)
+    rows = [public[pos:pos + per_poly] for pos in range(3, len(public), per_poly)]
+    return _evaluate(q, rows, sig) == hash_to_vector(h, msg, m, q)
 
 
 def brute_force_preimages(system: MqSystem, target) -> list[tuple[int, ...]]:
@@ -412,42 +472,28 @@ def brute_force_preimages(system: MqSystem, target) -> list[tuple[int, ...]]:
 
 
 def serialize_system(system: MqSystem) -> bytes:
-    """q, n, m as single bytes, then per poly: const, linear, upper quad."""
-    out = bytearray([system.field.q, system.n, system.m])
-    for p in system.polys:
-        out.append(p.const)
-        out.extend(p.linear)
-        for j in range(p.n):
-            out.extend(p.quad[j][j:])
-    return bytes(out)
+    """q, n, m as single bytes, then each polynomial's coefficients."""
+    for name, size in (("n", system.n), ("m", system.m)):
+        if size > 255:
+            raise TooLarge(f"{name} = {size} does not fit the system header's one-byte {name} field")
+    return bytes([system.field.q, system.n, system.m,
+                  *chain.from_iterable(p.coefficients for p in system.polys)])
 
 
-def deserialize_system(data: bytes) -> MqSystem:
-    from .serialize import MalformedFrame
-
+def _system_header(data: bytes) -> tuple[int, int, int, int]:
+    """(q, n, m, bytes per polynomial) of a serialized system, once its
+    length, its field (a prime q <= MAX_FIELD), its m >= 1 and every
+    coefficient (below q) have been checked."""
     if len(data) < 3:
         raise MalformedFrame("system header truncated")
     q, n, m = data[0], data[1], data[2]
     per_poly = 1 + n + n * (n + 1) // 2
     if len(data) != 3 + m * per_poly:
         raise MalformedFrame(f"expected {3 + m * per_poly} bytes, got {len(data)}")
-    polys = []
-    pos = 3
-    for _ in range(m):
-        const = data[pos]
-        pos += 1
-        linear = tuple(data[pos : pos + n])
-        pos += n
-        quad = [[0] * n for _ in range(n)]
-        for j in range(n):
-            width = n - j
-            row = data[pos : pos + width]
-            pos += width
-            for k, c in enumerate(row):
-                quad[j][j + k] = c
-        polys.append((const, linear, tuple(tuple(r) for r in quad)))
-    try:
-        f = PrimeField(q)
-        return MqSystem(f, tuple(QuadPoly(q, *poly) for poly in polys))
-    except (ValueError, DimensionMismatch) as e:
-        raise MalformedFrame(str(e)) from None
+    if not is_prime(q) or q > MAX_FIELD:
+        raise MalformedFrame(f"q must be a prime <= {MAX_FIELD}, got {q}")
+    if not m:
+        raise MalformedFrame("empty system")
+    if max(data[3:]) >= q:
+        raise MalformedFrame("coefficients must lie in [0, q)")
+    return q, n, m, per_poly

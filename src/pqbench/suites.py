@@ -99,6 +99,8 @@ def _lwe_decrypt_bit(secret: tuple[int, ...], block: int) -> int:
     w = _lwe_scalar_bits()
     mask = (1 << w) - 1
     vals = [(block >> (w * i)) & mask for i in reversed(range(LWE_PARAMS.n + 1))]
+    if max(vals) >= LWE_PARAMS.q:
+        raise MalformedFrame(f"LWE ciphertext value {max(vals)} is not below q={LWE_PARAMS.q}")
     return lattice.lwe_decrypt_bit(secret, (tuple(vals[:-1]), vals[-1]), LWE_PARAMS)
 
 
@@ -323,7 +325,7 @@ def uov_sig(h: HashFunction = DEFAULT_HASH) -> SigInstance:
         return bytes(mq.uov_sign(private, msg, h, _seed_rng(h, b"uov-sign", seed, msg)))
 
     def verify(public: bytes, msg: bytes, signature: bytes):
-        return mq.uov_verify(mq.deserialize_system(public), msg, tuple(signature), h)
+        return mq.uov_verify(public, msg, signature, h)
 
     return _seeded_sig("uov", derive, sign, verify)
 

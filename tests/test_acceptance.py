@@ -153,10 +153,11 @@ def test_criterion_3_scheme_roundtrips():
                     failures.append(("lwe", params.n, i))
 
         uov_kp = mq.uov_keygen(mq.UovParams(o=2, v=4, q=7), rng)
+        uov_public = mq.serialize_system(uov_kp.public)
         for i in range(500):
             msg = b"uov %d" % i
             sig = mq.uov_sign(uov_kp.private, msg, H, rng)
-            if not mq.uov_verify(uov_kp.public, msg, sig, H):
+            if not mq.uov_verify(uov_public, msg, sig, H):
                 failures.append(("uov", i))
 
         setting = sigma.dlog_relation(4007, 4)

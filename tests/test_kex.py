@@ -20,6 +20,7 @@ from pqbench.kex import (
     Point,
     PointNotOnCurve,
     decode_point,
+    draws,
     ecdh_exchange,
     ecdh_kem,
     encode_point,
@@ -32,6 +33,31 @@ from pqbench.kex import (
 )
 
 H = PQH
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 521, 4006])
+def test_draws_match_randrange_value_for_value(n):
+    # draws reproduces CPython's _randbelow (getrandbits(n.bit_length()),
+    # redrawn while >= n); if that ever changes, every pinned key moves
+    # and this test says why
+    for seed in range(4):
+        ours, theirs = Random(seed), Random(seed)
+        for count in (0, 1, 5, 3000):
+            assert draws(ours, n, count) == [theirs.randrange(n) for _ in range(count)]
+            assert ours.getstate() == theirs.getstate()
+
+
+def test_draws_give_randint_by_offset():
+    for seed in range(4):
+        ours, theirs = Random(seed), Random(seed)
+        got = [d - 10 for d in draws(ours, 21, 3000)]
+        assert got == [theirs.randint(-10, 10) for _ in range(3000)]
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_draws_refuse_an_empty_range():
+    with pytest.raises(ValueError):
+        draws(Random(0), 0, 1)
 
 
 def test_curve_params_validation():

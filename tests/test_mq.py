@@ -4,8 +4,9 @@ from random import Random
 
 import pytest
 
-from pqbench.errors import DimensionMismatch, LengthMismatch, TooLarge
+from pqbench.errors import DimensionMismatch, LengthMismatch, PqbenchError, TooLarge
 from pqbench.hashing import PQH
+from pqbench.kex import draws
 from pqbench.mq import (
     AffineMap,
     MqSystem,
@@ -15,8 +16,8 @@ from pqbench.mq import (
     UovParams,
     UovPrivateKey,
     brute_force_preimages,
+    _substitute_system,
     compose_trapdoor,
-    deserialize_system,
     eval_system,
     hash_to_vector,
     identity_map,
@@ -41,6 +42,43 @@ def naive_eval(p: QuadPoly, x) -> int:
         for k in range(p.n):
             acc += p.quad[j][k] * x[j] * x[k]
     return acc % p.q
+
+
+def eval_poly(p: QuadPoly, x) -> int:
+    return eval_system(MqSystem(PrimeField(p.q), (p,)), x)[0]
+
+
+def reference_parse(data: bytes) -> MqSystem:
+    """A serialized system built back into QuadPoly and MqSystem objects,
+    whose constructors do the checking: the parse verify used to run."""
+    if len(data) < 3:
+        raise MalformedFrame("system header truncated")
+    q, n, m = data[0], data[1], data[2]
+    per_poly = 1 + n + n * (n + 1) // 2
+    if len(data) != 3 + m * per_poly:
+        raise MalformedFrame(f"expected {3 + m * per_poly} bytes, got {len(data)}")
+    polys = []
+    for pos in range(3, len(data), per_poly):
+        row = data[pos:pos + per_poly]
+        quad, at = [], 1 + n
+        for j in range(n):
+            quad.append((0,) * j + tuple(row[at:at + n - j]))
+            at += n - j
+        polys.append((row[0], tuple(row[1:1 + n]), tuple(quad)))
+    try:
+        return MqSystem(PrimeField(q), tuple(QuadPoly(q, *poly) for poly in polys))
+    except (ValueError, DimensionMismatch) as e:
+        raise MalformedFrame(str(e)) from None
+
+
+def reference_verify(public: bytes, msg: bytes, sig, h) -> bool:
+    """uov_verify as it ran on a parsed system: parse, length, range, evaluate."""
+    system = reference_parse(public)
+    if len(sig) != system.n:
+        raise LengthMismatch(f"signature length {len(sig)} != n={system.n}")
+    if any(not 0 <= s < system.field.q for s in sig):
+        return False
+    return eval_system(system, sig) == hash_to_vector(h, msg, system.m, system.field.q)
 
 
 def random_poly(q, n, rng):
@@ -71,7 +109,7 @@ def test_quad_poly_eval_matches_naive():
         n = rng.randint(1, 4)
         p = random_poly(q, n, rng)
         for x in itertools.product(range(q), repeat=n):
-            assert p.eval(x) == naive_eval(p, x)
+            assert eval_poly(p, x) == naive_eval(p, x)
 
 
 def test_quad_poly_validation():
@@ -83,13 +121,13 @@ def test_quad_poly_validation():
         QuadPoly(3, 0, (0, 0), ((0, 0),))
     p = QuadPoly(3, 1, (2, 0), ((1, 2), (0, 1)))
     with pytest.raises(LengthMismatch):
-        p.eval((1,))
+        eval_poly(p, (1,))
 
 
 def random_offset_affine(f, n, rng):
     """random_affine, then a uniform offset drawn after the matrix."""
     linear = random_affine(f, n, rng)
-    return AffineMap(f, linear.matrix, tuple(f.rand(rng) for _ in range(n)))
+    return AffineMap(f, linear.matrix, tuple(draws(rng, f.q, n)))
 
 
 def test_affine_map_roundtrip_exhaustive():
@@ -142,6 +180,25 @@ def test_compose_matches_pointwise_application():
             assert eval_system(composed, x) == direct
 
 
+@pytest.mark.parametrize("zero_rows", [(0, 1, 2), (1,), (0, 2), ()], ids=str)
+def test_substitution_matches_pointwise_with_zero_quad_rows(zero_rows):
+    # the substitution skips Q's all-zero rows; it must still agree with
+    # apply-T-then-evaluate at every point, also when Q is entirely zero
+    rng = Random(14)
+    for q in (2, 3, 7):
+        f = PrimeField(q)
+        polys = []
+        for _ in range(2):
+            p = random_poly(q, 3, rng)
+            quad = tuple((0,) * 3 if j in zero_rows else row for j, row in enumerate(p.quad))
+            polys.append(QuadPoly(q, p.const, p.linear, quad))
+        central = MqSystem(f, tuple(polys))
+        for t_map in (random_affine(f, 3, rng), random_offset_affine(f, 3, rng)):
+            substituted = _substitute_system(central, t_map)
+            for x in itertools.product(range(q), repeat=3):
+                assert eval_system(substituted, x) == eval_system(central, t_map.apply(x))
+
+
 def test_central_map_has_no_oil_cross_terms():
     params = UovParams(o=2, v=3, q=7)
     central = random_central_map(params, Random(5))
@@ -159,7 +216,7 @@ def test_uov_roundtrip():
         msg = f"message {i}".encode()
         sig = uov_sign(kp.private, msg, H, rng)
         assert len(sig) == params.n
-        assert uov_verify(kp.public, msg, sig, H)
+        assert uov_verify(serialize_system(kp.public), msg, sig, H)
 
 
 def test_uov_public_hides_but_matches_private():
@@ -179,7 +236,7 @@ def test_uov_wrong_message_rejected():
     sig = uov_sign(kp.private, b"signed message", H, rng)
     # frozen seed: this specific cross-check fails (and would only pass by
     # a 1-in-q^o accident for some other message)
-    assert not uov_verify(kp.public, b"a different message", sig, H)
+    assert not uov_verify(serialize_system(kp.public), b"a different message", sig, H)
 
 
 def test_uov_perturbed_signature_rejected():
@@ -190,10 +247,62 @@ def test_uov_perturbed_signature_rejected():
     sig = uov_sign(kp.private, msg, H, rng)
     perturbed = list(sig)
     perturbed[0] = (perturbed[0] + 1) % 7
-    assert not uov_verify(kp.public, msg, tuple(perturbed), H)  # frozen seed
+    public = serialize_system(kp.public)
+    assert not uov_verify(public, msg, tuple(perturbed), H)  # frozen seed
     with pytest.raises(LengthMismatch):
-        uov_verify(kp.public, msg, sig + (0,), H)
-    assert not uov_verify(kp.public, msg, sig[:-1] + (7,), H)  # out of range
+        uov_verify(public, msg, sig + (0,), H)
+    assert not uov_verify(public, msg, sig[:-1] + (7,), H)  # out of range
+
+
+def outcome(verify, public, msg, sig):
+    """What one verify does: the value it returns or the error it raises."""
+    try:
+        return ("returns", verify(public, msg, sig, H))
+    except PqbenchError as e:
+        return ("raises", type(e))
+
+
+def mutated_keys(public: bytes, q: int):
+    """Every single-bit flip, truncation and one-byte extension of a
+    serialized key, plus keys with a coefficient >= q, q = 4, q = 37 and
+    m = 0."""
+    for pos in range(len(public)):
+        for bit in range(8):
+            yield public[:pos] + bytes([public[pos] ^ (1 << bit)]) + public[pos + 1:]
+        yield public[:pos]
+    for extra in (0, 1, q - 1, q, 255):
+        yield public + bytes([extra])
+    for pos in range(3, len(public), 7):
+        for value in (q, q + 1, 255):
+            yield public[:pos] + bytes([value]) + public[pos + 1:]
+    yield b"\x04" + public[1:]
+    yield b"\x25" + public[1:]
+    yield b"\x25" + public[1:].replace(bytes([q - 1]), bytes([36]))
+    yield public[:2] + b"\x00"
+    yield public[:2] + b"\x00" + public[3:]
+
+
+def test_flat_verify_agrees_with_the_parsed_key_on_mutated_keys():
+    # uov_verify reads the key's bytes as they are; on every mutation it
+    # must accept, reject or raise exactly as parsing the key into
+    # QuadPoly and MqSystem objects and evaluating those does
+    params = UovParams(o=2, v=4, q=7)
+    checked = accepted = 0
+    for seed in range(3):
+        rng = Random(100 + seed)
+        kp = uov_keygen(params, rng)
+        public = serialize_system(kp.public)
+        msg = b"mutated key %d" % seed
+        sig = uov_sign(kp.private, msg, H, rng)
+        sigs = [sig, sig[:-1] + ((sig[-1] + 1) % 7,), sig[:-1] + (7,), sig + (0,), sig[:-1]]
+        for key in [public, *mutated_keys(public, params.q)]:
+            for candidate in sigs:
+                flat = outcome(uov_verify, key, msg, candidate)
+                assert flat == outcome(reference_verify, key, msg, candidate), (key, candidate)
+                checked += 1
+                accepted += flat == ("returns", True)
+    assert checked > 7000
+    assert accepted >= 3  # at least the honest signature under each honest key
 
 
 def test_uov_retries_exhausted_on_degenerate_key():
@@ -279,17 +388,34 @@ def test_hash_to_vector_properties():
     assert len(hash_to_vector(H, b"msg", 40, 7)) == 40
 
 
+def test_serialize_refuses_sizes_its_header_cannot_hold():
+    # n and m are single header bytes: 256 variables or polynomials must be
+    # refused by name, not end in a bare ValueError from bytearray
+    f = PrimeField(3)
+    wide = QuadPoly(3, 0, (0,) * 256, ((0,) * 256,) * 256)
+    with pytest.raises(TooLarge, match="n = 256"):
+        serialize_system(MqSystem(f, (wide,)))
+    one = QuadPoly(3, 1, (2,), ((1,),))
+    with pytest.raises(TooLarge, match="m = 256"):
+        serialize_system(MqSystem(f, (one,) * 256))
+    blob = serialize_system(MqSystem(f, (one,) * 255))
+    assert blob[:3] == bytes([3, 1, 255])
+    assert reference_parse(blob) == MqSystem(f, (one,) * 255)
+    # UovParams accepts n = 256, so its keys are refused the same way
+    assert UovParams(o=1, v=255, q=3).n == 256
+
+
 def test_system_serialization_roundtrip():
     params = UovParams(o=2, v=4, q=7)
     kp = uov_keygen(params, Random(13))
     blob = serialize_system(kp.public)
-    back = deserialize_system(blob)
-    assert back == kp.public
-    with pytest.raises(MalformedFrame):
-        deserialize_system(blob[:-1])
-    with pytest.raises(MalformedFrame):
-        deserialize_system(b"\x07")
-    with pytest.raises(MalformedFrame):
-        deserialize_system(b"\x04" + blob[1:])  # field size not prime
-    with pytest.raises(MalformedFrame):
-        deserialize_system(b"\x07\x06\x00")  # no polynomials
+    assert reference_parse(blob) == kp.public
+    sig = (0,) * params.n
+    # verify reads the key's bytes as they are, and refuses what the parse refuses
+    for bad in (blob[:-1], b"\x07",
+                b"\x04" + blob[1:],  # field size not prime
+                b"\x07\x06\x00"):  # no polynomials
+        with pytest.raises(MalformedFrame):
+            reference_parse(bad)
+        with pytest.raises(MalformedFrame):
+            uov_verify(bad, b"m", sig, H)

@@ -168,6 +168,26 @@ def test_lwe_kem_matches_pinned_ciphertexts():
         "b59693593cfa913f74da8807994742cfc86dc8f6ad2e59a3725a4223504a2ed6"
 
 
+def test_lwe_decaps_rejects_a_field_not_below_q():
+    # adding q to one field of an honest ciphertext leaves it congruent, so
+    # it used to decapsulate to the same key; no honest ciphertext carries
+    # such a value, so decaps now refuses it and names it
+    kem = builtin_kems()["lwe-toy"]
+    rng = Random(48)
+    pk, sk = kem.keypair(rng)
+    ct, ss = kem.encaps(pk, rng)
+    q, width = suites.LWE_PARAMS.q, suites.LWE_PARAMS.q.bit_length()
+    acc = int.from_bytes(ct, "big")
+    # the last field of the ciphertext with room for + q in its width
+    shift = next(w for w in range(0, 8 * len(ct), width)
+                 if ((acc >> w) & ((1 << width) - 1)) + q < 1 << width)
+    value = (acc >> shift) & ((1 << width) - 1)
+    bad = (acc + (q << shift)).to_bytes(len(ct), "big")
+    assert kem.decaps(sk, ct) == ss
+    with pytest.raises(DecapsFailure, match=f"value {value + q} is not below q={q}"):
+        kem.decaps(sk, bad)
+
+
 def test_mceliece_kem_bad_ciphertext_fails_closed():
     kem = builtin_kems()["mceliece-toy"]
     rng = Random(47)
