@@ -113,18 +113,18 @@ def lwe_encrypt_bit(
     if len(samples) != params.m:
         raise LengthMismatch(f"{len(samples)} samples != m={params.m}")
     if subset is None:
-        while True:
-            subset = [i for i, take in enumerate(draws(rng, 2, params.m)) if take]
-            if subset:
-                break
+        takes = draws(rng, 2, params.m)
+        while not any(takes):
+            takes = draws(rng, 2, params.m)
+        chosen = list(itertools.compress(samples, takes))
     else:
         subset = list(subset)
         if not subset or len(set(subset)) != len(subset):
             raise ValueError("subset hook must name distinct indices, at least one")
-    chosen = [samples[i] for i in subset]
+        chosen = [samples[i] for i in subset]
     q = params.q
-    a_sum = tuple(sum(column) % q for column in zip(*(s.a for s in chosen)))
-    b_sum = sum(s.b for s in chosen)
+    a_sum = tuple([sum(column) % q for column in zip(*[s.a for s in chosen])])
+    b_sum = sum([s.b for s in chosen])
     return a_sum, (b_sum + bit * (q // 2)) % q
 
 

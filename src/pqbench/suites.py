@@ -42,6 +42,7 @@ from .kex import (
 from .serialize import MalformedFrame, pack, unpack
 
 LWE_PARAMS = lattice.guaranteed_params(n=4, q=521, m=8, b=10)
+LWE_SCALAR_BITS = LWE_PARAMS.q.bit_length()  # one ciphertext field
 UOV_PARAMS = mq.UovParams(o=2, v=4, q=7)
 # safe prime: g = 4 generates the order-2003 subgroup, so forged or
 # cross-message challenges collide with probability 1/2003, not 1/17
@@ -56,10 +57,6 @@ def _seed_rng(h: HashFunction, *parts: bytes) -> Random:
 
 
 # --- LWE as a KEM ---
-
-
-def _lwe_scalar_bits() -> int:
-    return LWE_PARAMS.q.bit_length()
 
 
 def _lwe_keygen(rng: Random) -> tuple[bytes, tuple[int, ...]]:
@@ -88,20 +85,19 @@ def _lwe_parse_pk(pk: bytes) -> list[lattice.LweSample]:
 
 def _lwe_encrypt_bit(samples: list[lattice.LweSample], bit: int, rng: Random) -> int:
     a, b = lattice.lwe_encrypt_bit(samples, bit, LWE_PARAMS, rng)
-    w = _lwe_scalar_bits()
     acc = 0
     for x in (*a, b):
-        acc = (acc << w) | x
+        acc = (acc << LWE_SCALAR_BITS) | x
     return acc
 
 
 def _lwe_decrypt_bit(secret: tuple[int, ...], block: int) -> int:
-    w = _lwe_scalar_bits()
+    w = LWE_SCALAR_BITS
     mask = (1 << w) - 1
     vals = [(block >> (w * i)) & mask for i in reversed(range(LWE_PARAMS.n + 1))]
     if max(vals) >= LWE_PARAMS.q:
         raise MalformedFrame(f"LWE ciphertext value {max(vals)} is not below q={LWE_PARAMS.q}")
-    return lattice.lwe_decrypt_bit(secret, (tuple(vals[:-1]), vals[-1]), LWE_PARAMS)
+    return lattice.lwe_decrypt_bit(secret, (vals[:-1], vals[-1]), LWE_PARAMS)
 
 
 def lwe_kem(h: HashFunction = DEFAULT_HASH) -> KemInstance:
@@ -111,7 +107,7 @@ def lwe_kem(h: HashFunction = DEFAULT_HASH) -> KemInstance:
         lambda pk: partial(_lwe_encrypt_bit, _lwe_parse_pk(pk)),
         _lwe_decrypt_bit,
         KEM_SECRET_BITS,
-        ciphertext_bits=(LWE_PARAMS.n + 1) * _lwe_scalar_bits(),
+        ciphertext_bits=(LWE_PARAMS.n + 1) * LWE_SCALAR_BITS,
         h=h,
     )
 
