@@ -23,6 +23,7 @@ input byte once, however many bytes it expands to.
 
 from __future__ import annotations
 
+import struct
 from functools import partial
 from random import Random
 
@@ -43,6 +44,7 @@ from .serialize import MalformedFrame, pack, unpack
 
 LWE_PARAMS = lattice.guaranteed_params(n=4, q=521, m=8, b=10)
 LWE_SCALAR_BITS = LWE_PARAMS.q.bit_length()  # one ciphertext field
+LWE_SAMPLE = struct.Struct(f">{LWE_PARAMS.n + 1}H")  # one public sample: a, then b
 UOV_PARAMS = mq.UovParams(o=2, v=4, q=7)
 # safe prime: g = 4 generates the order-2003 subgroup, so forged or
 # cross-message challenges collide with probability 1/2003, not 1/17
@@ -61,25 +63,18 @@ def _seed_rng(h: HashFunction, *parts: bytes) -> Random:
 
 def _lwe_keygen(rng: Random) -> tuple[bytes, tuple[int, ...]]:
     kp = lattice.lwe_keygen(LWE_PARAMS, rng)
-    pk = pack(
-        *(
-            b"".join(x.to_bytes(2, "big") for x in (*s.a, s.b))
-            for s in kp.samples
-        )
-    )
-    return pk, kp.secret
+    return pack(*(LWE_SAMPLE.pack(*s.a, s.b) for s in kp.samples)), kp.secret
 
 
 def _lwe_parse_pk(pk: bytes) -> list[lattice.LweSample]:
-    width = 2 * (LWE_PARAMS.n + 1)
     samples = []
     for chunk in unpack(pk, LWE_PARAMS.m):
-        if len(chunk) != width:
-            raise MalformedFrame(f"LWE sample is {len(chunk)} bytes, expected {width}")
-        vals = [int.from_bytes(chunk[i : i + 2], "big") for i in range(0, width, 2)]
+        if len(chunk) != LWE_SAMPLE.size:
+            raise MalformedFrame(f"LWE sample is {len(chunk)} bytes, expected {LWE_SAMPLE.size}")
+        vals = LWE_SAMPLE.unpack(chunk)
         if max(vals) >= LWE_PARAMS.q:
             raise MalformedFrame(f"LWE sample value {max(vals)} is not below q={LWE_PARAMS.q}")
-        samples.append(lattice.LweSample(tuple(vals[:-1]), vals[-1]))
+        samples.append(lattice.LweSample(vals[:-1], vals[-1]))
     return samples
 
 
