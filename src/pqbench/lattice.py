@@ -124,6 +124,8 @@ def lwe_encrypt_bit(
         chosen = [samples[i] for i in subset]
     q = params.q
     a_sum = tuple([sum(column) % q for column in zip(*[s.a for s in chosen])])
+    if len(a_sum) != params.n:  # zip stops at the shortest sample
+        raise LengthMismatch(f"a sample's a is not {params.n} long")
     b_sum = sum([s.b for s in chosen])
     return a_sum, (b_sum + bit * (q // 2)) % q
 

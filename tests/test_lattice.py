@@ -92,6 +92,16 @@ def test_subset_hook_validation():
         lwe_encrypt_bit(kp.samples, 2, params, Random(3))
 
 
+def test_encrypt_refuses_a_sample_of_the_wrong_width():
+    # the column sums stop at the shortest sample; a short one must not
+    # give a short ciphertext
+    params = LweParams(n=2, q=97, m=2, b=0)
+    kp = lwe_keygen(params, Random(4))
+    short = [kp.samples[0], type(kp.samples[0])((7,), 7)]
+    with pytest.raises(LengthMismatch):
+        lwe_encrypt_bit(short, 1, params, Random(4), subset=[0, 1])
+
+
 def test_halfway_point_decrypts_to_one():
     params = LweParams(n=2, q=97, m=2, b=0)
     secret = (0, 0)
