@@ -204,9 +204,10 @@ class AffineMap:
     def apply(self, x) -> tuple[int, ...]:
         if len(x) != self.n:
             raise LengthMismatch(f"expected {self.n} coordinates, got {len(x)}")
-        q = self.field.q
-        return tuple((sum(map(mul, row, x)) + o) % q
-                     for row, o in zip(self.matrix, self.offset))
+        return tuple(
+            (sum(c * xi for c, xi in zip(row, x)) + o) % self.field.q
+            for row, o in zip(self.matrix, self.offset)
+        )
 
     def apply_inverse(self, y) -> tuple[int, ...]:
         if len(y) != self.n:

@@ -15,8 +15,8 @@ from pqbench.mq import (
     RetriesExhausted,
     UovParams,
     UovPrivateKey,
-    brute_force_preimages,
     _substitute_system,
+    brute_force_preimages,
     compose_trapdoor,
     eval_system,
     hash_to_vector,
@@ -401,7 +401,7 @@ def test_serialize_refuses_sizes_its_header_cannot_hold():
     blob = serialize_system(MqSystem(f, (one,) * 255))
     assert blob[:3] == bytes([3, 1, 255])
     assert reference_parse(blob) == MqSystem(f, (one,) * 255)
-    # UovParams accepts n = 256, so its keys are refused the same way
+    # UovParams accepts n = 256, so a key of its size can reach serialize_system
     assert UovParams(o=1, v=255, q=3).n == 256
 
 
