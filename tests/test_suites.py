@@ -20,6 +20,7 @@ from pqbench.suites import (
     sized_stub_kem,
     sized_stub_sig,
 )
+from pqbench.tlssim import SuiteConfig, pinned_issuer, run_handshake
 
 KEMS = sorted(builtin_kems().values(), key=lambda k: k.name)
 SIGS = sorted(builtin_sigs().values(), key=lambda s: s.name)
@@ -311,6 +312,80 @@ def test_hash_based_signers_make_pinned_hash_calls(name):
     calls.append(len(counting.lengths))
     assert tuple(calls) == HASH_CALLS[name]
 
+
+# the twelve hashsig-suites suites under the default hash and Random(0):
+# message sizes in wire order, hash calls per handshake counted through a
+# hash built from apply alone with the issuer key already derived, and the
+# client key digest; pinned so a faster hashsig keeps every byte and call
+HASHSIG_HANDSHAKES = {
+    "ecdh-toy+lamport": (
+        (42, 38, 5, 3498, 1157, 37, 37), 157,
+        "950b2675bc1e65d946775fc189d756167de44c15f5d6cd5f8de0caed06338df4",
+    ),
+    "lwe-toy+lamport": (
+        (144, 228, 5, 3498, 1157, 37, 37), 157,
+        "6a2591d80d561cd3bed664ae1708927e922f1857056cc31562df9359dde946f5",
+    ),
+    "mceliece-toy+lamport": (
+        (53, 61, 5, 3498, 1157, 37, 37), 157,
+        "002a4ce4df24bd3cf611f1bdbcbbbda807572bfe1ce675fc9be7ea7f526bf30e",
+    ),
+    "stub-kem+lamport": (
+        (33, 33, 5, 3498, 1157, 37, 37), 157,
+        "ec29d5b3430f9773a56bf5fe55c88444545af0705356ea451c49424e012beab0",
+    ),
+    "ecdh-toy+wots": (
+        (39, 35, 5, 751, 365, 37, 37), 509,
+        "c3f70d096c9cc0797649b942b452ee2495eb1b82b36838f0d5f0300cf519ea90",
+    ),
+    "lwe-toy+wots": (
+        (141, 225, 5, 751, 365, 37, 37), 509,
+        "b9bcb18e960500cb0628b2ea7eedee7f8c489a332eabeb42a33a1cac1296555b",
+    ),
+    "mceliece-toy+wots": (
+        (50, 58, 5, 751, 365, 37, 37), 509,
+        "5e8f429118cdec78d3198b81365545c1468b61a935cf7e6ea93e57839cf71fc8",
+    ),
+    "stub-kem+wots": (
+        (30, 30, 5, 751, 365, 37, 37), 509,
+        "a4b9825f616926da23163abb0b950957ce522744f44c52c6821c3b42fa8c9469",
+    ),
+    "ecdh-toy+mss": (
+        (38, 34, 5, 3665, 3608, 37, 37), 630,
+        "0b935a7d40684d0118c98422ce170a2bcd11757c899cefb28eeb4e178b559f05",
+    ),
+    "lwe-toy+mss": (
+        (140, 224, 5, 3665, 3608, 37, 37), 630,
+        "11a445752dac2d8f4d19068d372c2528a70519db675b0b56d0c609a427a6f520",
+    ),
+    "mceliece-toy+mss": (
+        (49, 57, 5, 3665, 3608, 37, 37), 630,
+        "6c8d6e22aa9629e4a4620142cb742346e16e67fdb71943ad7bdc0decd2e69007",
+    ),
+    "stub-kem+mss": (
+        (29, 29, 5, 3665, 3608, 37, 37), 630,
+        "5de07254eeb2c82e9f10e3c07dfde7dd38347f71f0a3d4d490ccd8a218a67bc1",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(HASHSIG_HANDSHAKES))
+def test_hashsig_suites_match_pinned_handshakes(label):
+    kem_name, sig_name = label.split("+")
+    sizes, calls, digest = HASHSIG_HANDSHAKES[label]
+    h = DEFAULT_HASH
+    cfg = SuiteConfig(builtin_kems(h)[kem_name], builtin_sigs(h)[sig_name], h, label)
+    t = run_handshake(cfg, cfg, rng=Random(0))
+    assert tuple(size for _, size in t.messages) == sizes
+    assert t.client_key_digest.hex() == digest
+    counting = CountingHash()
+    h = counting.h
+    cfg = SuiteConfig(builtin_kems(h)[kem_name], builtin_sigs(h)[sig_name], h, label)
+    pinned_issuer(cfg.sig)
+    counting.lengths.clear()
+    t = run_handshake(cfg, cfg, rng=Random(0))
+    assert len(counting.lengths) == calls
+    assert t.client_key_digest.hex() == digest
 
 def test_stub_kem_decaps_hashes_once():
     counting = CountingHash()
