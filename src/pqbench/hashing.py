@@ -38,7 +38,8 @@ digest does not depend on how the input was split across updates.
 
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from functools import partial
+from typing import Callable, Iterable, Protocol
 
 from _blake2 import blake2b
 
@@ -144,7 +145,8 @@ class PqhState:
 
 class _BufferedState:
     """The streaming state of a hash known only by its one-shot apply:
-    it keeps every byte and hashes them all at digest()."""
+    it keeps every byte and hashes them all at digest(), through one
+    apply call, whose output it checks as HashFunction's call does."""
 
     __slots__ = ("_h", "_data")
 
@@ -159,46 +161,64 @@ class _BufferedState:
         return _BufferedState(self._h, self._data)
 
     def digest(self) -> bytes:
-        return self._h(self._data)
+        out = self._h.apply(self._data)
+        if len(out) != self._h.output_bytes:
+            raise self._h.wrong_length(out)
+        return out
 
 
 @dataclass(frozen=True)
 class HashFunction:
     """A named hash with a fixed output length.
 
-    Instances are callable.  new_state, when given, builds the hash's own
-    streaming state, and a call hashes through one inline, so it costs one
-    Python frame; a hash built from apply alone calls apply and streams by
-    buffering.  Either way each call checks the declared output length.
+    Instances are callable.  new is the state factory, picked once when
+    the hash is built: new_state if given, else a buffering state that
+    keeps every byte and reaches apply once per digest.  A state has
+    update, copy and digest, shaped like a hashlib object, and digesting
+    everything fed to it gives what one call on the concatenation gives.
+    Calling h(data) hashes through one fresh state, and h.each(items)
+    hashes every item through its own fresh state in one loop, so neither
+    spends a Python frame per digest beyond the state's own methods.  Both
+    check every digest they return against output_bytes.
     """
 
     name: str
     output_bytes: int
     apply: Callable[[bytes], bytes] = field(repr=False)
     new_state: Callable[[], HashState] | None = field(default=None, repr=False)
+    new: Callable[[], HashState] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        new = self.new_state if self.new_state is not None else partial(_BufferedState, self)
+        object.__setattr__(self, "new", new)
 
     def __call__(self, data: bytes) -> bytes:
-        new_state = self.new_state
-        if new_state is None:
-            out = self.apply(data)
-        else:
-            state = new_state()
-            state.update(data)
-            out = state.digest()
+        state = self.new()
+        state.update(data)
+        out = state.digest()
         if len(out) != self.output_bytes:
-            raise ValueError(
-                f"{self.name}: returned {len(out)} bytes, "
-                f"declared {self.output_bytes}"
-            )
+            raise self.wrong_length(out)
         return out
 
-    def new(self) -> HashState:
-        """An empty streaming state with update, copy and digest, shaped
-        like a hashlib object; digesting everything fed to it gives what
-        one call on the concatenation gives."""
-        if self.new_state is None:
-            return _BufferedState(self)
-        return self.new_state()
+    def each(self, items: Iterable[bytes]) -> list[bytes]:
+        """[h(x) for x in items], from one loop over fresh states."""
+        new = self.new
+        size = self.output_bytes
+        out = []
+        for data in items:
+            state = new()
+            state.update(data)
+            digest = state.digest()
+            if len(digest) != size:
+                raise self.wrong_length(digest)
+            out.append(digest)
+        return out
+
+    def wrong_length(self, digest: bytes) -> ValueError:
+        """The error for a digest whose length is not output_bytes."""
+        return ValueError(
+            f"{self.name}: returned {len(digest)} bytes, declared {self.output_bytes}"
+        )
 
 
 def _pqh256(data: bytes) -> bytes:

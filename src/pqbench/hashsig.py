@@ -21,6 +21,7 @@ reproducible by seed.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from random import Random
 
@@ -56,12 +57,11 @@ def message_bits(h: HashFunction, msg: bytes, nbits: int) -> list[int]:
 
 
 def _secrets(rng: Random, k: int) -> list[bytes]:
-    """k secrets of SECRET_BYTES each, from one draw.  randbytes(n) is
-    getrandbits(8n) in little-endian order and SECRET_BYTES is a whole
-    number of 32-bit words, so these are the bytes that k separate
-    randbytes(SECRET_BYTES) calls would give."""
-    pool = rng.randbytes(k * SECRET_BYTES)
-    return [pool[i : i + SECRET_BYTES] for i in range(0, len(pool), SECRET_BYTES)]
+    """k secrets of SECRET_BYTES each, from one draw cut by one struct
+    call.  randbytes(n) is getrandbits(8n) in little-endian order and
+    SECRET_BYTES is a whole number of 32-bit words, so these are the bytes
+    that k separate randbytes(SECRET_BYTES) calls would give."""
+    return list(struct.unpack(f"{SECRET_BYTES}s" * k, rng.randbytes(k * SECRET_BYTES)))
 
 
 def _check_bits(bits, nbits):
@@ -87,9 +87,9 @@ def lamport_keygen(msg_bits: int, h: HashFunction, rng: Random) -> LamportKeypai
     if msg_bits <= 0:
         raise LengthMismatch("msg_bits must be positive")
     pool = _secrets(rng, 2 * msg_bits)
-    secret = (pool[:msg_bits], pool[msg_bits:])
-    public = tuple(list(map(h, side)) for side in secret)
-    return LamportKeypair(msg_bits, secret, public)
+    hashed = h.each(pool)
+    return LamportKeypair(msg_bits, (pool[:msg_bits], pool[msg_bits:]),
+                          (hashed[:msg_bits], hashed[msg_bits:]))
 
 
 def lamport_sign(kp: LamportKeypair, bits) -> list[bytes]:
@@ -105,7 +105,7 @@ def lamport_verify(public, bits, sig, h: HashFunction) -> bool:
     if any(b not in (0, 1) for b in bits):
         return False
     pub = (list0, list1)
-    return all(h(sig[i]) == pub[b][i] for i, b in enumerate(bits))
+    return h.each(sig) == [pub[b][i] for i, b in enumerate(bits)]
 
 
 def lamport_public_bytes(public, index: int) -> bytes:
@@ -118,12 +118,19 @@ def lamport_public_bytes(public, index: int) -> bytes:
 
 
 def hash_chain(h: HashFunction, start: bytes, steps: int) -> bytes:
-    """Apply h steps times; 0 steps returns start unchanged."""
+    """Apply h steps times; 0 steps returns start unchanged.  Each step
+    hashes through a fresh state from h.new, and the digest returned is
+    checked against h.output_bytes."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    new = h.new
     out = start
     for _ in range(steps):
-        out = h(out)
+        state = new()
+        state.update(out)
+        out = state.digest()
+    if steps and len(out) != h.output_bytes:
+        raise h.wrong_length(out)
     return out
 
 
@@ -237,10 +244,10 @@ def merkle_build(leaves, h: HashFunction) -> MerkleTree:
     n = len(leaves)
     if n < 1 or n & (n - 1):
         raise NotPowerOfTwo(f"need a power-of-two leaf count, got {n}")
-    levels = [[h(leaf) for leaf in leaves]]
+    levels = [h.each(leaves)]
     while len(levels[-1]) > 1:
         prev = levels[-1]
-        levels.append([h(prev[i] + prev[i + 1]) for i in range(0, len(prev), 2)])
+        levels.append(h.each(map(bytes.__add__, prev[::2], prev[1::2])))
     return MerkleTree(levels)
 
 

@@ -51,6 +51,7 @@ UOV_PARAMS = mq.UovParams(o=2, v=4, q=7)
 DLOG_P, DLOG_G = 4007, 4
 KEM_SECRET_BITS = 32
 MSS_LEAVES = 8
+MSS_DEPTH = MSS_LEAVES.bit_length() - 1  # siblings on a path to the root
 OTS_MSG_BITS = 32
 
 
@@ -299,6 +300,11 @@ def mss_sig(h: HashFunction = DEFAULT_HASH) -> SigInstance:
 
     def verify(public: bytes, msg: bytes, signature: bytes):
         sig = hashsig.deserialize_mss_signature(signature)
+        # the bundle's own list lengths would set the message width and the
+        # proof depth, and so how much is hashed before it can be refused
+        widths = {len(sig.ots_signature), *map(len, sig.ots_public)}
+        if widths != {OTS_MSG_BITS} or len(sig.proof.siblings) != MSS_DEPTH:
+            return False
         return hashsig.mss_verify(public, msg, sig, h)
 
     return _seeded_sig("mss", derive, sign, verify)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pqbench.hashing import DEFAULT_HASH, PQH, HashFunction, mix64
+from pqbench.hashsig import hash_chain
 
 
 def test_mix64_is_deterministic_and_64bit():
@@ -50,18 +51,21 @@ def test_single_bit_flip_diffuses():
             assert diff >= 8
 
 
+def refuses_every_digest(bad):
+    for hashes in (lambda: bad(b"x"), lambda: bad.each([b"x"]),
+                   lambda: hash_chain(bad, b"x", 1), lambda: hash_chain(bad, b"x", 3)):
+        with pytest.raises(ValueError, match="bad: returned"):
+            hashes()
+
+
 def test_apply_must_honor_declared_length():
-    bad = HashFunction("bad", 32, lambda data: b"short")
-    with pytest.raises(ValueError):
-        bad(b"x")
+    refuses_every_digest(HashFunction("bad", 32, lambda data: b"short"))
 
 
 def test_new_state_must_honor_declared_length():
     # apply gives the declared length, but a call hashes through new_state
-    bad = HashFunction("bad", 32, lambda data: bytes(32),
-                       lambda: hashlib.blake2b(digest_size=16))
-    with pytest.raises(ValueError):
-        bad(b"x")
+    refuses_every_digest(HashFunction("bad", 32, lambda data: bytes(32),
+                                      lambda: hashlib.blake2b(digest_size=16)))
 
 
 def test_default_is_hashlibs_blake2b_256():
@@ -136,6 +140,14 @@ def test_any_split_streams_to_the_one_shot_digest(h, data, cuts):
     assert state.digest() == h(data)  # digest leaves the state as it was
     state.update(b"more")
     assert state.digest() == h(data + b"more")
+    # each and hash_chain give what per-item calls give
+    pieces = [data[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    assert h.each(pieces) == [h(piece) for piece in pieces]
+    assert h.each(iter(pieces)) == h.each(pieces)
+    chained = data
+    for steps in range(4):
+        assert hash_chain(h, data, steps) == chained
+        chained = h(chained)
 
 
 @given(hashes, st.binary(max_size=40), st.binary(max_size=40), st.binary(max_size=40))

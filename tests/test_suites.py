@@ -11,7 +11,7 @@ from pqbench import codecrypt, suites
 from pqbench.errors import PqbenchError
 from pqbench.hashing import DEFAULT_HASH, PQH, HashFunction
 from pqbench.kex import DecapsFailure
-from pqbench.serialize import pack, u32
+from pqbench.serialize import pack, u32, unpack
 from pqbench.suites import (
     _stretch,
     builtin_kems,
@@ -386,6 +386,31 @@ def test_hashsig_suites_match_pinned_handshakes(label):
     t = run_handshake(cfg, cfg, rng=Random(0))
     assert len(counting.lengths) == calls
     assert t.client_key_digest.hex() == digest
+
+
+def _widen_one_time_lists(fields, width):
+    fields[1:4] = (pack(*[bytes(32)] * width),) * 3
+
+
+def _lengthen_proof(fields, depth):
+    fields[5:7] = pack(*[bytes(32)] * depth), bytes(depth)
+
+
+@pytest.mark.parametrize("reshape,size", [
+    (_widen_one_time_lists, 31), (_widen_one_time_lists, 33), (_widen_one_time_lists, 4096),
+    (_lengthen_proof, 2), (_lengthen_proof, 4), (_lengthen_proof, 4096),
+])
+def test_mss_verify_refuses_another_shape_before_hashing(reshape, size):
+    # a bundle must not pick its own one-time width or proof depth: either
+    # sets how much a verifier hashes before it can say no
+    counting = CountingHash()
+    sig = builtin_sigs(counting.h)["mss"]
+    pk, sk = sig.keypair(Random(56))
+    fields = unpack(sig.sign(sk, b"m"), 7)
+    reshape(fields, size)
+    counting.lengths.clear()
+    assert not sig.verify(pk, b"m", pack(*fields))
+    assert counting.lengths == []
 
 def test_stub_kem_decaps_hashes_once():
     counting = CountingHash()
