@@ -412,6 +412,7 @@ def test_mss_verify_refuses_another_shape_before_hashing(reshape, size):
     assert not sig.verify(pk, b"m", pack(*fields))
     assert counting.lengths == []
 
+
 def test_stub_kem_decaps_hashes_once():
     counting = CountingHash()
     kem = sized_stub_kem("x", 1184, 1088, counting.h)
