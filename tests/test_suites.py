@@ -7,11 +7,11 @@ from random import Random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from pqbench import codecrypt, suites
+from pqbench import codecrypt, lattice, suites
 from pqbench.errors import PqbenchError
 from pqbench.hashing import DEFAULT_HASH, PQH, HashFunction
-from pqbench.kex import DecapsFailure
-from pqbench.serialize import pack, u32, unpack
+from pqbench.kex import DecapsFailure, draws
+from pqbench.serialize import pack, pack_bits, u32, unpack
 from pqbench.suites import (
     _stretch,
     builtin_kems,
@@ -153,20 +153,63 @@ def test_lwe_kem_shared_secret_depends_on_bits():
     assert len(secrets) == 20  # 32 random bits should essentially never repeat
 
 
-def test_lwe_kem_matches_pinned_ciphertexts():
+def reference_encaps(name, public, rng, h):
+    """encaps of lwe-toy or mceliece-toy one secret bit at a time through
+    the per-bit references lattice.lwe_encrypt_bit and
+    codecrypt.mceliece_encrypt: draw the 32 bits, encrypt each in turn,
+    pack the blocks most significant first and hash the bit string."""
+    if name == "lwe-toy":
+        samples = suites._lwe_parse_pk(public)
+        field = suites.LWE_SCALAR_BITS
+        width = (suites.LWE_PARAMS.n + 1) * field
+
+        def encrypt_bit(bit):
+            a, b = lattice.lwe_encrypt_bit(samples, bit, suites.LWE_PARAMS, rng)
+            return functools.reduce(lambda acc, x: acc << field | x, (*a, b), 0)
+    else:
+        key = codecrypt.McEliecePublicKey(*codecrypt.deserialize_code_matrix(public))
+        width = key.matrix.cols
+
+        def encrypt_bit(bit):
+            return codecrypt.mceliece_encrypt(key, bit, rng)
+
+    bits = draws(rng, 2, suites.KEM_SECRET_BITS)
+    acc = 0
+    for bit in bits:
+        acc = acc << width | encrypt_bit(bit)
+    total = suites.KEM_SECRET_BITS * width
+    size = -(-total // 8)
+    return (acc << (8 * size - total)).to_bytes(size, "big"), h(pack_bits(bits))
+
+
+def assert_pinned_encapsulations(name, expected):
     # two encapsulations under each of 50 seeded keys, as one digest of
-    # ciphertexts and shared secrets: a faster lwe-toy must draw the same
-    # samples, bits and subsets
-    kem = suites.lwe_kem(PQH)
+    # ciphertexts and shared secrets; each encapsulation also equals the
+    # per-bit reference in output and in the RNG state it leaves, so a
+    # faster KEM must draw the same samples, bits, subsets and errors
+    kem = builtin_kems(PQH)[name]
     digest = hashlib.sha256()
     for seed in range(50):
         rng = Random(seed)
         pk, sk = kem.keypair(rng)
         for _ in range(2):
+            reference = Random()
+            reference.setstate(rng.getstate())
             ct, ss = kem.encaps(pk, rng)
+            assert (ct, ss) == reference_encaps(name, pk, reference, PQH)
+            assert rng.getstate() == reference.getstate()
             digest.update(ct + ss)
-    assert digest.hexdigest() == \
-        "b59693593cfa913f74da8807994742cfc86dc8f6ad2e59a3725a4223504a2ed6"
+    assert digest.hexdigest() == expected
+
+
+def test_lwe_kem_matches_pinned_ciphertexts():
+    assert_pinned_encapsulations(
+        "lwe-toy", "b59693593cfa913f74da8807994742cfc86dc8f6ad2e59a3725a4223504a2ed6")
+
+
+def test_mceliece_kem_matches_pinned_ciphertexts():
+    assert_pinned_encapsulations(
+        "mceliece-toy", "3011481897ee876cb7d40cd777d5c1d4035bc9d229d2fb72e151c007dea285a6")
 
 
 def test_lwe_decaps_rejects_a_field_not_below_q():
