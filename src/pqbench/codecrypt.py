@@ -25,6 +25,7 @@ from .binmat import (
     random_permutation,
 )
 from .errors import DecodeFailure, DimensionMismatch, TooLarge
+from .kex import draws
 from .serialize import MalformedFrame, u32
 
 BRUTE_FORCE_MAX_K = 20
@@ -162,6 +163,23 @@ def mceliece_encrypt(pk: McEliecePublicKey, m: int, rng: Random, error: int | No
     elif hamming_weight(error) > pk.t:
         raise DimensionMismatch(f"error weight {hamming_weight(error)} exceeds t={pk.t}")
     return pk.matrix.vec_mul(m) ^ error
+
+
+def mceliece_encrypt_bits(pk: McEliecePublicKey, bits, rng: Random) -> list[int]:
+    """mceliece_encrypt of each one-bit message in turn, in one call.
+
+    With t = 1, as every hamming_code key has, an error is one position,
+    and rng.sample(range(n), 1) takes exactly one randrange(n) draw, so
+    every error comes from one draws call.  Any other t draws each error
+    through random_error, as mceliece_encrypt does.  Either way the RNG
+    stream is the one len(bits) calls of mceliece_encrypt take."""
+    if not set(bits) <= {0, 1}:
+        raise DimensionMismatch("messages must be single bits")
+    if pk.t != 1:
+        return [mceliece_encrypt(pk, bit, rng) for bit in bits]
+    codewords = (0, pk.matrix.vec_mul(1))
+    errors = draws(rng, pk.matrix.cols, len(bits))
+    return [codewords[bit] ^ (1 << e) for bit, e in zip(bits, errors)]
 
 
 def mceliece_decrypt(sk: McEliecePrivateKey, c: int) -> int:

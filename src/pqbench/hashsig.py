@@ -27,7 +27,7 @@ from random import Random
 
 from .errors import LengthMismatch, PqbenchError
 from .hashing import HashFunction
-from .serialize import MalformedFrame, pack, u32, unpack
+from .serialize import MalformedFrame, pack, pack_vector, u32, unpack, unpack_vector
 
 SECRET_BYTES = 32
 
@@ -99,19 +99,22 @@ def lamport_sign(kp: LamportKeypair, bits) -> list[bytes]:
 
 
 def lamport_verify(public, bits, sig, h: HashFunction) -> bool:
+    """False, before anything is hashed, when the lists disagree in length
+    or a signature element is not a SECRET_BYTES secret."""
     list0, list1 = public
     if not len(bits) == len(sig) == len(list0) == len(list1):
         return False
-    if any(b not in (0, 1) for b in bits):
+    if any(b not in (0, 1) for b in bits) or not set(map(len, sig)) <= {SECRET_BYTES}:
         return False
     pub = (list0, list1)
     return h.each(sig) == [pub[b][i] for i, b in enumerate(bits)]
 
 
 def lamport_public_bytes(public, index: int) -> bytes:
-    """Canonical serialization: list0, then list1, then the leaf index."""
+    """Canonical serialization: list0, then list1, then the leaf index.
+    Each list is a vector of SECRET_BYTES digests."""
     list0, list1 = public
-    return pack(*list0) + pack(*list1) + u32(index)
+    return pack_vector(list0, SECRET_BYTES) + pack_vector(list1, SECRET_BYTES) + u32(index)
 
 
 # --- hash chains and Winternitz ---
@@ -338,36 +341,40 @@ def serialize_mss_signature(sig: MssSignature) -> bytes:
     signature, the two public lists, then the proof."""
     return pack(
         u32(sig.leaf_index),
-        pack(*sig.ots_signature),
-        pack(*sig.ots_public[0]),
-        pack(*sig.ots_public[1]),
+        pack_vector(sig.ots_signature, SECRET_BYTES),
+        pack_vector(sig.ots_public[0], SECRET_BYTES),
+        pack_vector(sig.ots_public[1], SECRET_BYTES),
         u32(sig.proof.leaf_index),
-        pack(*(sib for sib, _ in sig.proof.siblings)),
+        pack_vector([sib for sib, _ in sig.proof.siblings], SECRET_BYTES),
         bytes(side for _, side in sig.proof.siblings),
     )
 
 
-def deserialize_mss_signature(data: bytes) -> MssSignature:
+def deserialize_mss_signature(data: bytes, msg_bits: int, depth: int) -> MssSignature:
+    """Parse a bundle of one shape: one-time lists of msg_bits elements and
+    a proof of depth siblings, every element SECRET_BYTES long.  A bundle
+    of any other shape is an InvalidBundle before anything is hashed, so it
+    cannot pick how much a verifier hashes."""
     try:
         idx, ots_sig, list0, list1, proof_idx, sibs, sides = unpack(data, 7)
-        siblings = unpack(sibs)
+        ots_signature, public0, public1 = (
+            unpack_vector(v, SECRET_BYTES, msg_bits) for v in (ots_sig, list0, list1)
+        )
+        siblings = unpack_vector(sibs, SECRET_BYTES, depth)
     except MalformedFrame as e:
         raise InvalidBundle(f"bundle does not parse: {e}") from None
     if len(idx) != 4 or len(proof_idx) != 4:
         raise InvalidBundle("index fields must be 4 bytes")
-    if len(siblings) != len(sides):
+    if len(sides) != depth:
         raise InvalidBundle("sibling count disagrees with side flags")
     if any(side not in (0, 1) for side in sides):
         raise InvalidBundle("side flags must be 0 or 1")
-    try:
-        return MssSignature(
-            leaf_index=int.from_bytes(idx, "big"),
-            ots_signature=unpack(ots_sig),
-            ots_public=(unpack(list0), unpack(list1)),
-            proof=MerkleProof(int.from_bytes(proof_idx, "big"), list(zip(siblings, sides))),
-        )
-    except MalformedFrame as e:
-        raise InvalidBundle(f"bundle does not parse: {e}") from None
+    return MssSignature(
+        leaf_index=int.from_bytes(idx, "big"),
+        ots_signature=ots_signature,
+        ots_public=(public0, public1),
+        proof=MerkleProof(int.from_bytes(proof_idx, "big"), list(zip(siblings, sides))),
+    )
 
 
 def mss_verify(root: bytes, msg: bytes, sig: MssSignature, h: HashFunction) -> bool:

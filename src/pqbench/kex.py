@@ -13,8 +13,8 @@ signatures and shared secrets are bytes; a secret key is never sent, so
 it stays opaque, in whatever form keypair built it.  Any scheme in the
 package can be wrapped into these shapes; the kem_from_encryption
 adapter does it generically for bit-oriented public-key encryption by
-polling one encrypted bit per secret bit and hashing the bit string
-into the shared secret.
+encrypting the whole secret bit vector in one call, one block per bit,
+and hashing the bit string into the shared secret.
 """
 
 from __future__ import annotations
@@ -282,8 +282,8 @@ def ecdh_kem(curve: CurveParams, gen: Point, order: int, h: HashFunction,
 def kem_from_encryption(
     name: str,
     keygen: Callable[[Random], tuple[bytes, Any]],
-    encryptor: Callable[[bytes], Callable[[int, Random], int]],
-    decrypt_bit: Callable[[Any, int], int],
+    encryptor: Callable[[bytes], Callable[[list[int], Random], list[int]]],
+    decrypt_bits: Callable[[Any, list[int]], list[int]],
     secret_bits: int,
     *,
     ciphertext_bits: int,
@@ -292,22 +292,29 @@ def kem_from_encryption(
     """Wrap bit-oriented public-key encryption as a KEM.
 
     encryptor(public) reads a public key once and returns
-    encrypt_bit(bit, rng), which gives each per-bit ciphertext as an int
-    of exactly ciphertext_bits bits; the adapter packs them contiguously
-    (first bit's ciphertext in the most significant position) and hashes
-    the plaintext bit string into the shared secret.  decrypt_bit(secret,
-    block) takes the secret as keygen returned it.
+    encrypt_bits(bits, rng), which encrypts the whole secret bit vector in
+    one call and gives one block per bit, each an int of at most
+    ciphertext_bits bits.  The adapter draws the bits first, packs the
+    blocks contiguously (first bit's block in the most significant
+    position) and hashes the plaintext bit string into the shared secret.
+    decrypt_bits(secret, blocks) takes the secret as keygen returned it
+    and gives the bits back; a PqbenchError it raises, or a value that is
+    not a bit, is a DecapsFailure.
     """
     total_bits = secret_bits * ciphertext_bits
     ct_len = (total_bits + 7) // 8
     pad = 8 * ct_len - total_bits
+    mask = (1 << ciphertext_bits) - 1
+    shifts = [i * ciphertext_bits for i in reversed(range(secret_bits))]
 
     def encaps(public: bytes, rng: Random):
-        encrypt_bit = encryptor(public)
+        encrypt_bits = encryptor(public)
         bits = draws(rng, 2, secret_bits)
+        blocks = encrypt_bits(bits, rng)
+        if len(blocks) != secret_bits:
+            raise DecapsFailure(f"{name}: {len(blocks)} blocks for {secret_bits} bits")
         acc = 0
-        for bit in bits:
-            block = encrypt_bit(bit, rng)
+        for block in blocks:
             if block >> ciphertext_bits:
                 raise DecapsFailure(f"{name}: block wider than {ciphertext_bits} bits")
             acc = (acc << ciphertext_bits) | block
@@ -317,17 +324,15 @@ def kem_from_encryption(
         if len(ciphertext) != ct_len:
             raise DecapsFailure(f"{name}: ciphertext must be {ct_len} bytes")
         acc = int.from_bytes(ciphertext, "big") >> pad
-        mask = (1 << ciphertext_bits) - 1
-        bits = []
-        for i in reversed(range(secret_bits)):
-            block = (acc >> (i * ciphertext_bits)) & mask
-            try:
-                bit = decrypt_bit(secret, block)
-            except PqbenchError as e:
-                raise DecapsFailure(f"{name}: {e}") from e
+        try:
+            bits = decrypt_bits(secret, [(acc >> shift) & mask for shift in shifts])
+        except PqbenchError as e:
+            raise DecapsFailure(f"{name}: {e}") from e
+        if len(bits) != secret_bits:
+            raise DecapsFailure(f"{name}: decryption returned {len(bits)} bits")
+        for bit in bits:
             if bit not in (0, 1):
                 raise DecapsFailure(f"{name}: decryption returned {bit}")
-            bits.append(bit)
         return h(pack_bits(bits))
 
     return KemInstance(name, keygen, encaps, decaps)

@@ -16,6 +16,7 @@ results can be checked against ground truth.
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -25,6 +26,8 @@ from .errors import DimensionMismatch, LengthMismatch, PqbenchError, TooLarge
 from .kex import draws, is_prime
 
 SIS_MAX_M = 18
+# (bytes, struct code) of the lanes lwe_encrypt_bits sums its samples in
+_LANES = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
 SVP_MAX_DIM = 4
 SVP_MAX_BOUND = 10
 
@@ -128,6 +131,54 @@ def lwe_encrypt_bit(
         raise LengthMismatch(f"a sample's a is not {params.n} long")
     b_sum = sum([s.b for s in chosen])
     return a_sum, (b_sum + bit * (q // 2)) % q
+
+
+def lwe_encrypt_bits(samples, bits, params: LweParams, rng: Random) -> list[int]:
+    """lwe_encrypt_bit of every bit in turn, in one call: the flat list of
+    each bit's n + 1 ciphertext values, a then b, each reduced mod q.
+
+    The RNG stream is taken exactly as len(bits) calls of lwe_encrypt_bit
+    take it.  Each bit sums the next group of m subset draws that is not
+    all zero, so one draws call takes every bit's group up front, in
+    stream order, and each all-zero group skipped is made up by one more
+    group drawn at the end.  Each sample is one int whose lanes hold
+    a_0 .. a_(n-1) and b, every lane wide enough for m values below q
+    plus floor(q/2): a subset sum is one big-int add per chosen sample,
+    and only the finished lanes are reduced mod q.
+    """
+    if not set(bits) <= {0, 1}:
+        raise ValueError("bit must be 0 or 1")
+    n, q, m = params.n, params.q, params.m
+    if len(samples) != m:
+        raise LengthMismatch(f"{len(samples)} samples != m={m}")
+    if any(len(s.a) != n for s in samples):
+        raise LengthMismatch(f"a sample's a is not {n} long")
+    half = q // 2
+    bound = m * (q - 1) + half
+    lane = next((lane for lane in _LANES if bound >> (8 * lane[0]) == 0), None)
+    if lane is None:
+        raise TooLarge(f"lane sums up to {bound} do not fit 64 bits")
+    size, code = lane
+    packed = []
+    for s in samples:
+        acc = 0
+        for x in (*s.a, s.b):
+            acc = acc << (8 * size) | x % q
+        packed.append(acc)
+    takes = draws(rng, 2, len(bits) * m)
+    sums = []
+    start = 0
+    for bit in bits:
+        group = takes[start : start + m]
+        start += m
+        while not any(group):
+            takes += draws(rng, 2, m)
+            group = takes[start : start + m]
+            start += m
+        # b is the lowest lane, so the bit's shift adds to it alone
+        sums.append(sum(itertools.compress(packed, group), half * bit))
+    data = b"".join([v.to_bytes(size * (n + 1), "big") for v in sums])
+    return [v % q for v in struct.unpack(f">{len(sums) * (n + 1)}{code}", data)]
 
 
 def lwe_decrypt_bit(secret, ct, params: LweParams) -> int:

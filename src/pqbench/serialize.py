@@ -3,11 +3,17 @@
 Everything that crosses a module boundary as bytes uses the same framing:
 each field is a 4-byte big-endian length followed by the raw bytes, fields
 concatenated in declaration order.  Lengths must fit 32 bits.
+
+A vector whose elements all have one width (a list of digests, say) has
+its own codec, pack_vector and unpack_vector.  It writes the same bytes
+as pack and reads what unpack reads, but handles the whole vector at
+once rather than one element per loop step.
 """
 
 import struct
+from functools import lru_cache
 
-from .errors import PqbenchError
+from .errors import LengthMismatch, PqbenchError
 
 U32_MAX = 2**32 - 1
 _U32 = struct.Struct(">I")
@@ -69,6 +75,36 @@ def unpack(data: bytes, count: int | None = None) -> list[bytes]:
     if count is not None and len(chunks) != count:
         raise MalformedFrame(f"expected {count} chunks, found {len(chunks)}")
     return chunks
+
+
+def pack_vector(items, width: int) -> bytes:
+    """pack(*items) for items that are all width bytes long, from one join;
+    an element of another width raises LengthMismatch."""
+    if not set(map(len, items)) <= {width}:
+        raise LengthMismatch(f"vector elements must be {width} bytes")
+    prefix = u32(width)
+    return prefix + prefix.join(items) if items else b""
+
+
+@lru_cache(maxsize=64)
+def _vector_struct(width: int, count: int) -> struct.Struct:
+    return struct.Struct(">" + f"I{width}s" * count)
+
+
+def unpack_vector(data: bytes, width: int, count: int | None = None) -> list[bytes]:
+    """unpack(data, count) for a vector of width-byte elements, parsed with
+    one struct call.  Any other input, including a chunk of another width,
+    raises MalformedFrame."""
+    records, rest = divmod(len(data), 4 + width)
+    if rest:
+        raise MalformedFrame(f"{len(data)} bytes are not whole {width}-byte elements")
+    if count is not None and records != count:
+        raise MalformedFrame(f"expected {count} elements, found {records}")
+    fields = _vector_struct(width, records).unpack(data)
+    # a chunk is bytes, so count(width) finds the length prefixes alone
+    if fields.count(width) != records:
+        raise MalformedFrame(f"an element's length prefix is not {width}")
+    return list(fields[1::2])
 
 
 def pack_bits(bits) -> bytes:

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import struct
 from functools import partial
+from operator import mul
 from random import Random
 
 from . import codecrypt, hashsig, lattice, mq, sigma
-from .errors import DecodeFailure, PqbenchError
+from .errors import DecodeFailure, LengthMismatch, PqbenchError
 from .hashing import DEFAULT_HASH, HashFunction
 from .kex import (
     MAIN_CURVE,
@@ -40,7 +41,7 @@ from .kex import (
     ecdh_kem,
     kem_from_encryption,
 )
-from .serialize import MalformedFrame, pack, unpack
+from .serialize import MalformedFrame, pack, pack_vector, unpack, unpack_vector
 
 LWE_PARAMS = lattice.guaranteed_params(n=4, q=521, m=8, b=10)
 LWE_SCALAR_BITS = LWE_PARAMS.q.bit_length()  # one ciphertext field
@@ -79,29 +80,49 @@ def _lwe_parse_pk(pk: bytes) -> list[lattice.LweSample]:
     return samples
 
 
-def _lwe_encrypt_bit(samples: list[lattice.LweSample], bit: int, rng: Random) -> int:
-    a, b = lattice.lwe_encrypt_bit(samples, bit, LWE_PARAMS, rng)
-    acc = 0
-    for x in (*a, b):
-        acc = (acc << LWE_SCALAR_BITS) | x
-    return acc
+def _lwe_encryptor(pk: bytes):
+    """encrypt_bits for one public key: lattice.lwe_encrypt_bits, with each
+    bit's n + 1 values packed into one block of LWE_SCALAR_BITS fields."""
+    samples = _lwe_parse_pk(pk)
+    fields, width = LWE_PARAMS.n + 1, LWE_SCALAR_BITS
+
+    def encrypt_bits(bits: list[int], rng: Random) -> list[int]:
+        values = lattice.lwe_encrypt_bits(samples, bits, LWE_PARAMS, rng)
+        blocks = []
+        for start in range(0, len(values), fields):
+            acc = 0
+            for x in values[start : start + fields]:
+                acc = (acc << width) | x
+            blocks.append(acc)
+        return blocks
+
+    return encrypt_bits
 
 
-def _lwe_decrypt_bit(secret: tuple[int, ...], block: int) -> int:
-    w = LWE_SCALAR_BITS
-    mask = (1 << w) - 1
-    vals = [(block >> (w * i)) & mask for i in reversed(range(LWE_PARAMS.n + 1))]
-    if max(vals) >= LWE_PARAMS.q:
-        raise MalformedFrame(f"LWE ciphertext value {max(vals)} is not below q={LWE_PARAMS.q}")
-    return lattice.lwe_decrypt_bit(secret, (vals[:-1], vals[-1]), LWE_PARAMS)
+def _lwe_decrypt_bits(secret: tuple[int, ...], blocks: list[int]) -> list[int]:
+    """lattice.lwe_decrypt_bit of each block's fields, inline: a bit is 1
+    when b - <secret, a> mod q lies at least q/4 from zero."""
+    q, width = LWE_PARAMS.q, LWE_SCALAR_BITS
+    mask = (1 << width) - 1
+    shifts = [width * i for i in reversed(range(LWE_PARAMS.n + 1))]
+    low, high = q / 4, q - q / 4
+    bits = []
+    for block in blocks:
+        vals = [(block >> shift) & mask for shift in shifts]
+        if max(vals) >= q:
+            raise MalformedFrame(f"LWE ciphertext value {max(vals)} is not below q={q}")
+        # secret has n values, so map stops before b, the last field
+        d = (vals[-1] - sum(map(mul, secret, vals))) % q
+        bits.append(1 if low <= d <= high else 0)
+    return bits
 
 
 def lwe_kem(h: HashFunction = DEFAULT_HASH) -> KemInstance:
     return kem_from_encryption(
         "lwe-toy",
         _lwe_keygen,
-        lambda pk: partial(_lwe_encrypt_bit, _lwe_parse_pk(pk)),
-        _lwe_decrypt_bit,
+        _lwe_encryptor,
+        _lwe_decrypt_bits,
         KEM_SECRET_BITS,
         ciphertext_bits=(LWE_PARAMS.n + 1) * LWE_SCALAR_BITS,
         h=h,
@@ -120,11 +141,14 @@ def _mceliece_parse_pk(pk: bytes) -> codecrypt.McEliecePublicKey:
     return codecrypt.McEliecePublicKey(*codecrypt.deserialize_code_matrix(pk))
 
 
-def _mceliece_decrypt_bit(sk: codecrypt.McEliecePrivateKey, block: int) -> int:
-    m = codecrypt.mceliece_decrypt(sk, block)
-    if m >> 1:
-        raise DecodeFailure(f"plaintext {m} is not a single bit")
-    return m
+def _mceliece_decrypt_bits(sk: codecrypt.McEliecePrivateKey, blocks: list[int]) -> list[int]:
+    bits = []
+    for block in blocks:
+        m = codecrypt.mceliece_decrypt(sk, block)
+        if m >> 1:
+            raise DecodeFailure(f"plaintext {m} is not a single bit")
+        bits.append(m)
+    return bits
 
 
 def mceliece_kem(h: HashFunction = DEFAULT_HASH) -> KemInstance:
@@ -132,8 +156,8 @@ def mceliece_kem(h: HashFunction = DEFAULT_HASH) -> KemInstance:
     return kem_from_encryption(
         "mceliece-toy",
         _mceliece_keygen,
-        lambda pk: partial(codecrypt.mceliece_encrypt, _mceliece_parse_pk(pk)),
-        _mceliece_decrypt_bit,
+        lambda pk: partial(codecrypt.mceliece_encrypt_bits, _mceliece_parse_pk(pk)),
+        _mceliece_decrypt_bits,
         KEM_SECRET_BITS,
         ciphertext_bits=7,
         h=h,
@@ -155,8 +179,8 @@ def identity_stub_kem(h: HashFunction = DEFAULT_HASH) -> KemInstance:
     return kem_from_encryption(
         "stub-kem",
         lambda rng: (b"", b""),
-        lambda pk: lambda bit, rng: bit,
-        lambda sk, block: block,
+        lambda pk: lambda bits, rng: bits,
+        lambda sk, blocks: blocks,
         KEM_SECRET_BITS,
         ciphertext_bits=1,
         h=h,
@@ -253,42 +277,62 @@ def sized_stub_sig(name: str, public_bytes: int, signature_bytes: int,
 # --- hash-based signers ---
 
 
+def _require_secret_width(name: str, h: HashFunction) -> None:
+    """The hash-based signers frame every key, signature and bundle as
+    vectors of SECRET_BYTES elements, digests included, so they take only
+    a hash of that output length."""
+    if h.output_bytes != hashsig.SECRET_BYTES:
+        raise LengthMismatch(
+            f"{name} needs a {hashsig.SECRET_BYTES}-byte hash, {h.name} gives {h.output_bytes}"
+        )
+
+
 def lamport_sig(h: HashFunction = DEFAULT_HASH) -> SigInstance:
+    _require_secret_width("lamport", h)
+    width = hashsig.SECRET_BYTES
+
     def derive(seed: bytes):
         kp = hashsig.lamport_keygen(OTS_MSG_BITS, h, _seed_rng(h, b"lamport", seed))
-        return pack(pack(*kp.public[0]), pack(*kp.public[1])), kp
+        return pack(pack_vector(kp.public[0], width), pack_vector(kp.public[1], width)), kp
 
     def sign(kp, seed: bytes, msg: bytes):
         bits = hashsig.message_bits(h, msg, OTS_MSG_BITS)
-        return pack(*hashsig.lamport_sign(kp, bits))
+        return pack_vector(hashsig.lamport_sign(kp, bits), width)
 
     def verify(public: bytes, msg: bytes, signature: bytes):
-        list0, list1 = (unpack(half) for half in unpack(public, 2))
+        list0, list1 = (unpack_vector(half, width, OTS_MSG_BITS) for half in unpack(public, 2))
+        sig = unpack_vector(signature, width, OTS_MSG_BITS)
         bits = hashsig.message_bits(h, msg, OTS_MSG_BITS)
-        return hashsig.lamport_verify((list0, list1), bits, unpack(signature), h)
+        return hashsig.lamport_verify((list0, list1), bits, sig, h)
 
     return _seeded_sig("lamport", derive, sign, verify)
 
 
 def wots_sig(h: HashFunction = DEFAULT_HASH) -> SigInstance:
+    _require_secret_width("wots", h)
     params = hashsig.WotsParams(w=4, msg_bits=OTS_MSG_BITS)
+    width, chunks = hashsig.SECRET_BYTES, params.total_chunks
 
     def derive(seed: bytes):
         sk, public = hashsig.wots_keygen(params, h, _seed_rng(h, b"wots", seed))
-        return pack(*public), sk
+        return pack_vector(public, width), sk
 
     def sign(sk, seed: bytes, msg: bytes):
         bits = hashsig.message_bits(h, msg, params.msg_bits)
-        return pack(*hashsig.wots_sign(params, sk, bits, h))
+        return pack_vector(hashsig.wots_sign(params, sk, bits, h), width)
 
     def verify(public: bytes, msg: bytes, signature: bytes):
+        public_list = unpack_vector(public, width, chunks)
+        sig = unpack_vector(signature, width, chunks)
         bits = hashsig.message_bits(h, msg, params.msg_bits)
-        return hashsig.wots_verify(params, unpack(public), bits, unpack(signature), h)
+        return hashsig.wots_verify(params, public_list, bits, sig, h)
 
     return _seeded_sig("wots", derive, sign, verify)
 
 
 def mss_sig(h: HashFunction = DEFAULT_HASH) -> SigInstance:
+    _require_secret_width("mss", h)
+
     def derive(seed: bytes):
         signer = hashsig.MssSigner(
             MSS_LEAVES, OTS_MSG_BITS, h, _seed_rng(h, b"mss", seed), stateless=True
@@ -299,12 +343,7 @@ def mss_sig(h: HashFunction = DEFAULT_HASH) -> SigInstance:
         return hashsig.serialize_mss_signature(signer.sign(msg))
 
     def verify(public: bytes, msg: bytes, signature: bytes):
-        sig = hashsig.deserialize_mss_signature(signature)
-        # the bundle's own list lengths would set the message width and the
-        # proof depth, and so how much is hashed before it can be refused
-        widths = {len(sig.ots_signature), *map(len, sig.ots_public)}
-        if widths != {OTS_MSG_BITS} or len(sig.proof.siblings) != MSS_DEPTH:
-            return False
+        sig = hashsig.deserialize_mss_signature(signature, OTS_MSG_BITS, MSS_DEPTH)
         return hashsig.mss_verify(public, msg, sig, h)
 
     return _seeded_sig("mss", derive, sign, verify)

@@ -12,11 +12,13 @@ from pqbench.codecrypt import (
     hamming_weight,
     mceliece_decrypt,
     mceliece_encrypt,
+    mceliece_encrypt_bits,
     mceliece_keygen,
     random_error,
     serialize_code_matrix,
 )
 from pqbench.errors import DimensionMismatch, TooLarge
+from pqbench.kex import draws
 from pqbench.serialize import MalformedFrame
 from pqbench.suites import builtin_kems
 
@@ -200,3 +202,35 @@ def test_matrix_deserialization_rejects_t_beyond_n():
     assert deserialize_code_matrix(serialize_code_matrix(pk.matrix, pk.matrix.cols))[1] == 7
     with pytest.raises(MalformedFrame):
         deserialize_code_matrix(serialize_code_matrix(pk.matrix, pk.matrix.cols + 1))
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_one_draw_is_what_sample_takes_for_one_position(n):
+    # mceliece_encrypt_bits draws every t = 1 error at once on this
+    for seed in range(20):
+        ours, theirs = Random(seed), Random(seed)
+        assert draws(ours, n, 1) == theirs.sample(range(n), 1)
+        assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("t", [0, 1, 2])
+def test_encrypt_bits_equals_one_call_per_bit(t):
+    code = hamming_code(3)
+    for seed in range(20):
+        rng = Random(seed)
+        public, secret = mceliece_keygen(code, rng)
+        public.t = t
+        bits = [rng.randrange(2) for _ in range(33)]
+        reference = Random()
+        reference.setstate(rng.getstate())
+        got = mceliece_encrypt_bits(public, bits, rng)
+        assert got == [mceliece_encrypt(public, bit, reference) for bit in bits]
+        assert rng.getstate() == reference.getstate()
+        if t <= 1:
+            assert [mceliece_decrypt(secret, c) for c in got] == bits
+
+
+def test_encrypt_bits_takes_single_bits_only():
+    public, _ = mceliece_keygen(hamming_code(3), Random(6))
+    with pytest.raises(DimensionMismatch):
+        mceliece_encrypt_bits(public, [1, 2], Random(6))

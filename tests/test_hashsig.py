@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from pqbench.errors import LengthMismatch
 from pqbench.hashing import PQH
 from pqbench.serialize import pack, unpack
-from pqbench.suites import builtin_sigs
+from pqbench.suites import MSS_DEPTH, OTS_MSG_BITS, builtin_sigs
 from pqbench.hashsig import (
     SECRET_BYTES,
     IndexOutOfRange,
@@ -377,7 +377,7 @@ def test_mss_bundle_roundtrips_through_bytes():
         msg = b"bundle %d" % i
         sig = signer.sign(msg)
         blob = serialize_mss_signature(sig)
-        back = deserialize_mss_signature(blob)
+        back = deserialize_mss_signature(blob, 16, 3)
         assert back.leaf_index == sig.leaf_index
         assert back.ots_signature == sig.ots_signature
         assert back.ots_public == sig.ots_public
@@ -390,15 +390,15 @@ def test_mss_bundle_rejects_garbage():
     signer = MssSigner(4, 16, H, Random(30))
     blob = serialize_mss_signature(signer.sign(b"x"))
     with pytest.raises(InvalidBundle):
-        deserialize_mss_signature(blob[:-3])
+        deserialize_mss_signature(blob[:-3], 16, 2)
     with pytest.raises(InvalidBundle):
-        deserialize_mss_signature(b"")
+        deserialize_mss_signature(b"", 16, 2)
     with pytest.raises(InvalidBundle):
-        deserialize_mss_signature(bytes(200))
+        deserialize_mss_signature(bytes(200), 16, 2)
     # flip a side flag to something that is not 0 or 1
     bad = blob[:-1] + bytes([7])
     with pytest.raises(InvalidBundle):
-        deserialize_mss_signature(bad)
+        deserialize_mss_signature(bad, 16, 2)
 
 
 def _repacked_mss_signature(index_field) -> tuple[bytes, bytes, bytes]:
@@ -417,11 +417,11 @@ def _repacked_mss_signature(index_field) -> tuple[bytes, bytes, bytes]:
 def test_mss_bundle_index_fields_take_exactly_four_bytes(width):
     pk, msg, blob = _repacked_mss_signature(lambda i: i.to_bytes(width, "big"))
     with pytest.raises(InvalidBundle, match="index fields must be 4 bytes"):
-        deserialize_mss_signature(blob)
+        deserialize_mss_signature(blob, OTS_MSG_BITS, MSS_DEPTH)
     assert not builtin_sigs(H)["mss"].verify(pk, msg, blob)
 
 
 def test_mss_bundle_index_beyond_32_bits_is_invalid_bundle():
     _, _, blob = _repacked_mss_signature(lambda i: (i + 2**32).to_bytes(5, "big"))
     with pytest.raises(InvalidBundle, match="index fields must be 4 bytes"):
-        deserialize_mss_signature(blob)
+        deserialize_mss_signature(blob, OTS_MSG_BITS, MSS_DEPTH)

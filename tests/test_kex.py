@@ -189,13 +189,13 @@ def test_ecdh_kem_rejects_off_curve_inputs():
 
 
 def _identity_kem(secret_bits=16):
-    # the 'encryption' returns the bit itself, so the ciphertext IS the
-    # packed plaintext bit string
+    # the 'encryption' returns the bits themselves, so the ciphertext IS
+    # the packed plaintext bit string
     return kem_from_encryption(
         "identity",
         lambda rng: (b"pk", b"sk"),
-        lambda pk: lambda bit, rng: bit,
-        lambda sk, block: block,
+        lambda pk: lambda bits, rng: bits,
+        lambda sk, blocks: blocks,
         secret_bits,
         ciphertext_bits=1,
         h=H,
@@ -218,12 +218,13 @@ def test_adapter_packs_blocks_msb_first():
     # 3-bit blocks: record the order encrypt sees bits, then check layout
     seen = []
 
-    def enc(bit, rng):
-        seen.append(bit)
-        return (0b100 | bit)  # distinctive high bit in every block
+    def enc(bits, rng):
+        seen.extend(bits)
+        return [0b100 | bit for bit in bits]  # distinctive high bit in every block
 
     kem = kem_from_encryption(
-        "blocky", lambda rng: (b"", b""), lambda pk: enc, lambda sk, block: block & 1,
+        "blocky", lambda rng: (b"", b""), lambda pk: enc,
+        lambda sk, blocks: [block & 1 for block in blocks],
         5, ciphertext_bits=3, h=H,
     )
     ct, ss = kem.encaps(b"", Random(10))
@@ -236,8 +237,8 @@ def test_adapter_packs_blocks_msb_first():
 
 def test_adapter_rejects_wide_blocks_and_bad_lengths():
     kem = kem_from_encryption(
-        "wide", lambda rng: (b"", b""), lambda pk: lambda bit, rng: 2, lambda sk, block: block,
-        4, ciphertext_bits=1, h=H,
+        "wide", lambda rng: (b"", b""), lambda pk: lambda bits, rng: [2] * len(bits),
+        lambda sk, blocks: blocks, 4, ciphertext_bits=1, h=H,
     )
     with pytest.raises(DecapsFailure):
         kem.encaps(b"", Random(11))
@@ -247,19 +248,19 @@ def test_adapter_rejects_wide_blocks_and_bad_lengths():
 
 
 def test_adapter_decrypt_errors_become_decaps_failure():
-    def bad_dec(sk, block):
+    def bad_dec(sk, blocks):
         raise TooLarge("nope")
 
     kem = kem_from_encryption(
-        "failing", lambda rng: (b"", b""), lambda pk: lambda bit, rng: bit, bad_dec,
+        "failing", lambda rng: (b"", b""), lambda pk: lambda bits, rng: bits, bad_dec,
         8, ciphertext_bits=1, h=H,
     )
     ct, _ = kem.encaps(b"", Random(12))
     with pytest.raises(DecapsFailure):
         kem.decaps(b"", ct)
     kem2 = kem_from_encryption(
-        "nonbit", lambda rng: (b"", b""), lambda pk: lambda bit, rng: bit,
-        lambda sk, block: 7, 8, ciphertext_bits=3, h=H,
+        "nonbit", lambda rng: (b"", b""), lambda pk: lambda bits, rng: bits,
+        lambda sk, blocks: [7] * len(blocks), 8, ciphertext_bits=3, h=H,
     )
     ct2, _ = kem2.encaps(b"", Random(13))
     with pytest.raises(DecapsFailure):

@@ -29,6 +29,8 @@ KEEP = {
     "kex.enumerate_points": "checks the MAIN_ORDER that ecdh-toy runs on",
     "kex.point_order": "checks the MAIN_ORDER that ecdh-toy runs on",
     "kex.ecdh_exchange": "criterion 3 runs ECDH through it",
+    "lattice.lwe_encrypt_bit": "the per-bit reference lwe_encrypt_bits and lwe-toy are checked against",
+    "lattice.lwe_decrypt_bit": "the per-bit reference lwe-toy's inline decryption is checked against",
     "lattice.sis_brute_force": "a brute-force oracle (criterion 4)",
     "lattice.svp_brute_force": "a brute-force oracle (criterion 4)",
     "mq.brute_force_preimages": "a brute-force oracle (criterion 4)",

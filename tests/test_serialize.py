@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pqbench import serialize
+from pqbench.errors import LengthMismatch
 from pqbench.serialize import LengthOverflow, MalformedFrame
 
 
@@ -69,15 +70,51 @@ frames = st.one_of(
 )
 
 
-@given(frames, st.none() | st.integers(0, 6))
-def test_unpack_agrees_with_a_reference_parser(data, count):
+@given(frames, st.none() | st.integers(0, 6), st.integers(0, 8))
+def test_unpack_agrees_with_a_reference_parser(data, count, width):
     try:
         want = reference_unpack(data, count)
     except MalformedFrame:
         with pytest.raises(MalformedFrame):
             serialize.unpack(data, count)
+        with pytest.raises(MalformedFrame):
+            serialize.unpack_vector(data, width, count)
+        return
+    assert serialize.unpack(data, count) == want
+    # the vector codec reads the same chunks where every one has its
+    # width, and refuses everything else
+    if all(len(chunk) == width for chunk in want):
+        assert serialize.unpack_vector(data, width, count) == want
     else:
-        assert serialize.unpack(data, count) == want
+        with pytest.raises(MalformedFrame):
+            serialize.unpack_vector(data, width, count)
+
+
+@given(st.integers(0, 40).flatmap(
+    lambda width: st.lists(st.binary(min_size=width, max_size=width), max_size=8)
+    .map(lambda items: (width, items))))
+def test_pack_vector_equals_pack_of_its_elements(vector):
+    width, items = vector
+    assert serialize.pack_vector(items, width) == serialize.pack(*items)
+    assert serialize.unpack_vector(serialize.pack(*items), width, len(items)) == items
+
+
+@pytest.mark.parametrize("items", [[b"ab", b"abc"], [b"abc", b"ab"], [b""], [bytes(3), bytes(2)]])
+def test_pack_vector_refuses_an_element_of_another_width(items):
+    with pytest.raises(LengthMismatch, match="vector elements must be 2 bytes"):
+        serialize.pack_vector(items, 2)
+
+
+@pytest.mark.parametrize("data,width,count,message", [
+    (b"\x00\x00", 2, None, "2 bytes are not whole 2-byte elements"),
+    (serialize.pack(b"xy", b"zw"), 2, 3, "expected 3 elements, found 2"),
+    (serialize.pack(b"xyz", b"w"), 0, None, "an element's length prefix is not 0"),
+    (serialize.pack(b"xyz", b"w"), 2, None, "an element's length prefix is not 2"),
+])
+def test_unpack_vector_names_its_cause(data, width, count, message):
+    with pytest.raises(MalformedFrame) as e:
+        serialize.unpack_vector(data, width, count)
+    assert str(e.value) == message
 
 
 def test_pack_of_a_length_beyond_32_bits_overflows():

@@ -7,8 +7,8 @@ from random import Random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from pqbench import codecrypt, lattice, suites
-from pqbench.errors import PqbenchError
+from pqbench import codecrypt, hashsig, lattice, suites
+from pqbench.errors import LengthMismatch, PqbenchError
 from pqbench.hashing import DEFAULT_HASH, PQH, HashFunction
 from pqbench.kex import DecapsFailure, draws
 from pqbench.serialize import pack, pack_bits, u32, unpack
@@ -17,8 +17,10 @@ from pqbench.suites import (
     builtin_kems,
     builtin_sigs,
     lamport_sig,
+    mss_sig,
     sized_stub_kem,
     sized_stub_sig,
+    wots_sig,
 )
 from pqbench.tlssim import SuiteConfig, pinned_issuer, run_handshake
 
@@ -210,6 +212,109 @@ def test_lwe_kem_matches_pinned_ciphertexts():
 def test_mceliece_kem_matches_pinned_ciphertexts():
     assert_pinned_encapsulations(
         "mceliece-toy", "3011481897ee876cb7d40cd777d5c1d4035bc9d229d2fb72e151c007dea285a6")
+
+
+# seeds whose lwe-toy encapsulation draws an all-zero subset for some bit
+# and redraws it (seed 70 three times), so the equivalence below covers the
+# vector kernel's top-up draws
+LWE_RETRY_SEEDS = (0, 7, 9, 26, 33, 44, 47, 48, 56, 59, 61, 68, 70, 76, 77, 123, 128,
+                   130, 136, 146, 148, 151, 166, 168, 181, 182, 185, 187, 188, 193, 199)
+
+
+@pytest.mark.parametrize("name", ["lwe-toy", "mceliece-toy"])
+def test_vector_kernels_take_the_per_bit_stream(monkeypatch, name):
+    subset_draws = []
+    original = lattice.draws
+    kem = builtin_kems()[name]
+    retries = []
+    for seed in range(200):
+        rng = Random(seed)
+        pk, sk = kem.keypair(rng)
+        reference = Random()
+        reference.setstate(rng.getstate())
+        ct, ss = kem.encaps(pk, rng)
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice, "draws",
+                          lambda r, n, count: subset_draws.append(count) or original(r, n, count))
+            subset_draws.clear()
+            assert (ct, ss) == reference_encaps(name, pk, reference, DEFAULT_HASH)
+        assert rng.getstate() == reference.getstate()
+        if len(subset_draws) > suites.KEM_SECRET_BITS:
+            retries.append(seed)
+    assert tuple(retries) == (LWE_RETRY_SEEDS if name == "lwe-toy" else ())
+
+
+@pytest.mark.parametrize("t", [0, 2])
+def test_mceliece_keys_with_another_error_weight_keep_the_per_bit_stream(t):
+    # t is read off the wire; only t = 1 takes the one-call error draw
+    kem = builtin_kems()["mceliece-toy"]
+    for seed in range(20):
+        rng = Random(seed)
+        pk, _ = kem.keypair(rng)
+        matrix, _ = codecrypt.deserialize_code_matrix(pk)
+        crafted = codecrypt.serialize_code_matrix(matrix, t)
+        reference = Random()
+        reference.setstate(rng.getstate())
+        assert kem.encaps(crafted, rng) == reference_encaps("mceliece-toy", crafted, reference,
+                                                            DEFAULT_HASH)
+        assert rng.getstate() == reference.getstate()
+
+
+def reference_decaps(name, secret, ciphertext, h):
+    """decaps of lwe-toy or mceliece-toy one block at a time through the
+    per-bit references, with the adapter's DecapsFailure messages."""
+    if name == "lwe-toy":
+        q, field = suites.LWE_PARAMS.q, suites.LWE_SCALAR_BITS
+        width = (suites.LWE_PARAMS.n + 1) * field
+
+        def decrypt_bit(block):
+            vals = [(block >> (field * i)) & ((1 << field) - 1)
+                    for i in reversed(range(suites.LWE_PARAMS.n + 1))]
+            if max(vals) >= q:
+                raise DecapsFailure(
+                    f"{name}: LWE ciphertext value {max(vals)} is not below q={q}")
+            return lattice.lwe_decrypt_bit(secret, (vals[:-1], vals[-1]), suites.LWE_PARAMS)
+    else:
+        width = secret.code.n
+
+        def decrypt_bit(block):
+            m = codecrypt.mceliece_decrypt(secret, block)
+            if m >> 1:
+                raise DecapsFailure(f"{name}: plaintext {m} is not a single bit")
+            return m
+
+    total = suites.KEM_SECRET_BITS * width
+    acc = int.from_bytes(ciphertext, "big") >> (-total % 8)
+    bits = [decrypt_bit((acc >> (width * i)) & ((1 << width) - 1))
+            for i in reversed(range(suites.KEM_SECRET_BITS))]
+    return h(pack_bits(bits))
+
+
+@pytest.mark.parametrize("name", ["lwe-toy", "mceliece-toy"])
+def test_tampered_ciphertexts_decapsulate_as_the_per_bit_reference(name):
+    kem = builtin_kems()[name]
+    rng = Random(58)
+    outcomes = set()
+    for _ in range(10):
+        pk, sk = kem.keypair(rng)
+        ct, _ = kem.encaps(pk, rng)
+        for _ in range(60):
+            tampered = bytearray(ct)
+            for _ in range(rng.randrange(1, 4)):
+                tampered[rng.randrange(len(ct))] ^= 1 << rng.randrange(8)
+            if rng.randrange(4) == 0:
+                tampered = bytearray(rng.randbytes(len(ct)))
+            try:
+                want = reference_decaps(name, sk, bytes(tampered), DEFAULT_HASH)
+            except DecapsFailure as e:
+                with pytest.raises(DecapsFailure) as got:
+                    kem.decaps(sk, bytes(tampered))
+                assert str(got.value) == str(e)
+                outcomes.add("refused")
+            else:
+                assert kem.decaps(sk, bytes(tampered)) == want
+                outcomes.add("decapsulated")
+    assert outcomes == {"refused", "decapsulated"}
 
 
 def test_lwe_decaps_rejects_a_field_not_below_q():
@@ -454,6 +559,44 @@ def test_mss_verify_refuses_another_shape_before_hashing(reshape, size):
     counting.lengths.clear()
     assert not sig.verify(pk, b"m", pack(*fields))
     assert counting.lengths == []
+
+
+def test_mss_bundle_of_another_shape_is_refused_before_any_hash():
+    # the library path, not only the suites adapter: a bundle is parsed at
+    # the shape the verifier asks for, so a 4,096-entry bundle never
+    # reaches mss_verify
+    counting = CountingHash()
+    sig = builtin_sigs(counting.h)["mss"]
+    pk, sk = sig.keypair(Random(59))
+    fields = unpack(sig.sign(sk, b"m"), 7)
+    _widen_one_time_lists(fields, 4096)
+    counting.lengths.clear()
+    with pytest.raises(hashsig.InvalidBundle, match="expected 32 elements, found 4096"):
+        bundle = hashsig.deserialize_mss_signature(pack(*fields), suites.OTS_MSG_BITS,
+                                                   suites.MSS_DEPTH)
+        hashsig.mss_verify(pk, b"m", bundle, counting.h)
+    assert counting.lengths == []
+
+
+def test_lamport_verify_refuses_a_wide_element_before_any_hash():
+    counting = CountingHash()
+    kp = hashsig.lamport_keygen(suites.OTS_MSG_BITS, counting.h, Random(60))
+    bits = hashsig.message_bits(counting.h, b"m", suites.OTS_MSG_BITS)
+    sig = hashsig.lamport_sign(kp, bits)
+    assert hashsig.lamport_verify(kp.public, bits, sig, counting.h)
+    sig[5] = bytes(1 << 20)
+    counting.lengths.clear()
+    assert not hashsig.lamport_verify(kp.public, bits, sig, counting.h)
+    assert counting.lengths == []
+
+
+@pytest.mark.parametrize("factory", [lamport_sig, wots_sig, mss_sig])
+def test_hash_based_signers_refuse_a_hash_of_another_width(factory):
+    # their keys and signatures are vectors of 32-byte elements, digests
+    # included
+    short = HashFunction("blake2b-128", 16, lambda data: DEFAULT_HASH(data)[:16])
+    with pytest.raises(LengthMismatch, match="needs a 32-byte hash, blake2b-128 gives 16"):
+        factory(short)
 
 
 def test_stub_kem_decaps_hashes_once():
