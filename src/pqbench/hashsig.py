@@ -30,6 +30,8 @@ from .hashing import HashFunction
 from .serialize import MalformedFrame, pack, pack_vector, u32, unpack, unpack_vector
 
 SECRET_BYTES = 32
+# binary digit characters to bit values, for bytes.translate
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class NotPowerOfTwo(PqbenchError):
@@ -53,7 +55,9 @@ def message_bits(h: HashFunction, msg: bytes, nbits: int) -> list[int]:
     digest = h(msg)
     while 8 * len(digest) < nbits:
         digest += h(digest)
-    return [(digest[i // 8] >> (7 - i % 8)) & 1 for i in range(nbits)]
+    # the digest as a binary numeral, one character per bit, first bit first
+    numeral = format(int.from_bytes(digest, "big"), f"0{8 * len(digest)}b")
+    return list(numeral[:nbits].encode().translate(_DIGIT_VALUES))
 
 
 def _secrets(rng: Random, k: int) -> list[bytes]:
@@ -67,7 +71,7 @@ def _secrets(rng: Random, k: int) -> list[bytes]:
 def _check_bits(bits, nbits):
     if len(bits) != nbits:
         raise LengthMismatch(f"expected {nbits} bits, got {len(bits)}")
-    if any(b not in (0, 1) for b in bits):
+    if not set(bits) <= {0, 1}:
         raise LengthMismatch("bits must be 0 or 1")
 
 
@@ -104,7 +108,7 @@ def lamport_verify(public, bits, sig, h: HashFunction) -> bool:
     list0, list1 = public
     if not len(bits) == len(sig) == len(list0) == len(list1):
         return False
-    if any(b not in (0, 1) for b in bits) or not set(map(len, sig)) <= {SECRET_BYTES}:
+    if not set(bits) <= {0, 1} or not set(map(len, sig)) <= {SECRET_BYTES}:
         return False
     pub = (list0, list1)
     return h.each(sig) == [pub[b][i] for i, b in enumerate(bits)]

@@ -20,6 +20,7 @@ and hashing the bit string into the shared secret.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from random import Random
 from typing import Any, Callable
 
@@ -28,6 +29,9 @@ from .hashing import HashFunction
 from .serialize import pack_bits
 
 ENUMERATION_MAX_Q = 10_000
+# draws takes a batch of words while at least this many values are still
+# needed; a batch costs about as much as this many one-value draws
+_BATCH_MIN = 12
 
 
 class PointNotOnCurve(PqbenchError):
@@ -45,19 +49,46 @@ def is_prime(n: int) -> bool:
 def draws(rng: Random, n: int, count: int) -> list[int]:
     """count values of rng.randrange(n), taken from the stream exactly as
     randrange takes them: getrandbits(n.bit_length()), redrawn while the
-    value is not below n.  randint(a, b) is a + draws(rng, b - a + 1, 1)[0]."""
+    value is not below n.  randint(a, b) is a + draws(rng, b - a + 1, 1)[0].
+
+    For n below 256, whole batches are drawn at once.  getrandbits(k) with
+    k <= 32 takes one 32-bit word of the generator and keeps its top k
+    bits, and getrandbits(32 * w) gives the next w words, the first in the
+    lowest 32 bits.  So a batch of w words, as many as draws are still
+    needed, is w draws in a row: each word's top byte, shifted, is the
+    value, and translate drops the ones not below n.  A batch never takes
+    a word past the last one the value-by-value loop takes, since it can
+    keep no more values than it has words."""
     if n < 1:
         raise ValueError(f"empty range: n = {n}")
+    out = []
+    if n < 256:
+        table, rejected = _top_byte_filter(n)
+        batch = b""
+        while count - len(batch) >= _BATCH_MIN:
+            need = count - len(batch)
+            words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+            batch += words[3::4].translate(table, rejected)
+        out = list(batch)
     k = n.bit_length()
     getrandbits = rng.getrandbits
-    out = []
     append = out.append
-    for _ in range(count):
+    for _ in range(count - len(out)):
         r = getrandbits(k)
         while r >= n:
             r = getrandbits(k)
         append(r)
     return out
+
+
+@cache
+def _top_byte_filter(n: int) -> tuple[bytes, bytes]:
+    """(table, rejected) for bytes.translate: a word's top byte maps to its
+    top n.bit_length() bits, and the bytes whose value is not below n are
+    deleted."""
+    shift = 8 - n.bit_length()
+    table = bytes(b >> shift for b in range(256))
+    return table, bytes(b for b in range(256) if b >> shift >= n)
 
 
 @dataclass(frozen=True)

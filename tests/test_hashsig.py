@@ -51,6 +51,16 @@ def test_hash_chain_composes_property(x, a, b):
     assert hash_chain(H, hash_chain(H, x, a), b) == hash_chain(H, x, a + b)
 
 
+@given(st.binary(max_size=16), st.integers(0, 600))
+def test_message_bits_reads_the_digest_first_bit_first(msg, nbits):
+    digest = H(msg)
+    while 8 * len(digest) < nbits:
+        digest += H(digest)
+    want = [(digest[i // 8] >> (7 - i % 8)) & 1 for i in range(nbits)]
+    got = message_bits(H, msg, nbits)
+    assert got == want and all(type(bit) is int for bit in got)
+
+
 # --- Lamport ---
 
 

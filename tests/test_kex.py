@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from pqbench import kex
 from pqbench.errors import TooLarge
 from pqbench.hashing import PQH
 from pqbench.kex import (
@@ -45,6 +46,18 @@ def test_draws_match_randrange_value_for_value(n):
         for count in (0, 1, 5, 3000):
             assert draws(ours, n, count) == [theirs.randrange(n) for _ in range(count)]
             assert ours.getstate() == theirs.getstate()
+
+
+def test_batched_draws_match_randrange_for_every_small_range():
+    # ranges below 256 draw whole batches of words while at least
+    # _BATCH_MIN values are still needed, then one value at a time: both
+    # sides of the switch, and of n = 256, take randrange's stream
+    for n in range(1, 300):
+        for seed in range(2):
+            ours, theirs = Random(seed), Random(seed)
+            for count in (kex._BATCH_MIN - 1, kex._BATCH_MIN, kex._BATCH_MIN + 1, 64):
+                assert draws(ours, n, count) == [theirs.randrange(n) for _ in range(count)]
+                assert ours.getstate() == theirs.getstate()
 
 
 def test_draws_give_randint_by_offset():
