@@ -16,7 +16,6 @@ results can be checked against ground truth.
 from __future__ import annotations
 
 import itertools
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -26,8 +25,6 @@ from .errors import DimensionMismatch, LengthMismatch, PqbenchError, TooLarge
 from .kex import draws, is_prime
 
 SIS_MAX_M = 18
-# (bytes, struct code) of the lanes lwe_encrypt_bits sums its samples in
-_LANES = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
 SVP_MAX_DIM = 4
 SVP_MAX_BOUND = 10
 
@@ -154,16 +151,12 @@ def lwe_encrypt_bits(samples, bits, params: LweParams, rng: Random) -> list[int]
     if any(len(s.a) != n for s in samples):
         raise LengthMismatch(f"a sample's a is not {n} long")
     half = q // 2
-    bound = m * (q - 1) + half
-    lane = next((lane for lane in _LANES if bound >> (8 * lane[0]) == 0), None)
-    if lane is None:
-        raise TooLarge(f"lane sums up to {bound} do not fit 64 bits")
-    size, code = lane
+    lane = (m * (q - 1) + half).bit_length()
     packed = []
     for s in samples:
         acc = 0
         for x in (*s.a, s.b):
-            acc = acc << (8 * size) | x % q
+            acc = acc << lane | x % q
         packed.append(acc)
     takes = draws(rng, 2, len(bits) * m)
     sums = []
@@ -177,8 +170,9 @@ def lwe_encrypt_bits(samples, bits, params: LweParams, rng: Random) -> list[int]
             start += m
         # b is the lowest lane, so the bit's shift adds to it alone
         sums.append(sum(itertools.compress(packed, group), half * bit))
-    data = b"".join([v.to_bytes(size * (n + 1), "big") for v in sums])
-    return [v % q for v in struct.unpack(f">{len(sums) * (n + 1)}{code}", data)]
+    mask = (1 << lane) - 1
+    shifts = [lane * i for i in reversed(range(n + 1))]
+    return [(v >> shift & mask) % q for v in sums for shift in shifts]
 
 
 def lwe_decrypt_bit(secret, ct, params: LweParams) -> int:

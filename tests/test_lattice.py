@@ -103,18 +103,13 @@ def test_encrypt_refuses_a_sample_of_the_wrong_width():
         lwe_encrypt_bit(short, 1, params, Random(4), subset=[0, 1])
 
 
-# (params, lane bytes): sums of m values below q plus floor(q/2) take the
-# narrowest lane that holds them
-LANE_PARAMS = [
-    (LweParams(n=2, q=17, m=4, b=0), 1),
-    (guaranteed_params(n=4, q=521, m=8, b=10), 2),
-    (guaranteed_params(n=3, q=65537, m=12, b=100), 4),
-    (LweParams(n=1, q=5, m=1, b=0), 1),
-]
-
-
-@pytest.mark.parametrize("params,lane", LANE_PARAMS, ids=lambda p: str(p))
-def test_encrypt_bits_equals_one_call_per_bit(params, lane):
+@pytest.mark.parametrize("params", [
+    LweParams(n=1, q=5, m=1, b=0),
+    LweParams(n=2, q=17, m=4, b=0),
+    guaranteed_params(n=4, q=521, m=8, b=10),
+    guaranteed_params(n=3, q=65537, m=12, b=100),
+], ids=str)
+def test_encrypt_bits_equals_one_call_per_bit(params):
     for seed in range(40):
         rng = Random(seed)
         kp = lwe_keygen(params, rng)
@@ -126,8 +121,6 @@ def test_encrypt_bits_equals_one_call_per_bit(params, lane):
                 for a, b in [lwe_encrypt_bit(kp.samples, bit, params, reference)] for x in (*a, b)]
         assert got == want
         assert rng.getstate() == reference.getstate()
-    bound = params.m * (params.q - 1) + params.q // 2
-    assert bound < 1 << (8 * lane) and (lane == 1 or bound >= 1 << (4 * lane))
 
 
 def test_encrypt_bits_checks_what_the_per_bit_call_checks():
@@ -140,13 +133,6 @@ def test_encrypt_bits_checks_what_the_per_bit_call_checks():
     short = [kp.samples[0], type(kp.samples[0])((7,), 7)]
     with pytest.raises(LengthMismatch):
         lwe_encrypt_bits(short, [1], params, Random(5))
-    # a modulus too wide for 64-bit lanes; LweParams would spend minutes
-    # proving such a q prime, so the check is skipped here
-    wide = object.__new__(LweParams)
-    for name, value in {"n": 2, "q": 2**62, "m": 4, "b": 0}.items():
-        object.__setattr__(wide, name, value)
-    with pytest.raises(TooLarge, match="do not fit 64 bits"):
-        lwe_encrypt_bits(kp.samples[:1] * 4, [1], wide, Random(5))
 
 
 def test_halfway_point_decrypts_to_one():
