@@ -51,18 +51,19 @@ def draws(rng: Random, n: int, count: int) -> list[int]:
     randrange takes them: getrandbits(n.bit_length()), redrawn while the
     value is not below n.  randint(a, b) is a + draws(rng, b - a + 1, 1)[0].
 
-    For n below 256, whole batches are drawn at once.  getrandbits(k) with
-    k <= 32 takes one 32-bit word of the generator and keeps its top k
-    bits, and getrandbits(32 * w) gives the next w words, the first in the
-    lowest 32 bits.  So a batch of w words, as many as draws are still
-    needed, is w draws in a row: each word's top byte, shifted, is the
-    value, and translate drops the ones not below n.  A batch never takes
-    a word past the last one the value-by-value loop takes, since it can
-    keep no more values than it has words."""
+    For n below 256, while at least _BATCH_MIN values are still needed,
+    whole batches are drawn at once.  getrandbits(k) with k <= 32 takes
+    one 32-bit word of the generator and keeps its top k bits, and
+    getrandbits(32 * w) gives the next w words, the first in the lowest 32
+    bits.  So a batch of w words, as many as values are still needed, is w
+    draws in a row: each word's top byte, shifted, is the value, and
+    translate drops the ones not below n.  A batch never takes a word past
+    the last one the value-by-value loop takes, since it can keep no more
+    values than it has words."""
     if n < 1:
         raise ValueError(f"empty range: n = {n}")
     out = []
-    if n < 256:
+    if count >= _BATCH_MIN and n < 256:
         table, rejected = _top_byte_filter(n)
         batch = b""
         while count - len(batch) >= _BATCH_MIN:
