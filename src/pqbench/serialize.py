@@ -86,9 +86,13 @@ def pack_vector(items, width: int) -> bytes:
     return prefix + prefix.join(items) if items else b""
 
 
-@lru_cache(maxsize=64)
-def _vector_struct(width: int, count: int) -> struct.Struct:
-    return struct.Struct(">" + f"I{width}s" * count)
+def _vector_layout(width: int, records: int) -> struct.Struct:
+    return struct.Struct(">" + f"I{width}s" * records)
+
+
+# layouts of the fixed shapes callers name by count; an uncounted parse
+# builds its own, so arbitrary input cannot fill the cache with big layouts
+_counted_layout = lru_cache(maxsize=64)(_vector_layout)
 
 
 def unpack_vector(data: bytes, width: int, count: int | None = None) -> list[bytes]:
@@ -100,7 +104,8 @@ def unpack_vector(data: bytes, width: int, count: int | None = None) -> list[byt
         raise MalformedFrame(f"{len(data)} bytes are not whole {width}-byte elements")
     if count is not None and records != count:
         raise MalformedFrame(f"expected {count} elements, found {records}")
-    fields = _vector_struct(width, records).unpack(data)
+    layout = _vector_layout if count is None else _counted_layout
+    fields = layout(width, records).unpack(data)
     # a chunk is bytes, so count(width) finds the length prefixes alone
     if fields.count(width) != records:
         raise MalformedFrame(f"an element's length prefix is not {width}")
