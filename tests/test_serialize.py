@@ -148,3 +148,13 @@ def test_bit_packing_roundtrip_property(bits):
     # oracle: the bits read as one binary numeral, zero-filled to whole bytes
     numeral = int("0" + "".join(map(str, bits)), 2) << (-len(bits) % 8)
     assert serialize.pack_bits(bits) == numeral.to_bytes((len(bits) + 7) // 8, "big")
+
+
+@given(st.lists(st.integers(0, 255) | st.booleans(), max_size=40))
+def test_bit_packing_reads_each_value_by_its_truth(values):
+    # the per-bit loop pack_bits ran: a value sets its bit when it is true
+    out = bytearray((len(values) + 7) // 8)
+    for i, value in enumerate(values):
+        if value:
+            out[i // 8] |= 0x80 >> (i % 8)
+    assert serialize.pack_bits(values) == bytes(out)

@@ -7,7 +7,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from pqbench import codecrypt, hashsig, lattice, suites
+from pqbench import codecrypt, hashsig, kex, lattice, suites
 from pqbench.errors import LengthMismatch, PqbenchError
 from pqbench.hashing import DEFAULT_HASH, PQH, HashFunction
 from pqbench.kex import DecapsFailure, draws
@@ -212,6 +212,49 @@ def test_lwe_kem_matches_pinned_ciphertexts():
 def test_mceliece_kem_matches_pinned_ciphertexts():
     assert_pinned_encapsulations(
         "mceliece-toy", "3011481897ee876cb7d40cd777d5c1d4035bc9d229d2fb72e151c007dea285a6")
+
+
+def reference_scalar_mul(k, p, curve):
+    """k p by double-and-add through kex.point_add, which checks both
+    operands on every call."""
+    acc, addend = kex.INFINITY, p
+    while k:
+        if k & 1:
+            acc = kex.point_add(acc, addend, curve)
+        addend = kex.point_add(addend, addend, curve)
+        k >>= 1
+    return acc
+
+
+def reference_ecdh_encaps(public, rng, h):
+    """ecdh-toy encaps through reference_scalar_mul."""
+    point = kex.decode_point(public)
+    e = rng.randrange(1, kex.MAIN_ORDER)
+    ct = kex.encode_point(reference_scalar_mul(e, kex.MAIN_GEN, kex.MAIN_CURVE))
+    shared = reference_scalar_mul(e, point, kex.MAIN_CURVE)
+    return ct, h(shared.x.to_bytes(4, "big"))
+
+
+def test_ecdh_kem_matches_pinned_keys_and_encapsulations():
+    # keypair, two encapsulations and their decapsulations under each of
+    # 50 seeds, as one digest; each encapsulation also equals the
+    # point_add reference in output and in the RNG state it leaves
+    kem = builtin_kems(PQH)["ecdh-toy"]
+    digest = hashlib.sha256()
+    for seed in range(50):
+        rng = Random(seed)
+        pk, sk = kem.keypair(rng)
+        digest.update(pk)
+        for _ in range(2):
+            reference = Random()
+            reference.setstate(rng.getstate())
+            ct, ss = kem.encaps(pk, rng)
+            assert (ct, ss) == reference_ecdh_encaps(pk, reference, PQH)
+            assert rng.getstate() == reference.getstate()
+            assert kem.decaps(sk, ct) == ss
+            digest.update(ct + ss)
+    assert digest.hexdigest() == \
+        "16d4aca68717ce1463c2e13361c7739ef16977a1a2bda6269ad230f2703639ea"
 
 
 # seeds whose lwe-toy encapsulation draws an all-zero subset for some bit

@@ -2,6 +2,7 @@
 failure modes, byte accounting, and the registry-sized stub suites."""
 
 import dataclasses
+import hashlib
 import socket
 import sys
 import threading
@@ -459,40 +460,50 @@ def test_both_drivers_give_the_same_handshake(label):
 
 
 # the eight tcp-light-suites suites under the default hash: message sizes
-# in wire order and client key digest under Random(0), pinned so a faster
-# uov or lwe-toy must give the same keys, signatures and ciphertexts
+# in wire order, client read/write and client key digest under Random(0),
+# then one SHA-256 over the client key digests under Random(1) .. Random(20);
+# pinned so faster toy schemes must give the same keys, signatures and
+# ciphertexts
 TCP_LIGHT_HANDSHAKES = {
     "ecdh-toy+uov": (
-        (38, 34, 5, 95, 11, 37, 37),
+        (38, 34, 5, 95, 11, 37, 37), 182, 75,
         "9a61b29ac5aca877d2668b1bcbfec0b480d7a51184f744368fb498a68780da7f",
+        "f707b61a294dc2a67ccce1e5d6a75fcfa17317308384a62bb3a7348bf5dfb417",
     ),
     "lwe-toy+uov": (
-        (140, 224, 5, 95, 11, 37, 37),
+        (140, 224, 5, 95, 11, 37, 37), 372, 177,
         "7333d82a8fabf565de609ed227677ef63430dafbed9ec9692b2aa7a742ac9862",
+        "3982be3692c9e11f4a37f0ede4012102b659fb697b1d83a40d3b4301b3579aed",
     ),
     "mceliece-toy+uov": (
-        (49, 57, 5, 95, 11, 37, 37),
+        (49, 57, 5, 95, 11, 37, 37), 205, 86,
         "14bd317abf0e235c08143ce905be6c3c413d9d29f5c8845de5e657b5f6beba0a",
+        "0f818df8cc8e3c07bdb8f7e9dfa58af10b0ca681eb6ea23bdacb75d2b9d0ab9b",
     ),
     "stub-kem+uov": (
-        (29, 29, 5, 95, 11, 37, 37),
+        (29, 29, 5, 95, 11, 37, 37), 177, 66,
         "adbc392a35e8df4b6d7979d471c62cf8caaa94326c9d2df4a11b38101043336c",
+        "a2963e30880fed5bd31d11e199090b65070b196215de61ecb7cecbd7eb705630",
     ),
     "ecdh-toy+fs-dlog": (
-        (42, 38, 5, 66, 29, 37, 37),
+        (42, 38, 5, 66, 29, 37, 37), 175, 79,
         "86863f13f103a24b55900dc6b4a18c3e8b8934dc768391cbf1422cc7ae8fa809",
+        "cc55ebb5b1c8af94eb1e607f9a2a66ff0628a7ea4bb474bf52ed25830797c66b",
     ),
     "lwe-toy+fs-dlog": (
-        (144, 228, 5, 66, 29, 37, 37),
+        (144, 228, 5, 66, 29, 37, 37), 365, 181,
         "628ff162d780bed8a6f6e0c2b8def9a99965ee9509dd4b0503fbd096d9d0134e",
+        "0129028a478d6156333e63836f5aaeb3d4ff56c47c418bf175eea4fa6b1fab34",
     ),
     "mceliece-toy+fs-dlog": (
-        (53, 61, 5, 66, 29, 37, 37),
+        (53, 61, 5, 66, 29, 37, 37), 198, 90,
         "722b1d1a048a6f6b27c304567e357fd758d6c2e23674b44ddc308b5e67d8368e",
+        "7847f5ad9afc952b5bb34764d9fe4deda6d18a9ec2bfb3e32267033053e7dcba",
     ),
     "stub-kem+fs-dlog": (
-        (33, 33, 5, 66, 29, 37, 37),
+        (33, 33, 5, 66, 29, 37, 37), 170, 70,
         "04b6d55f00f8ad05885270ba495c19466a0fedfd128e8ca10d41a0b68b6038b5",
+        "8f4e1041acc20a6d3e36d0a8e7a5a08dbff3f6f43036b22937875c756abcdb08",
     ),
 }
 
@@ -501,12 +512,19 @@ TCP_LIGHT_HANDSHAKES = {
 def test_tcp_light_suites_match_pinned_handshakes(label):
     kem_name, sig_name = label.split("+")
     cfg = SuiteConfig(builtin_kems(H)[kem_name], builtin_sigs(H)[sig_name], H, label)
-    sizes, digest = TCP_LIGHT_HANDSHAKES[label]
+    sizes, read, write, digest, seeded = TCP_LIGHT_HANDSHAKES[label]
     for transport in (None, tcp_pair()):
         t = run_handshake(cfg, cfg, transport, rng=Random(0))
         assert t.messages == tuple(zip(MESSAGE_ORDER, sizes))
+        assert (t.client_read_bytes, t.client_write_bytes) == (read, write)
         assert t.client_key_digest.hex() == digest
         assert t.server_key_digest == t.client_key_digest
+    keys = hashlib.sha256()
+    for seed in range(1, 21):
+        t = run_handshake(cfg, cfg, rng=Random(seed))
+        assert t.server_key_digest == t.client_key_digest
+        keys.update(t.client_key_digest)
+    assert keys.hexdigest() == seeded
 
 
 def test_in_process_handshake_starts_no_thread_and_opens_no_socket(monkeypatch):
