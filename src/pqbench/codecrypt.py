@@ -14,6 +14,7 @@ check the algebraic one against and caps its own search space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from random import Random
 from typing import Callable
 
@@ -60,9 +61,18 @@ class LinearCode:
     def encode(self, m: int) -> int:
         return self.generator.vec_mul(m)
 
+    @cached_property
+    def decode_table(self) -> bytes:
+        """decoder(w) for every n-bit word w, as a bytes.translate table:
+        built once per code, for one whose words and messages fit a byte
+        and whose decoder takes every word."""
+        return bytes(map(self.decoder, range(1 << self.n))).ljust(256, b"\0")
 
+
+@cache
 def hamming_code(r: int) -> LinearCode:
-    """The [2^r - 1, 2^r - 1 - r] single-error-correcting code.
+    """The [2^r - 1, 2^r - 1 - r] single-error-correcting code, built once
+    per r.
 
     Built in systematic form G = [I_k | A]: the first k coordinates carry
     the message.  The parity-check columns enumerate every nonzero r-bit
@@ -187,6 +197,37 @@ def mceliece_decrypt(sk: McEliecePrivateKey, c: int) -> int:
     w = permute_word(c, sk.perm_inverse)
     ms = sk.code.decoder(w)  # DecodeFailure propagates
     return sk.s_inverse.vec_mul(ms)
+
+
+def mceliece_decrypt_words(sk: McEliecePrivateKey, words):
+    """mceliece_decrypt of every word in turn, in one call.
+
+    For a code whose words and messages fit a byte (n and k at most 8),
+    the messages come back as bytes, and each step runs on every word at
+    once, the words read as one int with byte i holding word i.
+    Unpermuting is bit-sliced: bit j of every word is one mask away and
+    moves to bit perm_inverse[j] with one shift.  Decoding is one
+    bytes.translate through the code's decode_table.  Unscrambling is
+    bit-sliced too: message bit j of every word, times row j of S^-1
+    (below 2^k, so no byte carries), puts that row in every byte whose bit
+    is set, and the rows XOR together.  A wider code goes word by word.
+    """
+    n, k = sk.code.n, sk.code.k
+    if max(words, default=0) >> n:
+        raise DecodeFailure(f"word has bits beyond coordinate {n - 1}")
+    if n > 8 or k > 8:
+        return [mceliece_decrypt(sk, word) for word in words]
+    size = len(words)
+    low = int.from_bytes(b"\1" * size, "big")  # bit 0 of every byte
+    received = int.from_bytes(bytes(words), "big")
+    unpermuted = 0
+    for j, target in enumerate(sk.perm_inverse):
+        unpermuted |= (received >> j & low) << target
+    decoded = int.from_bytes(unpermuted.to_bytes(size, "big").translate(sk.code.decode_table), "big")
+    messages = 0
+    for j, row in enumerate(sk.s_inverse.data):
+        messages ^= (decoded >> j & low) * row
+    return messages.to_bytes(size, "big")
 
 
 def serialize_code_matrix(matrix: BinaryMatrix, t: int) -> bytes:

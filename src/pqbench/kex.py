@@ -13,8 +13,8 @@ signatures and shared secrets are bytes; a secret key is never sent, so
 it stays opaque, in whatever form keypair built it.  Any scheme in the
 package can be wrapped into these shapes; the kem_from_encryption
 adapter does it generically for bit-oriented public-key encryption by
-encrypting the whole secret bit vector in one call, one block per bit,
-and hashing the bit string into the shared secret.
+encrypting the whole secret bit vector in one call, one block per bit
+read as one numeral, and hashing the bit string into the shared secret.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from random import Random
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from .errors import PqbenchError, TooLarge
 from .hashing import HashFunction
@@ -123,14 +123,20 @@ INFINITY = Point(None, None)
 
 
 def on_curve(p: Point, curve: CurveParams) -> bool:
+    """True for the identity and for a point of the curve whose coordinates
+    are canonical, in [0, q): x + q names the same field element as x, but
+    it is not an encoding of a curve point."""
     if p.is_infinity:
         return True
-    return (p.y * p.y - (p.x**3 + curve.a * p.x + curve.b)) % curve.q == 0
+    q = curve.q
+    return (0 <= p.x < q and 0 <= p.y < q
+            and (p.y * p.y - (p.x**3 + curve.a * p.x + curve.b)) % q == 0)
 
 
 def _require_on_curve(p: Point, curve: CurveParams) -> None:
     if not on_curve(p, curve):
-        raise PointNotOnCurve(f"({p.x}, {p.y}) not on y^2 = x^3 + {curve.a}x + {curve.b} mod {curve.q}")
+        raise PointNotOnCurve(f"({p.x}, {p.y}) is not a point of y^2 = x^3 + {curve.a}x + "
+                              f"{curve.b} with coordinates in [0, {curve.q})")
 
 
 def point_add(p1: Point, p2: Point, curve: CurveParams) -> Point:
@@ -153,18 +159,42 @@ def point_add(p1: Point, p2: Point, curve: CurveParams) -> Point:
 
 
 def scalar_mul(k: int, p: Point, curve: CurveParams) -> Point:
-    """Double-and-add; k must be >= 0, k = 0 gives the identity."""
+    """k p by double-and-add; k must be >= 0, k = 0 gives the identity.
+
+    The input point is checked once.  The loop then runs on plain (x, y)
+    ints, with point_add's chord and tangent formulas inline and a None x
+    for the identity, and builds one Point at the end.  Every point it
+    meets is a multiple of the checked one, so none needs checking again.
+    """
     if k < 0:
         raise ValueError("scalar must be >= 0")
     _require_on_curve(p, curve)
-    acc = INFINITY
-    addend = p
-    while k:
+    q, a = curve.q, curve.a
+    x = y = None  # the sum so far
+    dx, dy = p.x, p.y  # the addend, 2^i p; None once it is the identity
+    while k and dx is not None:
         if k & 1:
-            acc = point_add(acc, addend, curve)
-        addend = point_add(addend, addend, curve)
+            if x is None:
+                x, y = dx, dy
+            elif x != dx:
+                slope = (dy - y) * pow(dx - x, -1, q) % q
+                x3 = (slope * slope - x - dx) % q
+                x, y = x3, (slope * (x - x3) - y) % q
+            elif (y + dy) % q == 0:
+                x = None
+            else:  # the sum equals the addend
+                slope = (3 * x * x + a) * pow(2 * y, -1, q) % q
+                x3 = (slope * slope - 2 * x) % q
+                x, y = x3, (slope * (x - x3) - y) % q
         k >>= 1
-    return acc
+        if k:
+            if dy == 0:
+                dx = None
+            else:
+                slope = (3 * dx * dx + a) * pow(2 * dy, -1, q) % q
+                x3 = (slope * slope - 2 * dx) % q
+                dx, dy = x3, (slope * (dx - x3) - dy) % q
+    return INFINITY if x is None else Point(x, y)
 
 
 def enumerate_points(curve: CurveParams) -> list[Point]:
@@ -314,8 +344,8 @@ def ecdh_kem(curve: CurveParams, gen: Point, order: int, h: HashFunction,
 def kem_from_encryption(
     name: str,
     keygen: Callable[[Random], tuple[bytes, Any]],
-    encryptor: Callable[[bytes], Callable[[list[int], Random], list[int]]],
-    decrypt_bits: Callable[[Any, list[int]], list[int]],
+    encryptor: Callable[[bytes], Callable[[list[int], Random], int]],
+    decrypt_bits: Callable[[Any, int], Sequence[int]],
     secret_bits: int,
     *,
     ciphertext_bits: int,
@@ -323,48 +353,40 @@ def kem_from_encryption(
 ) -> KemInstance:
     """Wrap bit-oriented public-key encryption as a KEM.
 
-    encryptor(public) reads a public key once and returns
-    encrypt_bits(bits, rng), which encrypts the whole secret bit vector in
-    one call and gives one block per bit, each an int of at most
-    ciphertext_bits bits.  The adapter draws the bits first, packs the
-    blocks contiguously (first bit's block in the most significant
-    position) and hashes the plaintext bit string into the shared secret.
-    decrypt_bits(secret, blocks) takes the secret as keygen returned it
-    and gives the bits back; a PqbenchError it raises, or a value that is
-    not a bit, is a DecapsFailure.
+    The ciphertext is one block of ciphertext_bits bits per secret bit,
+    read as one numeral: the first bit's block most significant, padded
+    with zero bits to whole bytes.  encryptor(public) reads a public key
+    once and returns encrypt_bits(bits, rng), which encrypts the whole
+    secret bit vector in one call and gives that numeral; one wider than
+    the blocks is a DecapsFailure.  decrypt_bits(secret, numeral) takes
+    the secret as keygen returned it and gives the bits back; a
+    PqbenchError it raises, or a value that is not a bit, is a
+    DecapsFailure.  The adapter draws the bits first and hashes the
+    plaintext bit string into the shared secret.
     """
     total_bits = secret_bits * ciphertext_bits
     ct_len = (total_bits + 7) // 8
     pad = 8 * ct_len - total_bits
-    mask = (1 << ciphertext_bits) - 1
-    shifts = [i * ciphertext_bits for i in reversed(range(secret_bits))]
 
     def encaps(public: bytes, rng: Random):
         encrypt_bits = encryptor(public)
         bits = draws(rng, 2, secret_bits)
-        blocks = encrypt_bits(bits, rng)
-        if len(blocks) != secret_bits:
-            raise DecapsFailure(f"{name}: {len(blocks)} blocks for {secret_bits} bits")
-        acc = 0
-        for block in blocks:
-            if block >> ciphertext_bits:
-                raise DecapsFailure(f"{name}: block wider than {ciphertext_bits} bits")
-            acc = (acc << ciphertext_bits) | block
-        return (acc << pad).to_bytes(ct_len, "big"), h(pack_bits(bits))
+        numeral = encrypt_bits(bits, rng)
+        if numeral >> total_bits:
+            raise DecapsFailure(f"{name}: ciphertext wider than {total_bits} bits")
+        return (numeral << pad).to_bytes(ct_len, "big"), h(pack_bits(bits))
 
     def decaps(secret, ciphertext: bytes):
         if len(ciphertext) != ct_len:
             raise DecapsFailure(f"{name}: ciphertext must be {ct_len} bytes")
-        acc = int.from_bytes(ciphertext, "big") >> pad
         try:
-            bits = decrypt_bits(secret, [(acc >> shift) & mask for shift in shifts])
+            bits = decrypt_bits(secret, int.from_bytes(ciphertext, "big") >> pad)
         except PqbenchError as e:
             raise DecapsFailure(f"{name}: {e}") from e
         if len(bits) != secret_bits:
             raise DecapsFailure(f"{name}: decryption returned {len(bits)} bits")
-        for bit in bits:
-            if bit not in (0, 1):
-                raise DecapsFailure(f"{name}: decryption returned {bit}")
+        if not set(bits) <= {0, 1}:
+            raise DecapsFailure(f"{name}: decryption returned {next(b for b in bits if b not in (0, 1))}")
         return h(pack_bits(bits))
 
     return KemInstance(name, keygen, encaps, decaps)

@@ -16,8 +16,10 @@ results can be checked against ground truth.
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from random import Random
 
@@ -130,49 +132,72 @@ def lwe_encrypt_bit(
     return a_sum, (b_sum + bit * (q // 2)) % q
 
 
-def lwe_encrypt_bits(samples, bits, params: LweParams, rng: Random) -> list[int]:
-    """lwe_encrypt_bit of every bit in turn, in one call: the flat list of
-    each bit's n + 1 ciphertext values, a then b, each reduced mod q.
+@lru_cache(maxsize=8)
+def sample_lanes(params: LweParams) -> struct.Struct:
+    """The lanes lwe_encrypt_bits reads a sample in: n + 1 big-endian
+    unsigned lanes, a_0 .. a_(n-1) then b, each of 2, 4 or 8 bytes, the
+    fewest whose top bit stays clear for a sum of m values below q plus
+    floor(q/2)."""
+    bound = params.m * (params.q - 1) + params.q // 2
+    code = next((c for c in "HIQ" if bound >> 8 * struct.calcsize(c) - 1 == 0), None)
+    if code is None:
+        raise TooLarge(f"m * q = {params.m * params.q} needs lanes wider than 64 bits")
+    return struct.Struct(f">{params.n + 1}{code}")
+
+
+def lwe_encrypt_bits(samples: list[int], bits, params: LweParams, rng: Random) -> int:
+    """lwe_encrypt_bit of every bit in turn, in one call: each bit's n + 1
+    ciphertext values, a then b, each reduced mod q, packed as each sample
+    is, and the bits' packings concatenated in bit order, read as one
+    big-endian int.
+
+    Each sample is packed into one int, the big-endian bytes
+    sample_lanes(params) packs its a and b to, every value below q.
 
     The RNG stream is taken exactly as len(bits) calls of lwe_encrypt_bit
     take it.  Each bit sums the next group of m subset draws that is not
     all zero, so one draws call takes every bit's group up front, in
-    stream order, and each all-zero group skipped is made up by one more
-    group drawn at the end.  Each sample is one int whose lanes hold
-    a_0 .. a_(n-1) and b, every lane wide enough for m values below q
-    plus floor(q/2): a subset sum is one big-int add per chosen sample,
-    and only the finished lanes are reduced mod q.
+    stream order, and each all-zero group is dropped and made up by one
+    more group drawn after the others.
+
+    The sums are one big-int sum.  Bit k's sum has its own slot of n + 1
+    lanes, and column i, a 1 in the lowest byte of slot k when bit k
+    takes sample i, times sample i puts that sample in every slot that
+    takes it.  Every lane is then reduced mod q at once, by restoring
+    division: for each j from high to low, q 2^j is taken off every lane
+    not below it, the lanes found by adding 2^(w-1) - q 2^j to all of them
+    and reading their top bits.
     """
     if not set(bits) <= {0, 1}:
         raise ValueError("bit must be 0 or 1")
     n, q, m = params.n, params.q, params.m
     if len(samples) != m:
         raise LengthMismatch(f"{len(samples)} samples != m={m}")
-    if any(len(s.a) != n for s in samples):
-        raise LengthMismatch(f"a sample's a is not {n} long")
+    lanes = sample_lanes(params)
+    if max(samples) >> 8 * lanes.size:
+        raise LengthMismatch(f"a sample is wider than its {n + 1} lanes")
+    takes = bytes(draws(rng, 2, len(bits) * m))
+    groups = [takes[i : i + m] for i in range(0, len(takes), m)]
+    empty = bytes(m)
+    while empty in groups:
+        groups = [group for group in groups if group != empty]
+        more = bytes(draws(rng, 2, (len(bits) - len(groups)) * m))
+        groups += [more[i : i + m] for i in range(0, len(more), m)]
+    chosen = b"".join(groups)  # row k: the samples bit k takes
+    slots = bytearray(lanes.size * len(bits))
+    columns = []
+    for i in range(m):
+        slots[lanes.size - 1 :: lanes.size] = chosen[i::m]
+        columns.append(int.from_bytes(slots, "big"))
+    slots[lanes.size - 1 :: lanes.size] = bytes(bits)
     half = q // 2
-    lane = (m * (q - 1) + half).bit_length()
-    packed = []
-    for s in samples:
-        acc = 0
-        for x in (*s.a, s.b):
-            acc = acc << lane | x % q
-        packed.append(acc)
-    takes = draws(rng, 2, len(bits) * m)
-    sums = []
-    start = 0
-    for bit in bits:
-        group = takes[start : start + m]
-        start += m
-        while not any(group):
-            takes += draws(rng, 2, m)
-            group = takes[start : start + m]
-            start += m
-        # b is the lowest lane, so the bit's shift adds to it alone
-        sums.append(sum(itertools.compress(packed, group), half * bit))
-    mask = (1 << lane) - 1
-    shifts = [lane * i for i in reversed(range(n + 1))]
-    return [(v >> shift & mask) % q for v in sums for shift in shifts]
+    total = sum(map(mul, samples, columns), half * int.from_bytes(slots, "big"))
+    width = 8 * lanes.size // (n + 1)
+    ones = int.from_bytes((bytes(width // 8 - 1) + b"\1") * (len(bits) * (n + 1)), "big")
+    for j in reversed(range(((m * (q - 1) + half) // q).bit_length())):
+        step = q << j
+        total -= step * ((total + ((1 << width - 1) - step) * ones) >> width - 1 & ones)
+    return total
 
 
 def lwe_decrypt_bit(secret, ct, params: LweParams) -> int:

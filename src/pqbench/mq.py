@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain, islice
-from operator import mul
+from functools import cached_property, lru_cache
+from itertools import chain, combinations_with_replacement, islice, starmap
+from operator import add, itemgetter, mul
 from random import Random
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, LengthMismatch, PqbenchError, TooLarge
 from .hashing import HashFunction
@@ -35,6 +36,14 @@ MAX_RETRIES = 100  # vinegar draws uov_sign tries before RetriesExhausted
 
 class RetriesExhausted(PqbenchError):
     """Signing kept drawing vinegar values that make the system singular."""
+
+
+def _built(cls, **fields):
+    """An instance of the frozen dataclass cls with its fields set as
+    given, without running its checks: for values built to pass them."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -89,8 +98,8 @@ class QuadPoly:
 
     @property
     def coefficients(self) -> tuple[int, ...]:
-        """Flat, in the order serialize_system writes them: const, linear,
-        then the upper triangle of quad row by row."""
+        """Flat, in the order a public key's bytes hold them: const,
+        linear, then the upper triangle of quad row by row."""
         return (self.const, *self.linear,
                 *chain.from_iterable(row[j:] for j, row in enumerate(self.quad)))
 
@@ -121,10 +130,8 @@ class MqSystem:
 def _evaluate(q: int, rows, x) -> tuple[int, ...]:
     """Each coefficient row, laid out as QuadPoly.coefficients, at x mod q:
     one monomial vector 1, x_0..x_{n-1}, x_j x_k (j <= k) serves them all."""
-    mono = [1, *x]
-    for j, xj in enumerate(x):
-        mono += [xj * xk for xk in x[j:]]
-    return tuple(sum(map(mul, row, mono)) % q for row in rows)
+    mono = [1, *x, *starmap(mul, combinations_with_replacement(x, 2))]
+    return tuple([sum(map(mul, row, mono)) % q for row in rows])
 
 
 def eval_system(system: MqSystem, x) -> tuple[int, ...]:
@@ -137,38 +144,42 @@ def eval_system(system: MqSystem, x) -> tuple[int, ...]:
 
 
 def _matrix_inverse(field: PrimeField, matrix):
-    """The inverse of a square matrix mod q, or None when it is singular.
+    """The inverse of a square matrix mod q, as a tuple of rows, or None
+    when it is singular.
 
-    Gauss-Jordan in place: column k of the identity that [A | I] would
-    carry is stored in A's column k once elimination has cleared it, so each
-    row operation spans n entries, not 2n.  The row swaps, undone as column
-    swaps in reverse order, give the inverse of A itself.
+    Gauss-Jordan on [A | I] with each row packed into one int, lane j of
+    width w holding column j, so a row operation is one big-int multiply
+    and add.  Rows are never reduced during elimination: the pivot row is
+    scaled by the pivot's inverse and every other row adds (q - f) times it,
+    where f is its own entry in the pivot column mod q, so every lane stays
+    nonnegative, grows at most (1 + (q - 1)^2)-fold per column, and only the
+    entries read are reduced.  w holds q (1 + (q - 1)^2)^n.
     """
     q = field.q
     n = len(matrix)
-    a = [list(row) for row in matrix]
-    swaps = []
+    bits = (q * (1 + (q - 1) ** 2) ** n).bit_length()
+    lane = (1 << bits) - 1
+    units = [1 << bits * j for j in range(n)]
+    rows = [sum(map(mul, map(q.__rmod__, row), units)) | 1 << bits * (n + i)
+            for i, row in enumerate(matrix)]
     for k in range(n):
-        pivot = next((r for r in range(k, n) if a[r][k] % q), None)
-        if pivot is None:
+        shift = bits * k
+        for r in range(k, n):
+            pivot = (rows[r] >> shift & lane) % q
+            if pivot:
+                break
+        else:
             return None
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            swaps.append((k, pivot))
-        row = a[k]
-        inv = field.inv(row[k])
-        row[k] = 1
-        top = a[k] = [c * inv % q for c in row]
+        top = rows[r] * field.inv(pivot)
+        rows[r] = rows[k]
+        rows[k] = top
         for i in range(n):
-            f = a[i][k]
-            if f and i != k:
-                row = a[i]
-                row[k] = 0
-                a[i] = [(c - f * t) % q for c, t in zip(row, top)]
-    for k, pivot in reversed(swaps):
-        for row in a:
-            row[k], row[pivot] = row[pivot], row[k]
-    return a
+            if i != k:
+                f = (rows[i] >> shift & lane) % q
+                if f:
+                    rows[i] += (q - f) * top
+    shifts = range(bits * n, 2 * bits * n, bits)
+    return tuple(tuple([(row >> shift & lane) % q for shift in shifts]) for row in rows)
 
 
 def solve_linear(field: PrimeField, matrix, rhs):
@@ -195,7 +206,7 @@ class AffineMap:
         inv = _matrix_inverse(self.field, self.matrix)
         if inv is None:
             raise ValueError("affine map matrix is singular")
-        object.__setattr__(self, "_inverse_matrix", tuple(tuple(r) for r in inv))
+        object.__setattr__(self, "_inverse_matrix", inv)
 
     @property
     def n(self) -> int:
@@ -223,84 +234,123 @@ def identity_map(field: PrimeField, n: int) -> AffineMap:
 
 
 def random_affine(field: PrimeField, n: int, rng: Random) -> AffineMap:
+    """x -> A x with A drawn row by row, entry by entry, until it is
+    invertible; a drawn A is square and reduced, so only its inverse is
+    computed, once, and AffineMap's checks are skipped."""
     while True:
         values = draws(rng, field.q, n * n)
         matrix = tuple(tuple(values[i * n:(i + 1) * n]) for i in range(n))
-        try:
-            return AffineMap(field, matrix, (0,) * n)
-        except ValueError:  # a singular draw
-            continue
+        inverse = _matrix_inverse(field, matrix)
+        if inverse is not None:
+            return _built(AffineMap, field=field, matrix=matrix, offset=(0,) * n,
+                          _inverse_matrix=inverse)
 
 
 # --- symbolic composition ---
 #
 # Substitution packs a vector of nonnegative ints into one int, entry k in
-# bits [64k, 64k + 64), so that adding or scaling whole vectors is one
+# lane k, bits [wk, wk + w), so that adding or scaling whole vectors is one
 # big-int operation: sum(map(mul, coefficients, packed_rows)) is a
 # vector-matrix product.  Entries are reduced mod q only once unpacked, and
-# _substitute bounds them below 2^64 until then.
+# _substitute_rows picks w so that none reaches 2^w until then.
 
 
-def _pack(values) -> int:
-    return int.from_bytes(struct.pack(f"<{len(values)}Q", *values), "little")
+class _Layout(NamedTuple):
+    """How _substitute_rows packs polynomials in n variables over F_q.
+
+    A substituted polynomial is one packed int: its constant in lane 0,
+    its linear coefficients in lanes 1 .. n, the full n x n table of its
+    quadratic form row by row from lane 1 + n, and one lane left zero.
+    Every entry stays below 3 n^2 q^3, which sets the lane width."""
+
+    bits: int  # lane width
+    square: struct.Struct  # n x n lanes
+    lanes: struct.Struct  # every lane of a substituted polynomial
+    transpose: itemgetter  # a flat n x n matrix's entries, column by column
+    spread_mask: int  # the table's lanes 1 + n + jn for every j
+    # the pairwise sums of what first and second pick from the lanes are
+    # the coefficients in QuadPoly.coefficients order: the constant, the
+    # linear terms, then for j <= k the table's (j, k) and (k, j) entries,
+    # once on the diagonal
+    first: itemgetter
+    second: itemgetter
 
 
-def _unpack(packed: int, count: int) -> tuple[int, ...]:
-    return struct.unpack(f"<{count}Q", packed.to_bytes(8 * count, "little"))
-
-
-def _substitute(p: QuadPoly, a, a_rows, b) -> list[int]:
-    """The coefficients of p(T(x)) in QuadPoly.coefficients order, each
-    reduced mod q, where T(x) = A x + b is given by A, A's packed rows and
-    b, all entries in [0, q).
-
-    With p(y) = c + L.y + y'Qy, the substituted polynomial is
-    (c + L.b + b'Qb) + (L + (Q + Q')b)'A x + x'(A'QA)x.  Only Q's nonzero
-    rows enter A'QA (a central map's oil rows are all zero), and b's terms
-    only when b is nonzero (it is zero in uov_keygen).  An entry of A'QA
-    sums n^2 products of three values below q, and an entry of grad'A n
-    products of a value below q and one below 3nq^2, so while n is below
-    10^6 no packed entry reaches 2^64.
-    """
-    n = len(b)
-    quad = p.quad
-    const, grad = p.const, p.linear  # grad: the gradient of p at b, L + (Q + Q')b
-    if any(b):
-        qb = [sum(map(mul, row, b)) for row in quad]
-        grad = [g + qb_k + sum(map(mul, col, b)) for g, qb_k, col in zip(grad, qb, zip(*quad))]
-        const += sum(map(mul, p.linear, b)) + sum(map(mul, b, qb))
-    live = [i for i, row in enumerate(quad) if any(row)]
-    qa = [sum(map(mul, quad[i], a_rows)) for i in live]  # QA's live rows
-    a_live = list(zip(*[a[i] for i in live])) or [()] * n  # A's live rows, by column
-    full = [_unpack(sum(map(mul, a_col, qa)), n) for a_col in a_live]  # A'QA by rows
-    coeffs = [const, *_unpack(sum(map(mul, grad, a_rows)), n)]
+@lru_cache(maxsize=8)
+def _substitution_layout(n: int, q: int) -> _Layout:
+    code = next((c for c in "HIQ" if 3 * n * n * q**3 < 1 << 8 * struct.calcsize(c)), None)
+    if code is None:
+        raise TooLarge(f"n = {n} over F_{q} needs lanes wider than 64 bits")
+    bits = 8 * struct.calcsize(code)
+    table = 1 + n
+    zero = table + n * n
+    first = [*range(table)]
+    second = [zero] * table
     for j in range(n):
-        row = full[j]
-        coeffs.append(row[j])
-        coeffs += [row[k] + full[k][j] for k in range(j + 1, n)]
-    return [c % p.q for c in coeffs]
+        first += [table + j * n + k for k in range(j, n)]
+        second += [zero, *(table + k * n + j for k in range(j + 1, n))]
+    return _Layout(
+        bits,
+        struct.Struct(f"<{n * n}{code}"),
+        struct.Struct(f"<{zero + 1}{code}"),
+        itemgetter(*(i * n + j for j in range(n) for i in range(n))),
+        sum(((1 << bits) - 1) << bits * (table + j * n) for j in range(n)),
+        itemgetter(*first),
+        itemgetter(*second),
+    )
+
+
+def _substitute_rows(central: MqSystem, t_map: AffineMap) -> list[bytes]:
+    """The coefficients of each central polynomial p composed with
+    T(x) = A x + b, as bytes in QuadPoly.coefficients order, reduced mod q.
+
+    With p(y) = c + L.y + y'Qy, p(T(x)) is (c + L.b + b'Qb) + (L + (Q + Q')b)'A x
+    + x'(A'QA)x, and b's terms enter only when b is nonzero (it is zero in
+    uov_keygen).  With a_i the rows of A and h_i = sum_l Q[i][l] a_l the rows
+    of QA, x'(A'QA)x is the sum over i of (a_i.x)(h_i.x).  Packed, the outer
+    product of a_i and h_i is one big-int product, a_i spread one entry
+    every n lanes times h_i packed densely, so one packed sum holds the
+    whole substituted polynomial (see _Layout).  A is packed twice, by rows
+    and by columns, and each dense or spread row is one shift and mask.
+    """
+    if t_map.n != central.n:
+        raise DimensionMismatch("map dimensions do not match the central system")
+    q, n = central.field.q, t_map.n
+    layout = _substitution_layout(n, q)
+    bits, lanes, first, second = layout.bits, layout.lanes, layout.first, layout.second
+    a = [x % q for row in t_map.matrix for x in row]
+    b = [x % q for x in t_map.offset]
+    by_rows = int.from_bytes(layout.square.pack(*a), "little")
+    row_mask = (1 << n * bits) - 1
+    dense = [by_rows >> shift & row_mask for shift in range(0, n * n * bits, n * bits)]
+    linear_rows = [row << bits for row in dense]  # lanes 1 .. n
+    # column j from lane 1 + n + jn on, so row i, shifted down i lanes, is spread
+    by_columns = int.from_bytes(layout.square.pack(*layout.transpose(a)), "little") << bits * (1 + n)
+    spread = [by_columns >> shift & layout.spread_mask for shift in range(0, n * bits, bits)]
+    rows = []
+    for p in central.polys:
+        quad = p.quad
+        const, grad = p.const, p.linear  # grad: the gradient of p at b, L + (Q + Q')b
+        if any(b):
+            qb = [sum(map(mul, row, b)) for row in quad]
+            grad = [g + qb_k + sum(map(mul, col, b)) for g, qb_k, col in zip(grad, qb, zip(*quad))]
+            const += sum(map(mul, p.linear, b)) + sum(map(mul, b, qb))
+        h = [sum(map(mul, row, dense)) for row in quad]  # QA's rows
+        packed = const + sum(map(mul, grad, linear_rows)) + sum(map(mul, spread, h))
+        values = lanes.unpack(packed.to_bytes(lanes.size, "little"))
+        rows.append(bytes([c % q for c in map(add, first(values), second(values))]))
+    return rows
 
 
 def _freeze(q: int, n: int, coeffs) -> QuadPoly:
-    """A QuadPoly from coefficients laid out as QuadPoly.coefficients."""
+    """A QuadPoly from coefficients laid out as QuadPoly.coefficients, each
+    in [0, q); such a layout passes QuadPoly's checks by construction."""
     quad = []
     pos = 1 + n
     for j in range(n):
         quad.append((0,) * j + tuple(coeffs[pos:pos + n - j]))
         pos += n - j
-    return QuadPoly(q, coeffs[0], tuple(coeffs[1:1 + n]), tuple(quad))
-
-
-def _substitute_system(central: MqSystem, t_map: AffineMap) -> MqSystem:
-    """central(T(x)) as an explicit quadratic system."""
-    if t_map.n != central.n:
-        raise DimensionMismatch("map dimensions do not match the central system")
-    q, n = central.field.q, t_map.n
-    a = [[x % q for x in row] for row in t_map.matrix]
-    a_rows = [_pack(row) for row in a]
-    b = [x % q for x in t_map.offset]
-    return MqSystem(central.field, tuple(_freeze(q, n, _substitute(p, a, a_rows, b))
-                                         for p in central.polys))
+    return _built(QuadPoly, q=q, const=coeffs[0], linear=tuple(coeffs[1:1 + n]), quad=tuple(quad))
 
 
 def compose_trapdoor(s_map: AffineMap, central: MqSystem, t_map: AffineMap) -> MqSystem:
@@ -311,12 +361,11 @@ def compose_trapdoor(s_map: AffineMap, central: MqSystem, t_map: AffineMap) -> M
     """
     if s_map.n != central.m:
         raise DimensionMismatch("map dimensions do not match the central system")
-    inner = _substitute_system(central, t_map)
+    inner = _substitute_rows(central, t_map)
     q, n = central.field.q, t_map.n
-    flat = [p.coefficients for p in inner.polys]
     outer = []
     for row, offset in zip(s_map.matrix, s_map.offset):
-        mixed = [sum(map(mul, row, column)) for column in zip(*flat)]
+        mixed = [sum(map(mul, row, column)) for column in zip(*inner)]
         mixed[0] += offset
         outer.append(_freeze(q, n, [c % q for c in mixed]))
     return MqSystem(central.field, tuple(outer))
@@ -372,7 +421,7 @@ class UovPrivateKey:
 
 @dataclass
 class UovKeypair:
-    public: MqSystem
+    public: bytes
     private: UovPrivateKey
 
 
@@ -398,12 +447,19 @@ def uov_keygen(params: UovParams, rng: Random) -> UovKeypair:
     """Central map composed with a secret change of variables.
 
     The published system is central(T(x)); no output mixing is applied on
-    top, the variable change alone hides the oil block.
+    top, the variable change alone hides the oil block.  The public key is
+    that system's bytes as uov_verify reads them: q, n and m as single
+    bytes, then each polynomial's coefficients in QuadPoly.coefficients
+    order.  An n the one-byte header cannot hold is refused before any
+    draw; m = o is below n.
     """
+    if params.n > 255:
+        raise TooLarge(f"n = {params.n} does not fit the public key's one-byte n field")
     central = random_central_map(params, rng)
     t_map = random_affine(central.field, params.n, rng)
-    public = _substitute_system(central, t_map)
-    return UovKeypair(public, UovPrivateKey(params, central, t_map))
+    header = bytes([params.q, params.n, params.o])
+    return UovKeypair(header + b"".join(_substitute_rows(central, t_map)),
+                      UovPrivateKey(params, central, t_map))
 
 
 def hash_to_vector(h: HashFunction, msg: bytes, count: int, q: int) -> tuple[int, ...]:
@@ -441,7 +497,7 @@ def uov_sign(sk: UovPrivateKey, msg: bytes, h: HashFunction, rng: Random) -> tup
 
 
 def uov_verify(public: bytes, msg: bytes, sig, h: HashFunction) -> bool:
-    """Check sig against a public key as serialize_system wrote it, by
+    """Check sig against a public key as uov_keygen wrote it, by
     evaluating the key's bytes directly.  A key that does not parse raises
     MalformedFrame, and a signature of the wrong length LengthMismatch."""
     q, n, m, per_poly = _system_header(public)
@@ -469,16 +525,7 @@ def brute_force_preimages(system: MqSystem, target) -> list[tuple[int, ...]]:
     ]
 
 
-# --- serialization (used by the uniform signature contract) ---
-
-
-def serialize_system(system: MqSystem) -> bytes:
-    """q, n, m as single bytes, then each polynomial's coefficients."""
-    for name, size in (("n", system.n), ("m", system.m)):
-        if size > 255:
-            raise TooLarge(f"{name} = {size} does not fit the system header's one-byte {name} field")
-    return bytes([system.field.q, system.n, system.m,
-                  *chain.from_iterable(p.coefficients for p in system.polys)])
+# --- public keys as bytes ---
 
 
 def _system_header(data: bytes) -> tuple[int, int, int, int]:

@@ -8,6 +8,10 @@ A vector whose elements all have one width (a list of digests, say) has
 its own codec, pack_vector and unpack_vector.  It writes the same bytes
 as pack and reads what unpack reads, but handles the whole vector at
 once rather than one element per loop step.
+
+Bit fields have a whole-vector codec too: join_fields closes up fields
+held in wider lanes of one int, split_fields spreads them out again, each
+in a few big-int steps however many fields there are.
 """
 
 import struct
@@ -112,10 +116,63 @@ def unpack_vector(data: bytes, width: int, count: int | None = None) -> list[byt
     return list(fields[1::2])
 
 
+# bytes.translate table: 0 becomes the digit "0", any other byte "1"
+_BIT_DIGITS = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)
+
+
 def pack_bits(bits) -> bytes:
-    """Pack a 0/1 sequence into bytes, first bit in the high bit of byte 0."""
-    out = bytearray((len(bits) + 7) // 8)
-    for i, b in enumerate(bits):
-        if b:
-            out[i // 8] |= 0x80 >> (i % 8)
-    return bytes(out)
+    """Pack a 0/1 sequence into bytes, first bit in the high bit of byte 0.
+
+    The bits are read as one binary numeral, in one pass: bytes(bits) is
+    translated to ASCII digits, which int() parses, and the numeral is
+    shifted to fill the last byte.  A byte value other than 0 or 1 packs
+    as 1, as any true value did in a per-bit loop."""
+    numeral = int(bytes(bits).translate(_BIT_DIGITS) or b"0", 2)
+    return (numeral << (-len(bits) % 8)).to_bytes((len(bits) + 7) // 8, "big")
+
+
+@lru_cache(maxsize=16)
+def _field_steps(count: int, width: int, stride: int):
+    """(lanes, steps) for join_fields: lanes selects the low width bits of
+    each of the count lanes, and steps holds (shift, keep, move) for each
+    step, in order.
+
+    Before step s, fields sit in groups of g = 2^s, each group g * width
+    bits wide, at a stride of g * stride bits.  The step pairs the groups
+    up: keep selects the even groups where they are, move selects the odd
+    ones once shifted down by g * (stride - width), next to their even
+    neighbour, and the pairs are then 2g * stride apart."""
+
+    def repeat(period, periods):  # a 1 at the start of each period
+        return ((1 << period * periods) - 1) // ((1 << period) - 1)
+
+    steps = []
+    g = 1
+    while g < count:
+        period = 2 * g * stride
+        low = (1 << g * width) - 1
+        ones = repeat(period, -(-count // (2 * g)))
+        steps.append((g * (stride - width), low * ones, (low << g * width) * ones))
+        g *= 2
+    return ((1 << width) - 1) * repeat(stride, count), steps
+
+
+def join_fields(numeral: int, count: int, width: int, stride: int) -> int:
+    """count fields of width bits, held stride >= width bits apart in
+    numeral (field 0 lowest), as one int with the fields width bits apart.
+    Bits of a lane beyond its field's width are dropped."""
+    lanes, steps = _field_steps(count, width, stride)
+    numeral &= lanes
+    for shift, keep, move in steps:
+        numeral = numeral & keep | numeral >> shift & move
+    return numeral
+
+
+def split_fields(numeral: int, count: int, width: int, stride: int) -> int:
+    """join_fields undone: count fields of width bits, width bits apart in
+    numeral (field 0 lowest), as one int with the fields stride bits apart.
+    Bits beyond the count fields are dropped."""
+    numeral &= (1 << width * count) - 1
+    for shift, keep, move in reversed(_field_steps(count, width, stride)[1]):
+        numeral = numeral & keep | (numeral & move) << shift
+    return numeral

@@ -24,8 +24,6 @@ input byte once, however many bytes it expands to.
 from __future__ import annotations
 
 import struct
-from functools import partial
-from operator import mul
 from random import Random
 
 from . import codecrypt, hashsig, lattice, mq, sigma
@@ -41,11 +39,21 @@ from .kex import (
     ecdh_kem,
     kem_from_encryption,
 )
-from .serialize import MalformedFrame, pack, pack_vector, unpack, unpack_vector
+from .serialize import (
+    MalformedFrame,
+    join_fields,
+    pack,
+    pack_vector,
+    split_fields,
+    unpack,
+    unpack_vector,
+)
 
 LWE_PARAMS = lattice.guaranteed_params(n=4, q=521, m=8, b=10)
 LWE_SCALAR_BITS = LWE_PARAMS.q.bit_length()  # one ciphertext field
-LWE_SAMPLE = struct.Struct(f">{LWE_PARAMS.n + 1}H")  # one public sample: a, then b
+# one public sample on the wire: a, then b, in the big-endian lanes
+# lattice.lwe_encrypt_bits reads, two bytes each for these parameters
+LWE_SAMPLE = lattice.sample_lanes(LWE_PARAMS)
 UOV_PARAMS = mq.UovParams(o=2, v=4, q=7)
 # safe prime: g = 4 generates the order-2003 subgroup, so forged or
 # cross-message challenges collide with probability 1/2003, not 1/17
@@ -68,53 +76,58 @@ def _lwe_keygen(rng: Random) -> tuple[bytes, tuple[int, ...]]:
     return pack(*(LWE_SAMPLE.pack(*s.a, s.b) for s in kp.samples)), kp.secret
 
 
-def _lwe_parse_pk(pk: bytes) -> list[lattice.LweSample]:
-    samples = []
-    for chunk in unpack(pk, LWE_PARAMS.m):
+def _lwe_parse_pk(pk: bytes) -> list[int]:
+    """The m samples of an lwe-toy public key, each as the int its bytes
+    read big-endian: the lanes lattice.lwe_encrypt_bits takes."""
+    chunks = unpack(pk, LWE_PARAMS.m)
+    for chunk in chunks:
         if len(chunk) != LWE_SAMPLE.size:
             raise MalformedFrame(f"LWE sample is {len(chunk)} bytes, expected {LWE_SAMPLE.size}")
-        vals = LWE_SAMPLE.unpack(chunk)
-        if max(vals) >= LWE_PARAMS.q:
-            raise MalformedFrame(f"LWE sample value {max(vals)} is not below q={LWE_PARAMS.q}")
-        samples.append(lattice.LweSample(vals[:-1], vals[-1]))
-    return samples
+        top = max(LWE_SAMPLE.unpack(chunk))
+        if top >= LWE_PARAMS.q:
+            raise MalformedFrame(f"LWE sample value {top} is not below q={LWE_PARAMS.q}")
+    return [int.from_bytes(chunk, "big") for chunk in chunks]
 
 
 def _lwe_encryptor(pk: bytes):
-    """encrypt_bits for one public key: lattice.lwe_encrypt_bits, with each
-    bit's n + 1 values packed into one block of LWE_SCALAR_BITS fields."""
+    """encrypt_bits for one public key: lattice.lwe_encrypt_bits, its
+    lanes closed up into LWE_SCALAR_BITS-bit fields by one join_fields."""
     samples = _lwe_parse_pk(pk)
-    fields, width = LWE_PARAMS.n + 1, LWE_SCALAR_BITS
+    fields = LWE_PARAMS.n + 1
+    lane_bits = 8 * LWE_SAMPLE.size // fields
 
-    def encrypt_bits(bits: list[int], rng: Random) -> list[int]:
-        values = lattice.lwe_encrypt_bits(samples, bits, LWE_PARAMS, rng)
-        blocks = []
-        for start in range(0, len(values), fields):
-            acc = 0
-            for x in values[start : start + fields]:
-                acc = (acc << width) | x
-            blocks.append(acc)
-        return blocks
+    def encrypt_bits(bits: list[int], rng: Random) -> int:
+        lanes = lattice.lwe_encrypt_bits(samples, bits, LWE_PARAMS, rng)
+        return join_fields(lanes, len(bits) * fields, LWE_SCALAR_BITS, lane_bits)
 
     return encrypt_bits
 
 
-def _lwe_decrypt_bits(secret: tuple[int, ...], blocks: list[int]) -> list[int]:
-    """lattice.lwe_decrypt_bit of each block's fields, inline: a bit is 1
-    when b - <secret, a> mod q lies at least q/4 from zero."""
-    q, width = LWE_PARAMS.q, LWE_SCALAR_BITS
-    mask = (1 << width) - 1
-    shifts = [width * i for i in reversed(range(LWE_PARAMS.n + 1))]
+def _lwe_decrypt_bits(secret: tuple[int, ...], numeral: int) -> list[int]:
+    """lattice.lwe_decrypt_bit of every block, all blocks at once: a bit
+    is 1 when b - <secret, a> mod q lies at least q/4 from zero.
+
+    split_fields puts the fields in 32-bit lanes, the last field lowest, so
+    a block's a_t sits n - t lanes above its b.  Times the secret packed
+    one value per lane, s_t in lane t, lane n above each b collects
+    sum_t s_t a_t: every product is below q 2^10 < 2^20, so no lane
+    carries into the next, and the product shifted down n lanes puts each
+    block's <secret, a> in its b lane.
+    """
+    q, n = LWE_PARAMS.q, LWE_PARAMS.n
+    fields = n + 1
+    layout = struct.Struct(f">{KEM_SECRET_BITS * fields}I")
+    lanes = split_fields(numeral, KEM_SECRET_BITS * fields, LWE_SCALAR_BITS, 32)
+    values = layout.unpack(lanes.to_bytes(layout.size, "big"))
+    if max(values) >= q:
+        worst = next(top for top in map(max, zip(*[iter(values)] * fields)) if top >= q)
+        raise MalformedFrame(f"LWE ciphertext value {worst} is not below q={q}")
+    weights = sum(s << 32 * t for t, s in enumerate(secret))
+    inner = layout.unpack((lanes * weights >> 32 * n & (1 << 8 * layout.size) - 1)
+                          .to_bytes(layout.size, "big"))
     low, high = q / 4, q - q / 4
-    bits = []
-    for block in blocks:
-        vals = [(block >> shift) & mask for shift in shifts]
-        if max(vals) >= q:
-            raise MalformedFrame(f"LWE ciphertext value {max(vals)} is not below q={q}")
-        # secret has n values, so map stops before b, the last field
-        d = (vals[-1] - sum(map(mul, secret, vals))) % q
-        bits.append(1 if low <= d <= high else 0)
-    return bits
+    return [1 if low <= (b - p) % q <= high else 0
+            for b, p in zip(values[n::fields], inner[n::fields])]
 
 
 def lwe_kem(h: HashFunction = DEFAULT_HASH) -> KemInstance:
@@ -131,35 +144,47 @@ def lwe_kem(h: HashFunction = DEFAULT_HASH) -> KemInstance:
 
 # --- code-based encryption as a KEM ---
 
+MCELIECE_WORD_BITS = 7  # each secret bit rides its own length-7 codeword
+
 
 def _mceliece_keygen(rng: Random) -> tuple[bytes, codecrypt.McEliecePrivateKey]:
     pk, sk = codecrypt.mceliece_keygen(codecrypt.hamming_code(3), rng)
     return codecrypt.serialize_code_matrix(pk.matrix, pk.t), sk
 
 
-def _mceliece_parse_pk(pk: bytes) -> codecrypt.McEliecePublicKey:
-    return codecrypt.McEliecePublicKey(*codecrypt.deserialize_code_matrix(pk))
+def _mceliece_encryptor(pk: bytes):
+    """encrypt_bits for one public key: codecrypt.mceliece_encrypt_bits,
+    its words closed up by one join_fields.  A key read off the wire may
+    be wider than the ciphertext's blocks; a word that does not fit one is
+    refused."""
+    key = codecrypt.McEliecePublicKey(*codecrypt.deserialize_code_matrix(pk))
+
+    def encrypt_bits(bits: list[int], rng: Random) -> int:
+        words = codecrypt.mceliece_encrypt_bits(key, bits, rng)
+        if max(words) >> MCELIECE_WORD_BITS:
+            raise DecapsFailure(f"mceliece-toy: block wider than {MCELIECE_WORD_BITS} bits")
+        return join_fields(int.from_bytes(bytes(words), "big"), len(words), MCELIECE_WORD_BITS, 8)
+
+    return encrypt_bits
 
 
-def _mceliece_decrypt_bits(sk: codecrypt.McEliecePrivateKey, blocks: list[int]) -> list[int]:
-    bits = []
-    for block in blocks:
-        m = codecrypt.mceliece_decrypt(sk, block)
-        if m >> 1:
-            raise DecodeFailure(f"plaintext {m} is not a single bit")
-        bits.append(m)
-    return bits
+def _mceliece_decrypt_bits(sk: codecrypt.McEliecePrivateKey, numeral: int) -> bytes:
+    """codecrypt.mceliece_decrypt_words of every block, spread one per byte."""
+    words = split_fields(numeral, KEM_SECRET_BITS, MCELIECE_WORD_BITS, 8)
+    messages = codecrypt.mceliece_decrypt_words(sk, words.to_bytes(KEM_SECRET_BITS, "big"))
+    if max(messages) >> 1:
+        raise DecodeFailure(f"plaintext {next(m for m in messages if m >> 1)} is not a single bit")
+    return messages
 
 
 def mceliece_kem(h: HashFunction = DEFAULT_HASH) -> KemInstance:
-    # each secret bit rides its own length-7 codeword
     return kem_from_encryption(
         "mceliece-toy",
         _mceliece_keygen,
-        lambda pk: partial(codecrypt.mceliece_encrypt_bits, _mceliece_parse_pk(pk)),
+        _mceliece_encryptor,
         _mceliece_decrypt_bits,
         KEM_SECRET_BITS,
-        ciphertext_bits=7,
+        ciphertext_bits=MCELIECE_WORD_BITS,
         h=h,
     )
 
@@ -179,8 +204,8 @@ def identity_stub_kem(h: HashFunction = DEFAULT_HASH) -> KemInstance:
     return kem_from_encryption(
         "stub-kem",
         lambda rng: (b"", b""),
-        lambda pk: lambda bits, rng: bits,
-        lambda sk, blocks: blocks,
+        lambda pk: lambda bits, rng: join_fields(int.from_bytes(bytes(bits), "big"), len(bits), 1, 8),
+        lambda sk, numeral: split_fields(numeral, KEM_SECRET_BITS, 1, 8).to_bytes(KEM_SECRET_BITS, "big"),
         KEM_SECRET_BITS,
         ciphertext_bits=1,
         h=h,
@@ -355,7 +380,7 @@ def mss_sig(h: HashFunction = DEFAULT_HASH) -> SigInstance:
 def uov_sig(h: HashFunction = DEFAULT_HASH) -> SigInstance:
     def derive(seed: bytes):
         kp = mq.uov_keygen(UOV_PARAMS, _seed_rng(h, b"uov", seed))
-        return mq.serialize_system(kp.public), kp.private
+        return kp.public, kp.private
 
     def sign(private, seed: bytes, msg: bytes):
         return bytes(mq.uov_sign(private, msg, h, _seed_rng(h, b"uov-sign", seed, msg)))

@@ -153,7 +153,7 @@ def test_criterion_3_scheme_roundtrips():
                     failures.append(("lwe", params.n, i))
 
         uov_kp = mq.uov_keygen(mq.UovParams(o=2, v=4, q=7), rng)
-        uov_public = mq.serialize_system(uov_kp.public)
+        uov_public = uov_kp.public
         for i in range(500):
             msg = b"uov %d" % i
             sig = mq.uov_sign(uov_kp.private, msg, H, rng)
@@ -189,12 +189,17 @@ def test_criterion_4_oracle_equivalence():
             assert code.decoder(word) == codecrypt.brute_force_decode(code, word)
 
         kp = mq.uov_keygen(mq.UovParams(o=2, v=4, q=3), rng)
+        # the published system, built from the private key: central(T(x))
+        central = kp.private.central
+        public = mq.compose_trapdoor(mq.identity_map(central.field, central.m), central,
+                                     kp.private.t_map)
         for i in range(20):
             msg = b"uov preimage %d" % i
             sig = tuple(mq.uov_sign(kp.private, msg, H, rng))
-            target = mq.hash_to_vector(H, msg, kp.public.m, 3)
-            assert mq.eval_system(kp.public, sig) == target
-            assert sig in mq.brute_force_preimages(kp.public, target)
+            target = mq.hash_to_vector(H, msg, public.m, 3)
+            assert mq.eval_system(public, sig) == target
+            assert mq.uov_verify(kp.public, msg, sig, H)
+            assert sig in mq.brute_force_preimages(public, target)
 
         found = 0
         while found < 5:

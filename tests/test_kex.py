@@ -1,5 +1,6 @@
 """Curve arithmetic, ECDH, and the generic encryption-to-KEM adapter."""
 
+import functools
 import itertools
 from random import Random
 
@@ -201,14 +202,23 @@ def test_ecdh_kem_rejects_off_curve_inputs():
         kem.decaps(sk, encode_point(INFINITY))
 
 
+def numeral(blocks, width):
+    """blocks read as one numeral, the first most significant."""
+    return functools.reduce(lambda acc, block: acc << width | block, blocks, 0)
+
+
+def blocks_of(value, count, width):
+    return [(value >> width * i) & ((1 << width) - 1) for i in reversed(range(count))]
+
+
 def _identity_kem(secret_bits=16):
     # the 'encryption' returns the bits themselves, so the ciphertext IS
     # the packed plaintext bit string
     return kem_from_encryption(
         "identity",
         lambda rng: (b"pk", b"sk"),
-        lambda pk: lambda bits, rng: bits,
-        lambda sk, blocks: blocks,
+        lambda pk: lambda bits, rng: numeral(bits, 1),
+        lambda sk, value: blocks_of(value, secret_bits, 1),
         secret_bits,
         ciphertext_bits=1,
         h=H,
@@ -233,11 +243,11 @@ def test_adapter_packs_blocks_msb_first():
 
     def enc(bits, rng):
         seen.extend(bits)
-        return [0b100 | bit for bit in bits]  # distinctive high bit in every block
+        return numeral([0b100 | bit for bit in bits], 3)  # distinctive high bit in every block
 
     kem = kem_from_encryption(
         "blocky", lambda rng: (b"", b""), lambda pk: enc,
-        lambda sk, blocks: [block & 1 for block in blocks],
+        lambda sk, value: [block & 1 for block in blocks_of(value, 5, 3)],
         5, ciphertext_bits=3, h=H,
     )
     ct, ss = kem.encaps(b"", Random(10))
@@ -250,8 +260,8 @@ def test_adapter_packs_blocks_msb_first():
 
 def test_adapter_rejects_wide_blocks_and_bad_lengths():
     kem = kem_from_encryption(
-        "wide", lambda rng: (b"", b""), lambda pk: lambda bits, rng: [2] * len(bits),
-        lambda sk, blocks: blocks, 4, ciphertext_bits=1, h=H,
+        "wide", lambda rng: (b"", b""), lambda pk: lambda bits, rng: numeral([2] * len(bits), 1),
+        lambda sk, value: blocks_of(value, 4, 1), 4, ciphertext_bits=1, h=H,
     )
     with pytest.raises(DecapsFailure):
         kem.encaps(b"", Random(11))
@@ -261,19 +271,19 @@ def test_adapter_rejects_wide_blocks_and_bad_lengths():
 
 
 def test_adapter_decrypt_errors_become_decaps_failure():
-    def bad_dec(sk, blocks):
+    def bad_dec(sk, value):
         raise TooLarge("nope")
 
     kem = kem_from_encryption(
-        "failing", lambda rng: (b"", b""), lambda pk: lambda bits, rng: bits, bad_dec,
+        "failing", lambda rng: (b"", b""), lambda pk: lambda bits, rng: numeral(bits, 1), bad_dec,
         8, ciphertext_bits=1, h=H,
     )
     ct, _ = kem.encaps(b"", Random(12))
     with pytest.raises(DecapsFailure):
         kem.decaps(b"", ct)
     kem2 = kem_from_encryption(
-        "nonbit", lambda rng: (b"", b""), lambda pk: lambda bits, rng: bits,
-        lambda sk, blocks: [7] * len(blocks), 8, ciphertext_bits=3, h=H,
+        "nonbit", lambda rng: (b"", b""), lambda pk: lambda bits, rng: numeral(bits, 3),
+        lambda sk, value: [7] * 8, 8, ciphertext_bits=3, h=H,
     )
     ct2, _ = kem2.encaps(b"", Random(13))
     with pytest.raises(DecapsFailure):

@@ -1,4 +1,5 @@
 import itertools
+import struct
 from random import Random
 from statistics import mean, pvariance
 
@@ -15,6 +16,7 @@ from pqbench.lattice import (
     lwe_decrypt_bit,
     lwe_encrypt_bit,
     lwe_encrypt_bits,
+    sample_lanes,
     lwe_keygen,
     lwe_sample,
     sis_brute_force,
@@ -103,6 +105,12 @@ def test_encrypt_refuses_a_sample_of_the_wrong_width():
         lwe_encrypt_bit(short, 1, params, Random(4), subset=[0, 1])
 
 
+def packed(samples, params):
+    """Each sample as the int lwe_encrypt_bits takes: a then b in the
+    big-endian lanes of sample_lanes(params)."""
+    return [int.from_bytes(sample_lanes(params).pack(*s.a, s.b), "big") for s in samples]
+
+
 @pytest.mark.parametrize("params", [
     LweParams(n=1, q=5, m=1, b=0),
     LweParams(n=2, q=17, m=4, b=0),
@@ -116,7 +124,10 @@ def test_encrypt_bits_equals_one_call_per_bit(params):
         bits = [rng.randrange(2) for _ in range(rng.randrange(0, 40))]
         reference = Random()
         reference.setstate(rng.getstate())
-        got = lwe_encrypt_bits(kp.samples, bits, params, rng)
+        lanes = sample_lanes(params)
+        got = lwe_encrypt_bits(packed(kp.samples, params), bits, params, rng)
+        got = list(struct.unpack(f">{len(bits) * (params.n + 1)}{lanes.format[-1]}",
+                                 got.to_bytes(len(bits) * lanes.size, "big")))
         want = [x for bit in bits
                 for a, b in [lwe_encrypt_bit(kp.samples, bit, params, reference)] for x in (*a, b)]
         assert got == want
@@ -126,13 +137,14 @@ def test_encrypt_bits_equals_one_call_per_bit(params):
 def test_encrypt_bits_checks_what_the_per_bit_call_checks():
     params = LweParams(n=2, q=97, m=2, b=0)
     kp = lwe_keygen(params, Random(5))
+    samples = packed(kp.samples, params)
     with pytest.raises(ValueError):
-        lwe_encrypt_bits(kp.samples, [0, 2], params, Random(5))
+        lwe_encrypt_bits(samples, [0, 2], params, Random(5))
     with pytest.raises(LengthMismatch):
-        lwe_encrypt_bits(kp.samples[:1], [0], params, Random(5))
-    short = [kp.samples[0], type(kp.samples[0])((7,), 7)]
+        lwe_encrypt_bits(samples[:1], [0], params, Random(5))
+    wide = [samples[0], samples[1] | 1 << 8 * sample_lanes(params).size]  # a bit past b's lane
     with pytest.raises(LengthMismatch):
-        lwe_encrypt_bits(short, [1], params, Random(5))
+        lwe_encrypt_bits(wide, [1], params, Random(5))
 
 
 def test_halfway_point_decrypts_to_one():

@@ -15,7 +15,6 @@ from pqbench.mq import (
     RetriesExhausted,
     UovParams,
     UovPrivateKey,
-    _substitute_system,
     brute_force_preimages,
     compose_trapdoor,
     eval_system,
@@ -23,7 +22,6 @@ from pqbench.mq import (
     identity_map,
     random_affine,
     random_central_map,
-    serialize_system,
     solve_linear,
     uov_keygen,
     uov_sign,
@@ -46,6 +44,20 @@ def naive_eval(p: QuadPoly, x) -> int:
 
 def eval_poly(p: QuadPoly, x) -> int:
     return eval_system(MqSystem(PrimeField(p.q), (p,)), x)[0]
+
+
+def serialize_system(system: MqSystem) -> bytes:
+    """q, n, m as single bytes, then each polynomial's coefficients: the
+    layout of uov_keygen's public key, built from the objects."""
+    return bytes([system.field.q, system.n, system.m,
+                  *itertools.chain.from_iterable(p.coefficients for p in system.polys)])
+
+
+def reference_public(private: UovPrivateKey) -> MqSystem:
+    """central(T(x)) through compose_trapdoor, with no output mixing."""
+    field = private.central.field
+    return compose_trapdoor(identity_map(field, private.central.m), private.central,
+                            private.t_map)
 
 
 def reference_parse(data: bytes) -> MqSystem:
@@ -194,7 +206,7 @@ def test_substitution_matches_pointwise_with_zero_quad_rows(zero_rows):
             polys.append(QuadPoly(q, p.const, p.linear, quad))
         central = MqSystem(f, tuple(polys))
         for t_map in (random_affine(f, 3, rng), random_offset_affine(f, 3, rng)):
-            substituted = _substitute_system(central, t_map)
+            substituted = compose_trapdoor(identity_map(f, 2), central, t_map)
             for x in itertools.product(range(q), repeat=3):
                 assert eval_system(substituted, x) == eval_system(central, t_map.apply(x))
 
@@ -216,7 +228,7 @@ def test_uov_roundtrip():
         msg = f"message {i}".encode()
         sig = uov_sign(kp.private, msg, H, rng)
         assert len(sig) == params.n
-        assert uov_verify(serialize_system(kp.public), msg, sig, H)
+        assert uov_verify(kp.public, msg, sig, H)
 
 
 def test_uov_public_hides_but_matches_private():
@@ -226,7 +238,8 @@ def test_uov_public_hides_but_matches_private():
     # public = central after the variable change, pointwise
     for _ in range(50):
         x = tuple(rng.randrange(7) for _ in range(params.n))
-        assert eval_system(kp.public, x) == eval_system(kp.private.central, kp.private.t_map.apply(x))
+        assert eval_system(reference_parse(kp.public), x) == \
+            eval_system(kp.private.central, kp.private.t_map.apply(x))
 
 
 def test_uov_wrong_message_rejected():
@@ -236,7 +249,7 @@ def test_uov_wrong_message_rejected():
     sig = uov_sign(kp.private, b"signed message", H, rng)
     # frozen seed: this specific cross-check fails (and would only pass by
     # a 1-in-q^o accident for some other message)
-    assert not uov_verify(serialize_system(kp.public), b"a different message", sig, H)
+    assert not uov_verify(kp.public, b"a different message", sig, H)
 
 
 def test_uov_perturbed_signature_rejected():
@@ -247,7 +260,7 @@ def test_uov_perturbed_signature_rejected():
     sig = uov_sign(kp.private, msg, H, rng)
     perturbed = list(sig)
     perturbed[0] = (perturbed[0] + 1) % 7
-    public = serialize_system(kp.public)
+    public = kp.public
     assert not uov_verify(public, msg, tuple(perturbed), H)  # frozen seed
     with pytest.raises(LengthMismatch):
         uov_verify(public, msg, sig + (0,), H)
@@ -291,7 +304,7 @@ def test_flat_verify_agrees_with_the_parsed_key_on_mutated_keys():
     for seed in range(3):
         rng = Random(100 + seed)
         kp = uov_keygen(params, rng)
-        public = serialize_system(kp.public)
+        public = kp.public
         msg = b"mutated key %d" % seed
         sig = uov_sign(kp.private, msg, H, rng)
         sigs = [sig, sig[:-1] + ((sig[-1] + 1) % 7,), sig[:-1] + (7,), sig + (0,), sig[:-1]]
@@ -330,7 +343,7 @@ def test_uov_keygen_matches_pinned_keys():
     for seed in range(50):
         kp = uov_keygen(params, Random(seed))
         t = kp.private.t_map
-        digest.update(serialize_system(kp.public) + serialize_system(kp.private.central)
+        digest.update(kp.public + serialize_system(kp.private.central)
                       + bytes(c for row in t.matrix for c in row) + bytes(t.offset))
     assert digest.hexdigest() == \
         "7ddba122c1721085fbbc127bbf052b3f446fb22d5c702e7cfca9a6d551bf0670"
@@ -359,7 +372,7 @@ def test_signatures_live_in_brute_force_preimage_set():
         msg = f"containment {i}".encode()
         sig = uov_sign(kp.private, msg, H, rng)
         target = hash_to_vector(H, msg, params.o, params.q)
-        assert sig in brute_force_preimages(kp.public, target)
+        assert sig in brute_force_preimages(reference_parse(kp.public), target)
 
 
 def test_brute_force_preimages_order_and_cap():
@@ -373,7 +386,7 @@ def test_brute_force_preimages_order_and_cap():
     big = UovParams(o=2, v=8, q=7)  # 7^10 far beyond the cap
     kp = uov_keygen(big, Random(12))
     with pytest.raises(TooLarge):
-        brute_force_preimages(kp.public, (0, 0))
+        brute_force_preimages(reference_parse(kp.public), (0, 0))
     with pytest.raises(DimensionMismatch):
         brute_force_preimages(system, (0, 0))
 
@@ -389,27 +402,25 @@ def test_hash_to_vector_properties():
 
 
 def test_serialize_refuses_sizes_its_header_cannot_hold():
-    # n and m are single header bytes: 256 variables or polynomials must be
-    # refused by name, not end in a bare ValueError from bytearray
-    f = PrimeField(3)
-    wide = QuadPoly(3, 0, (0,) * 256, ((0,) * 256,) * 256)
+    # n and m are single bytes of the public key's header, and m = o < n: a
+    # keygen for 256 variables or more must be refused by name, before any draw
+    rng = Random(15)
+    state = rng.getstate()
     with pytest.raises(TooLarge, match="n = 256"):
-        serialize_system(MqSystem(f, (wide,)))
-    one = QuadPoly(3, 1, (2,), ((1,),))
-    with pytest.raises(TooLarge, match="m = 256"):
-        serialize_system(MqSystem(f, (one,) * 256))
-    blob = serialize_system(MqSystem(f, (one,) * 255))
-    assert blob[:3] == bytes([3, 1, 255])
-    assert reference_parse(blob) == MqSystem(f, (one,) * 255)
-    # UovParams accepts n = 256, so a key of its size can reach serialize_system
+        uov_keygen(UovParams(o=1, v=255, q=3), rng)
+    with pytest.raises(TooLarge, match="n = 512"):
+        uov_keygen(UovParams(o=256, v=256, q=3), rng)
+    assert rng.getstate() == state
+    # UovParams accepts n = 256, so a key of its size can reach uov_keygen
     assert UovParams(o=1, v=255, q=3).n == 256
 
 
 def test_system_serialization_roundtrip():
     params = UovParams(o=2, v=4, q=7)
     kp = uov_keygen(params, Random(13))
-    blob = serialize_system(kp.public)
-    assert reference_parse(blob) == kp.public
+    blob = kp.public
+    assert reference_parse(blob) == reference_public(kp.private)
+    assert blob == serialize_system(reference_public(kp.private))
     sig = (0,) * params.n
     # verify reads the key's bytes as they are, and refuses what the parse refuses
     for bad in (blob[:-1], b"\x07",

@@ -161,7 +161,8 @@ def reference_encaps(name, public, rng, h):
     codecrypt.mceliece_encrypt: draw the 32 bits, encrypt each in turn,
     pack the blocks most significant first and hash the bit string."""
     if name == "lwe-toy":
-        samples = suites._lwe_parse_pk(public)
+        samples = [lattice.LweSample(values[:-1], values[-1]) for values in
+                   map(suites.LWE_SAMPLE.unpack, unpack(public, suites.LWE_PARAMS.m))]
         field = suites.LWE_SCALAR_BITS
         width = (suites.LWE_PARAMS.n + 1) * field
 
