@@ -23,8 +23,7 @@ class BinaryMatrix:
     def __post_init__(self):
         if len(self.data) != self.rows:
             raise DimensionMismatch(f"{self.rows} rows declared, {len(self.data)} given")
-        mask = (1 << self.cols) - 1
-        if any(row & ~mask for row in self.data):
+        if self.data and (min(self.data) < 0 or max(self.data) >> self.cols):
             raise DimensionMismatch(f"row has bits beyond column {self.cols - 1}")
 
     @classmethod
@@ -48,19 +47,18 @@ class BinaryMatrix:
         return (self.data[i] >> j) & 1
 
     def mul(self, other: "BinaryMatrix") -> "BinaryMatrix":
-        """Matrix product; row i of the result XORs rows of other."""
+        """Matrix product; row i of the result XORs the rows of other that
+        row i selects.  Bit-sliced, with self's rows side by side in lanes
+        as wide as either matrix: bit j of every row, times row j of other,
+        puts that row in every lane that selects it."""
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        out = []
-        for row in self.data:
-            acc = 0
-            r = row
-            while r:
-                j = (r & -r).bit_length() - 1  # lowest set bit
-                acc ^= other.data[j]
-                r &= r - 1
-            out.append(acc)
-        return BinaryMatrix(self.rows, other.cols, out)
+        width = max(self.cols, other.cols)
+        packed, low = _side_by_side(self.data, width)
+        out = 0
+        for j, row in enumerate(other.data):
+            out ^= (packed >> j & low) * row
+        return BinaryMatrix(self.rows, other.cols, _apart(out, self.rows, width))
 
     def vec_mul(self, v: int) -> int:
         """Row vector times matrix: v has self.rows bits, result self.cols."""
@@ -74,46 +72,73 @@ class BinaryMatrix:
         return acc
 
     def permute_cols(self, perm: list[int]) -> "BinaryMatrix":
-        """Column i of self becomes column perm[i] of the result."""
+        """Column i of self becomes column perm[i] of the result, for every
+        row at once: permute_lanes over the rows side by side."""
         if sorted(perm) != list(range(self.cols)):
             raise DimensionMismatch("perm is not a permutation of the columns")
-        out = [0] * self.rows
-        for i, row in enumerate(self.data):
-            r = row
-            while r:
-                j = (r & -r).bit_length() - 1
-                out[i] |= 1 << perm[j]
-                r &= r - 1
-        return BinaryMatrix(self.rows, self.cols, out)
+        packed, low = _side_by_side(self.data, self.cols)
+        return BinaryMatrix(self.rows, self.cols,
+                            _apart(permute_lanes(packed, low, perm), self.rows, self.cols))
 
     def inverse(self) -> "BinaryMatrix":
         """Gauss-Jordan on [self | I]; raises ValueError when singular."""
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices invert")
-        n = self.rows
-        left = self.data.copy()
-        right = [1 << i for i in range(n)]
-        for col in range(n):
-            pivot = next(
-                (r for r in range(col, n) if (left[r] >> col) & 1),
-                None,
-            )
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            left[col], left[pivot] = left[pivot], left[col]
-            right[col], right[pivot] = right[pivot], right[col]
-            for r in range(n):
-                if r != col and (left[r] >> col) & 1:
-                    left[r] ^= left[col]
-                    right[r] ^= right[col]
-        return BinaryMatrix(n, n, right)
+        rows = _inverse_rows(self.data, self.rows)
+        if rows is None:
+            raise ValueError("matrix is singular")
+        return BinaryMatrix(self.rows, self.rows, rows)
 
     def is_invertible(self) -> bool:
-        try:
-            self.inverse()
-        except ValueError:
-            return False
+        """Whether the rows are independent, found by reducing each against
+        a basis of the ones before it, kept in descending order so that
+        min(row, row ^ b) clears b's top bit from row."""
+        if self.rows != self.cols:
+            raise DimensionMismatch("only square matrices invert")
+        basis = []
+        for row in self.data:
+            for b in basis:
+                row = min(row, row ^ b)
+            if not row:
+                return False
+            basis.append(row)
+            basis.sort(reverse=True)
         return True
+
+
+def _side_by_side(rows: list[int], width: int) -> tuple[int, int]:
+    """rows in one int, row i in bits [width i, width i + width), and the
+    int with bit 0 of each of those lanes set."""
+    return (sum(row << width * i for i, row in enumerate(rows)),
+            sum(1 << width * i for i in range(len(rows))))
+
+
+def _apart(packed: int, count: int, width: int) -> list[int]:
+    """_side_by_side undone: count rows of width bits."""
+    mask = (1 << width) - 1
+    return [packed >> width * i & mask for i in range(count)]
+
+
+def _inverse_rows(data: list[int], n: int) -> list[int] | None:
+    """The rows of an n x n matrix's inverse, or None when it is singular:
+    Gauss-Jordan on [A | I] with each augmented row one int, A's row in
+    bits 0 .. n - 1 and I's in bits n .. 2n - 1, so a row operation is one
+    XOR."""
+    rows = [row | 1 << n + i for i, row in enumerate(data)]
+    for col in range(n):
+        bit = 1 << col
+        for r in range(col, n):
+            if rows[r] & bit:
+                break
+        else:
+            return None
+        pivot = rows[r]
+        rows[r] = rows[col]
+        rows[col] = pivot
+        for r in range(n):
+            if rows[r] & bit and r != col:
+                rows[r] ^= pivot
+    return [row >> n for row in rows]
 
 
 def random_invertible(n: int, rng: Random) -> BinaryMatrix:
@@ -146,4 +171,14 @@ def permute_word(word: int, perm: list[int]) -> int:
         j = (w & -w).bit_length() - 1
         out |= 1 << perm[j]
         w &= w - 1
+    return out
+
+
+def permute_lanes(packed: int, low: int, perm: list[int]) -> int:
+    """permute_word of every lane at once: low has bit 0 of each lane set,
+    and bit j of every lane, one mask away, moves to bit perm[j] of its
+    lane with one shift; every lane must be wider than each perm[j]."""
+    out = 0
+    for j, target in enumerate(perm):
+        out |= (packed >> j & low) << target
     return out

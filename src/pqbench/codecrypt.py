@@ -21,6 +21,7 @@ from typing import Callable
 from .binmat import (
     BinaryMatrix,
     invert_permutation,
+    permute_lanes,
     permute_word,
     random_invertible,
     random_permutation,
@@ -204,13 +205,12 @@ def mceliece_decrypt_words(sk: McEliecePrivateKey, words):
 
     For a code whose words and messages fit a byte (n and k at most 8),
     the messages come back as bytes, and each step runs on every word at
-    once, the words read as one int with byte i holding word i.
-    Unpermuting is bit-sliced: bit j of every word is one mask away and
-    moves to bit perm_inverse[j] with one shift.  Decoding is one
-    bytes.translate through the code's decode_table.  Unscrambling is
-    bit-sliced too: message bit j of every word, times row j of S^-1
-    (below 2^k, so no byte carries), puts that row in every byte whose bit
-    is set, and the rows XOR together.  A wider code goes word by word.
+    once, the words read as one int with byte i holding word i:
+    unpermuting is one binmat.permute_lanes, decoding one bytes.translate
+    through the code's decode_table.  Unscrambling is bit-sliced too:
+    message bit j of every word, times row j of S^-1 (below 2^k, so no
+    byte carries), puts that row in every byte whose bit is set, and the
+    rows XOR together.  A wider code goes word by word.
     """
     n, k = sk.code.n, sk.code.k
     if max(words, default=0) >> n:
@@ -219,10 +219,7 @@ def mceliece_decrypt_words(sk: McEliecePrivateKey, words):
         return [mceliece_decrypt(sk, word) for word in words]
     size = len(words)
     low = int.from_bytes(b"\1" * size, "big")  # bit 0 of every byte
-    received = int.from_bytes(bytes(words), "big")
-    unpermuted = 0
-    for j, target in enumerate(sk.perm_inverse):
-        unpermuted |= (received >> j & low) << target
+    unpermuted = permute_lanes(int.from_bytes(bytes(words), "big"), low, sk.perm_inverse)
     decoded = int.from_bytes(unpermuted.to_bytes(size, "big").translate(sk.code.decode_table), "big")
     messages = 0
     for j, row in enumerate(sk.s_inverse.data):

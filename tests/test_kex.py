@@ -125,6 +125,32 @@ def test_scalar_mul_matches_repeated_addition():
         acc = point_add(acc, TINY_GEN, TINY_CURVE)
 
 
+@pytest.mark.parametrize("curve,gen,order", [(TINY_CURVE, TINY_GEN, TINY_ORDER),
+                                             (MAIN_CURVE, MAIN_GEN, MAIN_ORDER)], ids=["tiny", "main"])
+def test_scalar_mul_matches_repeated_point_add_on_every_point(curve, gen, order):
+    # the kernel against point_add, which checks both operands every call:
+    # every point, the scalars around the group order and seeded random ones
+    rng = Random(order)
+    for p in enumerate_points(curve):
+        multiples = [INFINITY]
+        for _ in range(order + 1):
+            multiples.append(point_add(multiples[-1], p, curve))
+        for k in (0, 1, 2, order - 1, order, order + 1, *(rng.randrange(4 * order) for _ in range(3))):
+            expected = multiples[k] if k <= order + 1 else multiples[k % order]
+            assert scalar_mul(k, p, curve) == expected
+
+
+def test_scalar_mul_checks_its_point_once(monkeypatch):
+    calls = []
+    original = kex.on_curve
+    monkeypatch.setattr(kex, "on_curve", lambda p, curve: calls.append(p) or original(p, curve))
+    rng = Random(16)
+    for k in (0, 1, 2, MAIN_ORDER - 1, MAIN_ORDER, *(rng.randrange(1, MAIN_ORDER) for _ in range(20))):
+        calls.clear()
+        scalar_mul(k, MAIN_GEN, MAIN_CURVE)
+        assert calls == [MAIN_GEN]
+
+
 def test_scalar_mul_rejects_negative():
     with pytest.raises(ValueError):
         scalar_mul(-1, TINY_GEN, TINY_CURVE)
@@ -200,6 +226,23 @@ def test_ecdh_kem_rejects_off_curve_inputs():
     # an on-curve identity ciphertext has no x-coordinate to hash
     with pytest.raises(DecapsFailure):
         kem.decaps(sk, encode_point(INFINITY))
+    # coordinates outside [0, q) name the same field elements, so they pass
+    # the curve equation mod q, but they are not encodings of curve points:
+    # x + q in a ciphertext and y + 3q in a public key used to give the
+    # same shared secret as the canonical point
+    q = MAIN_CURVE.q
+    ct, _ = kem.encaps(pk, rng)
+    point = decode_point(ct)
+    public = decode_point(pk)
+    for shifted in (Point(point.x + q, point.y), Point(public.x, public.y + 3 * q)):
+        assert (shifted.y ** 2 - shifted.x ** 3 - MAIN_CURVE.a * shifted.x - MAIN_CURVE.b) % q == 0
+        assert not on_curve(shifted, MAIN_CURVE)
+    with pytest.raises(PointNotOnCurve):
+        kem.decaps(sk, encode_point(Point(point.x + q, point.y)))
+    with pytest.raises(PointNotOnCurve):
+        kem.encaps(encode_point(Point(public.x, public.y + 3 * q)), rng)
+    with pytest.raises(PointNotOnCurve):
+        scalar_mul(2, Point(point.x - q, point.y), MAIN_CURVE)
 
 
 def numeral(blocks, width):

@@ -7,7 +7,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from pqbench import codecrypt, hashsig, kex, lattice, suites
+from pqbench import codecrypt, hashsig, kex, lattice, mq, suites
 from pqbench.errors import LengthMismatch, PqbenchError
 from pqbench.hashing import DEFAULT_HASH, PQH, HashFunction
 from pqbench.kex import DecapsFailure, draws
@@ -503,6 +503,49 @@ def test_hash_based_signers_make_pinned_hash_calls(name):
     assert sig.verify(pk, b"pinned message", signature)
     calls.append(len(counting.lengths))
     assert tuple(calls) == HASH_CALLS[name]
+
+
+def counted(monkeypatch, owner, name):
+    """The calls of owner.name from now on, as a list of their arguments."""
+    calls = []
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+# kernel work per operation, counted by wrapping the named functions; like
+# the hash calls above it does not depend on the host, so a kernel that
+# slips back to per-element or per-object work shows without a timing run.
+# uov keypair: QuadPoly objects built (the central map's o = 2, through
+# mq._freeze, none through QuadPoly's checks) and 6 x 6 inversions (seed 3
+# draws one singular matrix first); ecdh-toy: point checks (one per
+# scalar_mul, plus the one on the received point); mceliece-toy decaps:
+# per-word unpermutations and decryptions
+KERNEL_CALLS = {
+    ("uov", "keypair", 7): {"_freeze": 2, "__post_init__": 0, "_matrix_inverse": 1},
+    ("uov", "keypair", 3): {"_freeze": 2, "__post_init__": 0, "_matrix_inverse": 2},
+    ("ecdh-toy", "keypair", 7): {"on_curve": 1},
+    ("ecdh-toy", "encaps", 7): {"on_curve": 3},
+    ("ecdh-toy", "decaps", 7): {"on_curve": 2},
+    ("mceliece-toy", "decaps", 7): {"permute_word": 0, "mceliece_decrypt": 0},
+}
+KERNEL_OWNERS = {"_freeze": mq, "__post_init__": mq.QuadPoly, "_matrix_inverse": mq,
+                 "on_curve": kex, "permute_word": codecrypt, "mceliece_decrypt": codecrypt}
+
+
+@pytest.mark.parametrize("scheme,op,seed", sorted(KERNEL_CALLS))
+def test_kernels_make_pinned_calls(monkeypatch, scheme, op, seed):
+    instance = {**builtin_kems(), **builtin_sigs()}[scheme]
+    rng = Random(seed)
+    if op == "keypair":
+        run = lambda: instance.keypair(rng)
+    else:
+        pk, sk = instance.keypair(rng)
+        ct, ss = instance.encaps(pk, rng)
+        run = {"encaps": lambda: instance.encaps(pk, rng), "decaps": lambda: instance.decaps(sk, ct)}[op]
+    calls = {name: counted(monkeypatch, KERNEL_OWNERS[name], name) for name in KERNEL_CALLS[scheme, op, seed]}
+    run()
+    assert {name: len(made) for name, made in calls.items()} == KERNEL_CALLS[scheme, op, seed]
 
 
 # the twelve hashsig-suites suites under the default hash and Random(0):
