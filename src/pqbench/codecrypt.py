@@ -220,7 +220,8 @@ def mceliece_decrypt_words(sk: McEliecePrivateKey, words):
     size = len(words)
     low = int.from_bytes(b"\1" * size, "big")  # bit 0 of every byte
     unpermuted = permute_lanes(int.from_bytes(bytes(words), "big"), low, sk.perm_inverse)
-    decoded = int.from_bytes(unpermuted.to_bytes(size, "big").translate(sk.code.decode_table), "big")
+    decoded = unpermuted.to_bytes(size, "big").translate(sk.code.decode_table)
+    decoded = int.from_bytes(decoded, "big")
     messages = 0
     for j, row in enumerate(sk.s_inverse.data):
         messages ^= (decoded >> j & low) * row

@@ -386,7 +386,8 @@ def kem_from_encryption(
         if len(bits) != secret_bits:
             raise DecapsFailure(f"{name}: decryption returned {len(bits)} bits")
         if not set(bits) <= {0, 1}:
-            raise DecapsFailure(f"{name}: decryption returned {next(b for b in bits if b not in (0, 1))}")
+            bit = next(b for b in bits if b not in (0, 1))
+            raise DecapsFailure(f"{name}: decryption returned {bit}")
         return h(pack_bits(bits))
 
     return KemInstance(name, keygen, encaps, decaps)

@@ -325,7 +325,8 @@ def _substitute_rows(central: MqSystem, t_map: AffineMap) -> list[bytes]:
     dense = [by_rows >> shift & row_mask for shift in range(0, n * n * bits, n * bits)]
     linear_rows = [row << bits for row in dense]  # lanes 1 .. n
     # column j from lane 1 + n + jn on, so row i, shifted down i lanes, is spread
-    by_columns = int.from_bytes(layout.square.pack(*layout.transpose(a)), "little") << bits * (1 + n)
+    by_columns = int.from_bytes(layout.square.pack(*layout.transpose(a)), "little")
+    by_columns <<= bits * (1 + n)
     spread = [by_columns >> shift & layout.spread_mask for shift in range(0, n * bits, bits)]
     rows = []
     for p in central.polys:

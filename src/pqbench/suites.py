@@ -51,9 +51,7 @@ from .serialize import (
 
 LWE_PARAMS = lattice.guaranteed_params(n=4, q=521, m=8, b=10)
 LWE_SCALAR_BITS = LWE_PARAMS.q.bit_length()  # one ciphertext field
-# one public sample on the wire: a, then b, in the big-endian lanes
-# lattice.lwe_encrypt_bits reads, two bytes each for these parameters
-LWE_SAMPLE = lattice.sample_lanes(LWE_PARAMS)
+LWE_SAMPLE = struct.Struct(f">{LWE_PARAMS.n + 1}H")  # one public sample: a, then b
 UOV_PARAMS = mq.UovParams(o=2, v=4, q=7)
 # safe prime: g = 4 generates the order-2003 subgroup, so forged or
 # cross-message challenges collide with probability 1/2003, not 1/17
@@ -78,7 +76,9 @@ def _lwe_keygen(rng: Random) -> tuple[bytes, tuple[int, ...]]:
 
 def _lwe_parse_pk(pk: bytes) -> list[int]:
     """The m samples of an lwe-toy public key, each as the int its bytes
-    read big-endian: the lanes lattice.lwe_encrypt_bits takes."""
+    read big-endian: for these parameters LWE_SAMPLE is the layout of
+    lattice.sample_lanes, so that int is the packing lwe_encrypt_bits
+    takes."""
     chunks = unpack(pk, LWE_PARAMS.m)
     for chunk in chunks:
         if len(chunk) != LWE_SAMPLE.size:
@@ -94,7 +94,7 @@ def _lwe_encryptor(pk: bytes):
     lanes closed up into LWE_SCALAR_BITS-bit fields by one join_fields."""
     samples = _lwe_parse_pk(pk)
     fields = LWE_PARAMS.n + 1
-    lane_bits = 8 * LWE_SAMPLE.size // fields
+    lane_bits = 8 * LWE_SAMPLE.size // fields  # one lattice.sample_lanes lane
 
     def encrypt_bits(bits: list[int], rng: Random) -> int:
         lanes = lattice.lwe_encrypt_bits(samples, bits, LWE_PARAMS, rng)
@@ -109,10 +109,11 @@ def _lwe_decrypt_bits(secret: tuple[int, ...], numeral: int) -> list[int]:
 
     split_fields puts the fields in 32-bit lanes, the last field lowest, so
     a block's a_t sits n - t lanes above its b.  Times the secret packed
-    one value per lane, s_t in lane t, lane n above each b collects
-    sum_t s_t a_t: every product is below q 2^10 < 2^20, so no lane
-    carries into the next, and the product shifted down n lanes puts each
-    block's <secret, a> in its b lane.
+    one value per lane, s_t in lane t, the lane n above each b collects
+    sum_t s_t a_t.  A lane of the product sums n products of a secret
+    value and a field, each below q 2^10, so it stays far below 2^32 and
+    never carries into the next; shifted down n lanes, the product holds
+    each block's <secret, a> in its b lane.
     """
     q, n = LWE_PARAMS.q, LWE_PARAMS.n
     fields = n + 1
@@ -173,7 +174,8 @@ def _mceliece_decrypt_bits(sk: codecrypt.McEliecePrivateKey, numeral: int) -> by
     words = split_fields(numeral, KEM_SECRET_BITS, MCELIECE_WORD_BITS, 8)
     messages = codecrypt.mceliece_decrypt_words(sk, words.to_bytes(KEM_SECRET_BITS, "big"))
     if max(messages) >> 1:
-        raise DecodeFailure(f"plaintext {next(m for m in messages if m >> 1)} is not a single bit")
+        wide = next(m for m in messages if m >> 1)
+        raise DecodeFailure(f"plaintext {wide} is not a single bit")
     return messages
 
 
@@ -200,12 +202,20 @@ def ecdh_toy_kem(h: HashFunction = DEFAULT_HASH) -> KemInstance:
 
 
 def identity_stub_kem(h: HashFunction = DEFAULT_HASH) -> KemInstance:
-    """Identity 'encryption': the ciphertext is the bit string itself."""
+    """Identity 'encryption': the ciphertext is the bit string itself,
+    closed up from one bit per byte and spread out again."""
+
+    def encrypt_bits(bits: list[int], rng: Random) -> int:
+        return join_fields(int.from_bytes(bytes(bits), "big"), len(bits), 1, 8)
+
+    def decrypt_bits(secret, numeral: int) -> bytes:
+        return split_fields(numeral, KEM_SECRET_BITS, 1, 8).to_bytes(KEM_SECRET_BITS, "big")
+
     return kem_from_encryption(
         "stub-kem",
         lambda rng: (b"", b""),
-        lambda pk: lambda bits, rng: join_fields(int.from_bytes(bytes(bits), "big"), len(bits), 1, 8),
-        lambda sk, numeral: split_fields(numeral, KEM_SECRET_BITS, 1, 8).to_bytes(KEM_SECRET_BITS, "big"),
+        lambda pk: encrypt_bits,
+        decrypt_bits,
         KEM_SECRET_BITS,
         ciphertext_bits=1,
         h=h,

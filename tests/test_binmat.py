@@ -76,6 +76,8 @@ def test_shape_checks():
         a.vec_mul(0b100)
     with pytest.raises(DimensionMismatch):
         BinaryMatrix(2, 2, [0b100, 0])  # bit beyond declared cols
+    with pytest.raises(DimensionMismatch):
+        BinaryMatrix(2, 2, [0, -1])  # a negative row has every high bit set
 
 
 def test_permute_cols_matches_permutation_matrix():
@@ -99,3 +101,32 @@ def test_permute_cols_rejects_non_permutation():
     m = BinaryMatrix.zero(2, 3)
     with pytest.raises(DimensionMismatch):
         m.permute_cols([0, 0, 1])
+
+
+def test_is_invertible_agrees_with_elimination():
+    # the basis test random_invertible draws against, and the inverse
+    rng = Random(7)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        m = BinaryMatrix.random(n, n, rng)
+        try:
+            inverse = m.inverse()
+        except ValueError:
+            inverse = None
+        assert m.is_invertible() == (inverse is not None)
+        if inverse is not None:
+            assert m.mul(inverse) == BinaryMatrix.identity(n)
+        seen.add(inverse is None)
+    assert seen == {True, False}
+
+
+def test_bit_sliced_products_and_permutations_match_per_row_loops():
+    rng = Random(8)
+    for _ in range(100):
+        rows, cols, cols2 = rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 9)
+        a = BinaryMatrix.random(rows, cols, rng)
+        b = BinaryMatrix.random(cols, cols2, rng)
+        perm = random_permutation(cols, rng)
+        assert a.permute_cols(perm).data == [permute_word(row, perm) for row in a.data]
+        assert a.mul(b).data == [b.vec_mul(row) for row in a.data]

@@ -11,13 +11,14 @@ from pqbench.codecrypt import (
     hamming_distance,
     hamming_weight,
     mceliece_decrypt,
+    mceliece_decrypt_words,
     mceliece_encrypt,
     mceliece_encrypt_bits,
     mceliece_keygen,
     random_error,
     serialize_code_matrix,
 )
-from pqbench.errors import DimensionMismatch, TooLarge
+from pqbench.errors import DecodeFailure, DimensionMismatch, TooLarge
 from pqbench.kex import draws
 from pqbench.serialize import MalformedFrame
 from pqbench.suites import builtin_kems
@@ -234,3 +235,18 @@ def test_encrypt_bits_takes_single_bits_only():
     public, _ = mceliece_keygen(hamming_code(3), Random(6))
     with pytest.raises(DimensionMismatch):
         mceliece_encrypt_bits(public, [1, 2], Random(6))
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_decrypt_words_equals_one_call_per_word(r):
+    # r = 3: every word of the [7, 4] code through the byte kernel; r = 4:
+    # a [15, 11] code, too wide for a byte, goes word by word
+    code = hamming_code(r)
+    rng = Random(20 + r)
+    for _ in range(5):
+        _, secret = mceliece_keygen(code, rng)
+        words = list(range(128)) if r == 3 else [rng.getrandbits(15) for _ in range(200)]
+        got = mceliece_decrypt_words(secret, bytes(words) if r == 3 else words)
+        assert list(got) == [mceliece_decrypt(secret, w) for w in words]
+        with pytest.raises(DecodeFailure, match=f"beyond coordinate {code.n - 1}"):
+            mceliece_decrypt_words(secret, [*words[:3], 1 << code.n])

@@ -158,3 +158,20 @@ def test_bit_packing_reads_each_value_by_its_truth(values):
         if value:
             out[i // 8] |= 0x80 >> (i % 8)
     assert serialize.pack_bits(values) == bytes(out)
+
+
+@given(st.data())
+def test_join_and_split_fields_match_a_field_by_field_loop(data):
+    count = data.draw(st.integers(1, 70))
+    width = data.draw(st.integers(1, 20))
+    stride = data.draw(st.integers(width, 40))
+    fields = data.draw(st.lists(st.integers(0, 2**width - 1), min_size=count, max_size=count))
+    junk = data.draw(st.lists(st.integers(0, 2**(stride - width) - 1), min_size=count, max_size=count))
+    spread = sum(f << stride * i for i, f in enumerate(fields))
+    joined = sum(f << width * i for i, f in enumerate(fields))
+    assert serialize.join_fields(spread, count, width, stride) == joined
+    assert serialize.split_fields(joined, count, width, stride) == spread
+    # bits above a field in its lane, or above the last field, are dropped
+    noisy = spread + sum(j << stride * i + width for i, j in enumerate(junk))
+    assert serialize.join_fields(noisy, count, width, stride) == joined
+    assert serialize.split_fields(joined | 1 << width * count, count, width, stride) == spread

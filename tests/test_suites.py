@@ -147,6 +147,12 @@ def test_sig_rejects_truncated_signature(sig):
     assert not sig.verify(pk, b"truncate me", b"")
 
 
+def test_lwe_samples_on_the_wire_are_the_lanes_the_kernel_reads():
+    # _lwe_parse_pk hands each sample's bytes, read as one int, to
+    # lattice.lwe_encrypt_bits, which reads them in sample_lanes
+    assert lattice.sample_lanes(suites.LWE_PARAMS).format == suites.LWE_SAMPLE.format
+
+
 def test_lwe_kem_shared_secret_depends_on_bits():
     kem = builtin_kems()["lwe-toy"]
     rng = Random(46)
