@@ -242,6 +242,21 @@ def test_uov_public_hides_but_matches_private():
             eval_system(kp.private.central, kp.private.t_map.apply(x))
 
 
+@pytest.mark.parametrize("params", [UovParams(o=2, v=4, q=7), UovParams(o=1, v=2, q=2),
+                                    UovParams(o=3, v=7, q=7), UovParams(o=2, v=3, q=31)], ids=str)
+def test_public_key_bytes_agree_with_the_central_map_pointwise(params):
+    # the last two pack the substitution in 32-bit lanes, the others in 16
+    rng = Random(17)
+    for _ in range(3):
+        kp = uov_keygen(params, rng)
+        public = reference_parse(kp.public)
+        assert (public.field.q, public.n, public.m) == (params.q, params.n, params.o)
+        for _ in range(30):
+            x = tuple(rng.randrange(params.q) for _ in range(params.n))
+            assert eval_system(public, x) == \
+                eval_system(kp.private.central, kp.private.t_map.apply(x))
+
+
 def test_uov_wrong_message_rejected():
     params = UovParams(o=2, v=4, q=7)
     rng = Random(8)
