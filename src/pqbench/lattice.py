@@ -166,7 +166,7 @@ def lwe_encrypt_bits(samples: list[int], bits, params: LweParams, rng: Random) -
     takes it.  Every lane is then reduced mod q at once, by restoring
     division: for each j from high to low, q 2^j is taken off every lane
     not below it, the lanes found by adding 2^(w-1) - q 2^j to all of them
-    and reading their top bits.
+    (w the lane width) and reading their top bits.
     """
     if not set(bits) <= {0, 1}:
         raise ValueError("bit must be 0 or 1")
@@ -192,11 +192,11 @@ def lwe_encrypt_bits(samples: list[int], bits, params: LweParams, rng: Random) -
     slots[lanes.size - 1 :: lanes.size] = bytes(bits)
     half = q // 2
     total = sum(map(mul, samples, columns), half * int.from_bytes(slots, "big"))
-    width = 8 * lanes.size // (n + 1)
-    ones = int.from_bytes((bytes(width // 8 - 1) + b"\1") * (len(bits) * (n + 1)), "big")
+    lane_bits = 8 * lanes.size // (n + 1)
+    ones = int.from_bytes((bytes(lane_bits // 8 - 1) + b"\1") * (len(bits) * (n + 1)), "big")
     for j in reversed(range(((m * (q - 1) + half) // q).bit_length())):
         step = q << j
-        total -= step * ((total + ((1 << width - 1) - step) * ones) >> width - 1 & ones)
+        total -= step * ((total + ((1 << lane_bits - 1) - step) * ones) >> lane_bits - 1 & ones)
     return total
 
 
