@@ -22,7 +22,7 @@ from pqbench.suites import (
     sized_stub_sig,
     wots_sig,
 )
-from pqbench.tlssim import SuiteConfig, pinned_issuer, run_handshake
+from pqbench.tlssim import SuiteConfig, pinned_issuer, registry_kem_suites, run_handshake
 
 KEMS = sorted(builtin_kems().values(), key=lambda k: k.name)
 SIGS = sorted(builtin_sigs().values(), key=lambda s: s.name)
@@ -420,6 +420,24 @@ def test_sized_stub_sig_reports_requested_sizes():
     assert not sig.verify(pk, b"m", flipped)
 
 
+@pytest.mark.parametrize("at", (0, 1210, 2419), ids=("first", "middle", "last"))
+def test_stub_signature_fails_with_any_byte_flipped(at):
+    sig = sized_stub_sig("stub-sig-big", public_bytes=2592, signature_bytes=2420)
+    pk, sk = sig.keypair(Random(49))
+    s = sig.sign(sk, b"m")
+    assert sig.verify(pk, b"m", s)
+    assert not sig.verify(pk, b"m", s[:at] + bytes([s[at] ^ 0x80]) + s[at + 1:])
+
+
+def test_stub_filler_is_keyed_by_the_instance_hash():
+    default = sized_stub_kem("x", 1184, 1088, DEFAULT_HASH)
+    reference = sized_stub_kem("x", 1184, 1088, PQH)
+    pk_default, _ = default.keypair(Random(53))
+    pk_reference, _ = reference.keypair(Random(53))
+    assert len(pk_default) == len(pk_reference) == 1184
+    assert pk_default != pk_reference
+
+
 class CountingHash:
     """Wraps a HashFunction and records the length of every input."""
 
@@ -509,6 +527,32 @@ def test_hash_based_signers_make_pinned_hash_calls(name):
     assert sig.verify(pk, b"pinned message", signature)
     calls.append(len(counting.lengths))
     assert tuple(calls) == HASH_CALLS[name]
+
+
+# hash calls and bytes hashed by one handshake of each registry stub suite
+# under Random(0), counted through CountingHash with the issuer key already
+# derived; like HASH_CALLS they do not depend on the host, so a change in
+# how much the stub filler or the transcript hashes shows without a timing run
+REGISTRY_HASH_WORK = {
+    "BIKE-1-CCA": (604, 133313),
+    "FrodoKEM-976": (899, 238235),
+    "Kyber-768": (447, 77435),
+    "NewHope1024": (467, 84587),
+    "ntruhps4096821": (449, 78047),
+    "SABER-KEM": (441, 75299),
+    "SIKEp610": (425, 69407),
+}
+
+
+@pytest.mark.parametrize("label", sorted(REGISTRY_HASH_WORK))
+def test_registry_handshakes_make_pinned_hash_work(label):
+    counting = CountingHash()
+    cfg = next(c for c in registry_kem_suites(h=counting.h) if c.label == label)
+    pinned_issuer(cfg.sig)
+    counting.lengths.clear()
+    t = run_handshake(cfg, cfg, rng=Random(0))
+    assert t.server_key_digest == t.client_key_digest
+    assert (len(counting.lengths), sum(counting.lengths)) == REGISTRY_HASH_WORK[label]
 
 
 def counted(monkeypatch, owner, name):

@@ -527,6 +527,32 @@ def test_tcp_light_suites_match_pinned_handshakes(label):
     assert keys.hexdigest() == seeded
 
 
+# the seven registry stub suites under Random(0): message sizes in wire
+# order and client read/write, the same under the default hash and pqh;
+# pinned so a change to the stub filler's content keeps every wire size
+REGISTRY_HANDSHAKES = {
+    "BIKE-1-CCA": ((6232, 1111, 5, 3767, 2425, 37, 37), 7345, 6269),
+    "FrodoKEM-976": ((15661, 1113, 5, 3767, 2425, 37, 37), 7347, 15698),
+    "Kyber-768": ((1210, 1110, 5, 3767, 2425, 37, 37), 7344, 1247),
+    "NewHope1024": ((1852, 1112, 5, 3767, 2425, 37, 37), 7346, 1889),
+    "ntruhps4096821": ((1261, 1115, 5, 3767, 2425, 37, 37), 7349, 1298),
+    "SABER-KEM": ((1018, 1110, 5, 3767, 2425, 37, 37), 7344, 1055),
+    "SIKEp610": ((487, 1109, 5, 3767, 2425, 37, 37), 7343, 524),
+}
+
+
+@pytest.mark.parametrize("h", (DEFAULT_HASH, PQH), ids=lambda h: h.name)
+def test_registry_suites_match_pinned_handshakes(h):
+    suites = registry_kem_suites(h=h)
+    assert sorted(cfg.label for cfg in suites) == sorted(REGISTRY_HANDSHAKES)
+    for cfg in suites:
+        sizes, read, write = REGISTRY_HANDSHAKES[cfg.label]
+        t = run_handshake(cfg, cfg, rng=Random(0))
+        assert t.messages == tuple(zip(MESSAGE_ORDER, sizes)), cfg.label
+        assert (t.client_read_bytes, t.client_write_bytes) == (read, write), cfg.label
+        assert t.server_key_digest == t.client_key_digest
+
+
 def test_in_process_handshake_starts_no_thread_and_opens_no_socket(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an in-process handshake needs no thread or socket")
