@@ -9,22 +9,28 @@ value, goes through _seeded_sig: keypair builds the full key from a
 draws from a hash of (seed or exponent, message), so sign is a pure
 function of (secret, message) as the contract requires.  That hash, and
 the one that stretches a seed into a key, is the instance's own h, so an
-instance hashes with nothing but the hash it was built with.  Every
+instance hashes with nothing but the hash it was built with, apart from
+the fixed SHAKE-256 expansion of h(seed) that makes stub filler.  Every
 verify returns False when the scheme rejects its input as malformed by
 raising a PqbenchError.
 
 The stub instances are test doubles: honest implementations of the
 contracts with configurable key and payload sizes, used by the handshake
 simulation to model wire costs of schemes this package does not
-implement.  Their filler bytes are expanded from one digest of a seed,
-so producing or checking a stub key, ciphertext or signature hashes each
-input byte once, however many bytes it expands to.
+implement.  Their filler bytes are SHAKE-256 of one digest of a seed, so
+producing or checking a stub key, ciphertext or signature hashes each
+input byte once with h and expands in one native call, however many
+bytes it expands to.  SHAKE-256 comes from CPython's built-in _sha3
+module rather than through hashlib, for the reason hashing gives for
+_blake2.
 """
 
 from __future__ import annotations
 
 import struct
 from random import Random
+
+from _sha3 import shake_256
 
 from . import codecrypt, hashsig, lattice, mq, sigma
 from .errors import DecodeFailure, LengthMismatch, PqbenchError
@@ -223,19 +229,11 @@ def identity_stub_kem(h: HashFunction = DEFAULT_HASH) -> KemInstance:
 
 
 def _stretch(h: HashFunction, seed: bytes, size: int) -> bytes:
-    """size bytes expanded from one digest of seed, in counter mode: block
-    i is h(h(seed) + u32(i)).  Each block forks one state that has already
-    absorbed h(seed), so the digest is not hashed again per block.  The
-    counter is packed inline rather than through u32, whose range check
-    cannot fail here and costs a tenth of this loop."""
-    primed = h.new()
-    primed.update(h(seed))
-    out = []
-    for counter in range(-(-size // h.output_bytes)):
-        block = primed.copy()
-        block.update(counter.to_bytes(4, "big"))
-        out.append(block.digest())
-    return b"".join(out)[:size]
+    """size bytes expanded from one digest of seed: the first size bytes
+    of SHAKE-256 (FIPS 202) over h(seed).  The seed passes through the
+    instance's own h, so every seed byte and the hash choice key the
+    filler; the expansion is one native call, whatever size is."""
+    return shake_256(h(seed)).digest(size)
 
 
 def sized_stub_kem(name: str, public_bytes: int, ciphertext_bytes: int,

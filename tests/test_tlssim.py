@@ -422,7 +422,7 @@ GOLDEN_HANDSHAKES = {
     ),
     "Kyber-768": (
         (1210, 1110, 5, 3767, 2425, 37, 37), 7344, 1247,
-        "3d68a8e19da2ed8d4f1b8a9d1471d7c878efbbe6c343f4fb8d6d7eebdb7e5603",
+        "a2958f73612713adacb98929223e1e1a8792a51ee4110ecedc690117cafcca20",
     ),
     "mceliece-mss": (
         (45, 53, 5, 3665, 3608, 37, 37), 7368, 82,
