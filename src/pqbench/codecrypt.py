@@ -177,18 +177,18 @@ def mceliece_encrypt(pk: McEliecePublicKey, m: int, rng: Random, error: int | No
 
 
 def mceliece_encrypt_bits(pk: McEliecePublicKey, bits, rng: Random) -> list[int]:
-    """mceliece_encrypt of each one-bit message in turn, in one call.
+    """mceliece_encrypt of each one-bit message in turn, in one call, under
+    a key with t = 1, as every hamming_code key has.
 
-    With t = 1, as every hamming_code key has, an error is one position,
-    and rng.sample(range(n), 1) takes exactly one randrange(n) draw, so
-    every error comes from one draws call.  Any other t draws each error
-    through random_error, as mceliece_encrypt does.  Either way the RNG
-    stream is the one len(bits) calls of mceliece_encrypt take."""
+    An error is then one position, and rng.sample(range(n), 1) takes
+    exactly one randrange(n) draw, so every error comes from one draws
+    call and the RNG stream is the one len(bits) calls of mceliece_encrypt
+    take.  A key with any other t is refused before a draw."""
+    if pk.t != 1:
+        raise DimensionMismatch(f"encrypting bits at once needs t=1, the key has t={pk.t}")
     if not set(bits) <= {0, 1}:
         raise DimensionMismatch("messages must be single bits")
-    if pk.t != 1:
-        return [mceliece_encrypt(pk, bit, rng) for bit in bits]
-    codewords = (0, pk.matrix.vec_mul(1))
+    codewords = (0, mceliece_encrypt(pk, 1, rng, error=0))
     errors = draws(rng, pk.matrix.cols, len(bits))
     return [codewords[bit] ^ (1 << e) for bit, e in zip(bits, errors)]
 

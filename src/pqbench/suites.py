@@ -161,15 +161,20 @@ def _mceliece_keygen(rng: Random) -> tuple[bytes, codecrypt.McEliecePrivateKey]:
 
 def _mceliece_encryptor(pk: bytes):
     """encrypt_bits for one public key: codecrypt.mceliece_encrypt_bits,
-    its words closed up by one join_fields.  A key read off the wire may
-    be wider than the ciphertext's blocks; a word that does not fit one is
-    refused."""
-    key = codecrypt.McEliecePublicKey(*codecrypt.deserialize_code_matrix(pk))
+    its words closed up by one join_fields.  A key read off the wire must
+    carry the suite's code shape, hamming_code(3)'s n and k with t = 1:
+    encrypting under a peer's n and t would cost the peer's choice of
+    work, so any other shape is refused before a draw."""
+    matrix, t = codecrypt.deserialize_code_matrix(pk)
+    code = codecrypt.hamming_code(3)
+    for field, got, want in (("n", matrix.cols, code.n), ("k", matrix.rows, code.k),
+                             ("t", t, code.t)):
+        if got != want:
+            raise MalformedFrame(f"mceliece-toy public key has {field}={got}, expected {want}")
+    key = codecrypt.McEliecePublicKey(matrix, t)
 
     def encrypt_bits(bits: list[int], rng: Random) -> int:
         words = codecrypt.mceliece_encrypt_bits(key, bits, rng)
-        if max(words) >> MCELIECE_WORD_BITS:
-            raise DecapsFailure(f"mceliece-toy: block wider than {MCELIECE_WORD_BITS} bits")
         return join_fields(int.from_bytes(bytes(words), "big"), len(words), MCELIECE_WORD_BITS, 8)
 
     return encrypt_bits

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from pqbench import codecrypt, hashsig, kex, lattice, mq, suites
+from pqbench.binmat import BinaryMatrix
 from pqbench.errors import LengthMismatch, PqbenchError
 from pqbench.hashing import DEFAULT_HASH, PQH, HashFunction
 from pqbench.kex import DecapsFailure, draws
-from pqbench.serialize import pack, pack_bits, unpack
+from pqbench.serialize import MalformedFrame, pack, pack_bits, unpack
 from pqbench.suites import (
     _stretch,
     builtin_kems,
@@ -294,20 +295,32 @@ def test_vector_kernels_take_the_per_bit_stream(monkeypatch, name):
     assert tuple(retries) == (LWE_RETRY_SEEDS if name == "lwe-toy" else ())
 
 
-@pytest.mark.parametrize("t", [0, 2])
-def test_mceliece_keys_with_another_error_weight_keep_the_per_bit_stream(t):
-    # t is read off the wire; only t = 1 takes the one-call error draw
+# (n, k, t) of crafted mceliece-toy public keys, each named by the first
+# field the adapter refuses; the suite's code is hamming_code(3)'s (7, 4)
+# with t = 1.  "n=20000" is a 2,512 B key with k = 1 and t = n, which cost
+# the server 32 rng.sample calls over range(20000) before it was refused
+CRAFTED_MCELIECE_SHAPES = {
+    "t=0": (7, 4, 0),
+    "t=2": (7, 4, 2),
+    "n=20000": (20000, 1, 20000),
+    "n=8": (8, 4, 1),
+    "k=3": (7, 3, 1),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(CRAFTED_MCELIECE_SHAPES))
+def test_mceliece_keys_of_another_shape_are_refused_before_any_draw(monkeypatch, shape):
+    n, k, t = CRAFTED_MCELIECE_SHAPES[shape]
     kem = builtin_kems()["mceliece-toy"]
-    for seed in range(20):
-        rng = Random(seed)
-        pk, _ = kem.keypair(rng)
-        matrix, _ = codecrypt.deserialize_code_matrix(pk)
-        crafted = codecrypt.serialize_code_matrix(matrix, t)
-        reference = Random()
-        reference.setstate(rng.getstate())
-        assert kem.encaps(crafted, rng) == reference_encaps("mceliece-toy", crafted, reference,
-                                                            DEFAULT_HASH)
-        assert rng.getstate() == reference.getstate()
+    crafted = codecrypt.serialize_code_matrix(BinaryMatrix(k, n, [1] * k), t)
+    made = [counted(monkeypatch, owner, name)
+            for owner, name in ((kex, "draws"), (codecrypt, "draws"), (codecrypt, "random_error"))]
+    rng = Random(0)
+    before = rng.getstate()
+    with pytest.raises(MalformedFrame, match=f"mceliece-toy public key has {shape},"):
+        kem.encaps(crafted, rng)
+    assert made == [[], [], []]
+    assert rng.getstate() == before
 
 
 def reference_decaps(name, secret, ciphertext, h):
