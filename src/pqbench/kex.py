@@ -361,8 +361,10 @@ def kem_from_encryption(
     the blocks is a DecapsFailure.  decrypt_bits(secret, numeral) takes
     the secret as keygen returned it and gives the bits back; a
     PqbenchError it raises, or a value that is not a bit, is a
-    DecapsFailure.  The adapter draws the bits first and hashes the
-    plaintext bit string into the shared secret.
+    DecapsFailure.  encaps reads the public key first, so a key that
+    encryptor refuses costs no draw; then it draws the bits before
+    encrypting them, and hashes the plaintext bit string into the shared
+    secret.
     """
     total_bits = secret_bits * ciphertext_bits
     ct_len = (total_bits + 7) // 8
