@@ -89,22 +89,6 @@ class BinaryMatrix:
             raise ValueError("matrix is singular")
         return BinaryMatrix(self.rows, self.rows, rows)
 
-    def is_invertible(self) -> bool:
-        """Whether the rows are independent, found by reducing each against
-        a basis of the ones before it, kept in descending order so that
-        min(row, row ^ b) clears b's top bit from row."""
-        if self.rows != self.cols:
-            raise DimensionMismatch("only square matrices invert")
-        basis = []
-        for row in self.data:
-            for b in basis:
-                row = min(row, row ^ b)
-            if not row:
-                return False
-            basis.append(row)
-            basis.sort(reverse=True)
-        return True
-
 
 def _side_by_side(rows: list[int], width: int) -> tuple[int, int]:
     """rows in one int, row i in bits [width i, width i + width), and the
@@ -146,7 +130,7 @@ def random_invertible(n: int, rng: Random) -> BinaryMatrix:
     invertible fraction over GF(2) stays near 29%)."""
     while True:
         m = BinaryMatrix.random(n, n, rng)
-        if m.is_invertible():
+        if _inverse_rows(m.data, n) is not None:
             return m
 
 
