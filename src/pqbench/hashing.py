@@ -31,11 +31,11 @@ length (so "ab","c" and "a","bc" separate), runs four blank rounds and
 outputs the four lanes as big-endian words.
 
 Both hashes stream through states shaped like hashlib objects: update
-returns None, digest leaves the state able to go on absorbing, and copy
-forks it.  DEFAULT_HASH's states are blake2b objects themselves.  pqh
-absorbs each whole word as soon as it arrives and buffers the partial
-last word, which it absorbs with the length only at finalization, so the
-digest does not depend on how the input was split across updates.
+returns None, and digest leaves the state able to go on absorbing.
+DEFAULT_HASH's states are blake2b objects themselves.  pqh absorbs each
+whole word as soon as it arrives and buffers the partial last word,
+which it absorbs with the length only at finalization, so the digest
+does not depend on how the input was split across updates.
 """
 
 import struct
@@ -53,8 +53,6 @@ class HashState(Protocol):
 
     def update(self, data: bytes) -> None: ...
 
-    def copy(self) -> "HashState": ...
-
     def digest(self) -> bytes: ...
 
 
@@ -71,37 +69,13 @@ def mix64(x: int) -> int:
 
 def _absorb(lanes: tuple[int, int, int, int], words) -> tuple[int, int, int, int]:
     """XOR each word into lane 0, then run one round: every lane in turn
-    goes through mix64, fed from its neighbour.  mix64 is written out
-    inline because this loop is where nearly all of pqh's time goes.
-    Under the default BLAKE2b, pqh hashes only the pinned-issuer seed
-    (tlssim.pinned_issuer) and the suites tests build on PQH, so the
-    inlining saves test time, not handshake time."""
+    goes through mix64, fed from its neighbour."""
     a, b, c, d = lanes
     for w in words:
-        x = a ^ w ^ d
-        x ^= x >> 30
-        x = (x * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        x ^= x >> 27
-        x = (x * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        a = x ^ (x >> 31)
-        x = (b + a) & 0xFFFFFFFFFFFFFFFF
-        x ^= x >> 30
-        x = (x * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        x ^= x >> 27
-        x = (x * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        b = x ^ (x >> 31)
-        x = c ^ b
-        x ^= x >> 30
-        x = (x * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        x ^= x >> 27
-        x = (x * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        c = x ^ (x >> 31)
-        x = (d + c) & 0xFFFFFFFFFFFFFFFF
-        x ^= x >> 30
-        x = (x * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        x ^= x >> 27
-        x = (x * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        d = x ^ (x >> 31)
+        a = mix64(a ^ w ^ d)
+        b = mix64(b + a)
+        c = mix64(c ^ b)
+        d = mix64(d + c)
     return a, b, c, d
 
 
@@ -113,17 +87,15 @@ class PqhState:
     """A running pqh computation.
 
     update() absorbs the whole words it can; digest() finalizes a private
-    copy of the lanes, so the state can go on absorbing after it; copy()
-    forks an independent state.
+    copy of the lanes, so the state can go on absorbing after it.
     """
 
     __slots__ = ("_lanes", "_tail", "_length")
 
-    def __init__(self, lanes: tuple[int, int, int, int] = _SEED_LANES,
-                 tail: bytes = b"", length: int = 0):
-        self._lanes = lanes
-        self._tail = tail
-        self._length = length
+    def __init__(self):
+        self._lanes = _SEED_LANES
+        self._tail = b""
+        self._length = 0
 
     def update(self, data: bytes) -> None:
         self._length += len(data)
@@ -133,9 +105,6 @@ class PqhState:
         if words:
             self._lanes = _absorb(self._lanes, struct.unpack_from(f">{words}Q", data))
         self._tail = data[words << 3 :]
-
-    def copy(self) -> "PqhState":
-        return PqhState(self._lanes, self._tail, self._length)
 
     def digest(self) -> bytes:
         lanes = self._lanes
@@ -152,15 +121,12 @@ class _BufferedState:
 
     __slots__ = ("_h", "_data")
 
-    def __init__(self, h: "HashFunction", data: bytes = b""):
+    def __init__(self, h: "HashFunction"):
         self._h = h
-        self._data = data
+        self._data = b""
 
     def update(self, data: bytes) -> None:
         self._data += data
-
-    def copy(self) -> "_BufferedState":
-        return _BufferedState(self._h, self._data)
 
     def digest(self) -> bytes:
         out = self._h.apply(self._data)
@@ -176,7 +142,7 @@ class HashFunction:
     Instances are callable.  new is the state factory, picked once when
     the hash is built: new_state if given, else a buffering state that
     keeps every byte and reaches apply once per digest.  A state has
-    update, copy and digest, shaped like a hashlib object, and digesting
+    update and digest, shaped like a hashlib object, and digesting
     everything fed to it gives what one call on the concatenation gives.
     Calling h(data) hashes through one fresh state, and h.each(items)
     hashes every item through its own fresh state in one loop, so neither

@@ -148,14 +148,3 @@ def test_any_split_streams_to_the_one_shot_digest(h, data, cuts):
     for steps in range(4):
         assert hash_chain(h, data, steps) == chained
         chained = h(chained)
-
-
-@given(hashes, st.binary(max_size=40), st.binary(max_size=40), st.binary(max_size=40))
-def test_copy_is_independent_of_the_original(h, prefix, left, right):
-    original = h.new()
-    original.update(prefix)
-    fork = original.copy()
-    original.update(left)
-    fork.update(right)
-    assert original.digest() == h(prefix + left)
-    assert fork.digest() == h(prefix + right)
