@@ -201,22 +201,23 @@ def mceliece_decrypt(sk: McEliecePrivateKey, c: int) -> int:
 
 
 def mceliece_decrypt_words(sk: McEliecePrivateKey, words):
-    """mceliece_decrypt of every word in turn, in one call.
+    """mceliece_decrypt of every word in turn, in one call, for a code
+    whose words and messages fit a byte (n and k at most 8), as
+    mceliece-toy's [7, 4] code does; a wider code is refused.
 
-    For a code whose words and messages fit a byte (n and k at most 8),
-    the messages come back as bytes, and each step runs on every word at
+    The messages come back as bytes, and each step runs on every word at
     once, the words read as one int with byte i holding word i:
     unpermuting is one binmat.permute_lanes, decoding one bytes.translate
     through the code's decode_table.  Unscrambling is bit-sliced too:
     message bit j of every word, times row j of S^-1 (below 2^k, so no
     byte carries), puts that row in every byte whose bit is set, and the
-    rows XOR together.  A wider code goes word by word.
+    rows XOR together.
     """
     n, k = sk.code.n, sk.code.k
+    if n > 8 or k > 8:
+        raise DimensionMismatch(f"decrypting words at once needs n, k <= 8, not [{n}, {k}]")
     if max(words, default=0) >> n:
         raise DecodeFailure(f"word has bits beyond coordinate {n - 1}")
-    if n > 8 or k > 8:
-        return [mceliece_decrypt(sk, word) for word in words]
     size = len(words)
     low = int.from_bytes(b"\1" * size, "big")  # bit 0 of every byte
     unpermuted = permute_lanes(int.from_bytes(bytes(words), "big"), low, sk.perm_inverse)

@@ -246,13 +246,17 @@ def test_encrypt_bits_takes_single_bits_only():
 @pytest.mark.parametrize("r", [3, 4])
 def test_decrypt_words_equals_one_call_per_word(r):
     # r = 3: every word of the [7, 4] code through the byte kernel; r = 4:
-    # a [15, 11] code, too wide for a byte, goes word by word
+    # a [15, 11] code, too wide for a byte, is refused before any word
     code = hamming_code(r)
     rng = Random(20 + r)
     for _ in range(5):
         _, secret = mceliece_keygen(code, rng)
-        words = list(range(128)) if r == 3 else [rng.getrandbits(15) for _ in range(200)]
-        got = mceliece_decrypt_words(secret, bytes(words) if r == 3 else words)
+        if r == 4:
+            with pytest.raises(DimensionMismatch, match=r"n, k <= 8, not \[15, 11\]"):
+                mceliece_decrypt_words(secret, [1 << code.n])
+            continue
+        words = list(range(128))
+        got = mceliece_decrypt_words(secret, bytes(words))
         assert list(got) == [mceliece_decrypt(secret, w) for w in words]
         with pytest.raises(DecodeFailure, match=f"beyond coordinate {code.n - 1}"):
             mceliece_decrypt_words(secret, [*words[:3], 1 << code.n])

@@ -10,7 +10,16 @@ definition that is used never fails the test.
 """
 
 import ast
+import importlib
+import sys
 from pathlib import Path
+from random import Random
+
+import pytest
+
+from pqbench.hashing import DEFAULT_HASH, PQH
+from pqbench.suites import builtin_kems, builtin_sigs
+from pqbench.tlssim import SuiteConfig, registry_kem_suites, run_handshake
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pqbench"
@@ -26,6 +35,7 @@ KEEP = {
     "binmat.BinaryMatrix.from_bits": "a test reference builder",
     "binmat.BinaryMatrix.identity": "a test reference builder, and the identity scramble",
     "codecrypt.brute_force_decode": "a brute-force oracle (criterion 4)",
+    "codecrypt.mceliece_decrypt": "the per-word reference criterion 3 and mceliece_decrypt_words are checked against",
     "kex.enumerate_points": "checks the MAIN_ORDER that ecdh-toy runs on",
     "kex.point_order": "checks the MAIN_ORDER that ecdh-toy runs on",
     "kex.ecdh_exchange": "criterion 3 runs ECDH through it",
@@ -95,6 +105,58 @@ def test_every_definition_has_a_program_caller():
         and qualified not in KEEP
     )
     assert unused == []
+
+
+def kept_definitions():
+    """(qualified name, owner, name) of every KEEP definition, where owner
+    is its class for a method and its module otherwise."""
+    for qualified in KEEP:
+        module, *path, name = qualified.split(".")
+        owner = importlib.import_module(f"pqbench.{module}")
+        for part in path:
+            owner = getattr(owner, part)
+        yield qualified, owner, name
+
+
+def record_calls(monkeypatch, qualified, owner, name, calls):
+    """Replace one definition with a wrapper that notes qualified in calls,
+    then runs it: on its class for a method, else wherever a package
+    module binds it."""
+    original = vars(owner)[name]
+    target = getattr(original, "__func__", original)  # a classmethod's function
+
+    def recorder(*args, **kwargs):
+        calls.append(qualified)
+        return target(*args, **kwargs)
+
+    if isinstance(owner, type):
+        is_classmethod = isinstance(original, classmethod)
+        monkeypatch.setattr(owner, name, classmethod(recorder) if is_classmethod else recorder)
+        return
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.partition(".")[0] == "pqbench":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, recorder)
+
+
+@pytest.mark.parametrize("h", (DEFAULT_HASH, PQH), ids=lambda h: h.name)
+def test_no_handshake_reaches_a_kept_definition(monkeypatch, h):
+    # KEEP is for what only tests call: one handshake of every built-in
+    # KEM with every built-in signature, and of every registry suite,
+    # must reach none of it (decaps must not fall back to a reference)
+    calls = []
+    for definition in list(kept_definitions()):
+        record_calls(monkeypatch, *definition, calls)
+    kems, sigs = builtin_kems(h), builtin_sigs(h)
+    configs = [SuiteConfig(kem, sig, h, f"{kem.name}+{sig.name}")
+               for kem in kems.values() for sig in sigs.values()]
+    configs += registry_kem_suites(h)
+    assert len(configs) == 27
+    for cfg in configs:
+        t = run_handshake(cfg, cfg, rng=Random(0))
+        assert t.server_key_digest == t.client_key_digest, cfg.label
+    assert calls == []
 
 
 def test_keep_names_only_real_definitions():
