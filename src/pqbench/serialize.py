@@ -56,12 +56,9 @@ def pack(*chunks: bytes) -> bytes:
     return b"".join(parts)
 
 
-def unpack(data: bytes, count: int | None = None) -> list[bytes]:
-    """Split a pack() result back into chunks.
-
-    With count given, exactly that many chunks must consume the whole
-    buffer; otherwise chunks are read until the buffer ends.
-    """
+def unpack(data: bytes, count: int) -> list[bytes]:
+    """Split a pack() result back into its count chunks, which must
+    consume the whole buffer."""
     chunks = []
     offset = 0
     end = len(data)
@@ -76,7 +73,7 @@ def unpack(data: bytes, count: int | None = None) -> list[bytes]:
         chunks.append(data[start:offset])
         if len(chunks) == count and offset != end:
             raise MalformedFrame("trailing bytes after final chunk")
-    if count is not None and len(chunks) != count:
+    if len(chunks) != count:
         raise MalformedFrame(f"expected {count} chunks, found {len(chunks)}")
     return chunks
 
@@ -90,26 +87,23 @@ def pack_vector(items, width: int) -> bytes:
     return prefix + prefix.join(items) if items else b""
 
 
+# built only for the fixed shapes callers name by count, so arbitrary
+# input cannot fill the cache with big layouts
+@lru_cache(maxsize=64)
 def _vector_layout(width: int, records: int) -> struct.Struct:
     return struct.Struct(">" + f"I{width}s" * records)
 
 
-# layouts of the fixed shapes callers name by count; an uncounted parse
-# builds its own, so arbitrary input cannot fill the cache with big layouts
-_counted_layout = lru_cache(maxsize=64)(_vector_layout)
-
-
-def unpack_vector(data: bytes, width: int, count: int | None = None) -> list[bytes]:
+def unpack_vector(data: bytes, width: int, count: int) -> list[bytes]:
     """unpack(data, count) for a vector of width-byte elements, parsed with
     one struct call.  Any other input, including a chunk of another width,
     raises MalformedFrame."""
     records, rest = divmod(len(data), 4 + width)
     if rest:
         raise MalformedFrame(f"{len(data)} bytes are not whole {width}-byte elements")
-    if count is not None and records != count:
+    if records != count:
         raise MalformedFrame(f"expected {count} elements, found {records}")
-    layout = _vector_layout if count is None else _counted_layout
-    fields = layout(width, records).unpack(data)
+    fields = _vector_layout(width, count).unpack(data)
     # a chunk is bytes, so count(width) finds the length prefixes alone
     if fields.count(width) != records:
         raise MalformedFrame(f"an element's length prefix is not {width}")

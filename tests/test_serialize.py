@@ -8,12 +8,12 @@ from pqbench.serialize import LengthOverflow, MalformedFrame
 
 def test_pack_unpack_roundtrip():
     chunks = [b"", b"a", b"hello world", bytes(range(256))]
-    assert serialize.unpack(serialize.pack(*chunks)) == chunks
+    assert serialize.unpack(serialize.pack(*chunks), len(chunks)) == chunks
 
 
 @given(st.lists(st.binary(max_size=64), max_size=8))
 def test_pack_unpack_roundtrip_property(chunks):
-    assert serialize.unpack(serialize.pack(*chunks)) == chunks
+    assert serialize.unpack(serialize.pack(*chunks), len(chunks)) == chunks
 
 
 def test_unpack_with_count_checks_exact():
@@ -28,7 +28,7 @@ def test_unpack_with_count_checks_exact():
 def test_truncated_chunk_rejected():
     data = serialize.u32(10) + b"short"
     with pytest.raises(MalformedFrame):
-        serialize.unpack(data)
+        serialize.unpack(data, 1)
 
 
 @pytest.mark.parametrize("data,count,message", [
@@ -39,9 +39,11 @@ def test_truncated_chunk_rejected():
     (b"", 1, "expected 1 chunks, found 0"),
 ])
 def test_malformed_frame_names_its_cause(data, count, message):
-    with pytest.raises(MalformedFrame) as e:
-        serialize.unpack(data, count)
-    assert str(e.value) == message
+    # None: the frame fails before its chunks are counted, under any count
+    for n in range(4) if count is None else [count]:
+        with pytest.raises(MalformedFrame) as e:
+            serialize.unpack(data, n)
+        assert str(e.value) == message
 
 
 def reference_unpack(data, count):
@@ -53,7 +55,7 @@ def reference_unpack(data, count):
         end = 4 + int.from_bytes(data[:4], "big")
         chunks.append(data[4:end])
         data = data[end:]
-    if count is not None and len(chunks) != count:
+    if len(chunks) != count:
         raise MalformedFrame("wrong count")
     return chunks
 
@@ -70,7 +72,7 @@ frames = st.one_of(
 )
 
 
-@given(frames, st.none() | st.integers(0, 6), st.integers(0, 8))
+@given(frames, st.integers(0, 6), st.integers(0, 8))
 def test_unpack_agrees_with_a_reference_parser(data, count, width):
     try:
         want = reference_unpack(data, count)
@@ -112,9 +114,27 @@ def test_pack_vector_refuses_an_element_of_another_width(items):
     (serialize.pack(b"xyz", b"w"), 2, None, "an element's length prefix is not 2"),
 ])
 def test_unpack_vector_names_its_cause(data, width, count, message):
+    # None: as many elements as data has room for, so the count passes
+    if count is None:
+        count = len(data) // (4 + width)
     with pytest.raises(MalformedFrame) as e:
         serialize.unpack_vector(data, width, count)
     assert str(e.value) == message
+
+
+def test_no_input_makes_a_layout_for_a_shape_the_caller_did_not_name():
+    # whole-element inputs of every size up to 200 elements, under one
+    # count: all but the one of that count are refused before any layout
+    # is built, so the layout cache holds the named shape alone
+    serialize._vector_layout.cache_clear()
+    for records in range(1, 201):
+        data = serialize.pack_vector([b"abc"] * records, 3)
+        if records == 32:
+            assert serialize.unpack_vector(data, 3, 32) == [b"abc"] * 32
+        else:
+            with pytest.raises(MalformedFrame, match=f"expected 32 elements, found {records}"):
+                serialize.unpack_vector(data, 3, 32)
+    assert serialize._vector_layout.cache_info().currsize == 1
 
 
 def test_pack_of_a_length_beyond_32_bits_overflows():
