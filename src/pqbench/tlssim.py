@@ -38,9 +38,10 @@ is delivered, so a send that fails counts nothing.  A SocketConnection
 joined to its peer relays each send through the kernel into the peer's
 inbox, one chunk at a time, so no message can fill the kernel's buffers
 and stall; alone, as tls-serve and tls-client hold it, it sends with
-sendall and fills its inbox with blocking reads.  A socket call silent
-for READ_DEADLINE_S raises PeerTimeout and any other socket error
-ConnectionClosed (the OSError is the cause).  A frame over
+sendall and fills its inbox with blocking reads.  A joined socket call
+silent for READ_DEADLINE_S, or an alone connection still at it
+READ_DEADLINE_S after it was built, raises PeerTimeout and any other
+socket error ConnectionClosed (the OSError is the cause).  A frame over
 MAX_FRAME_BYTES is MalformedFrame, and when a payload is cut short the
 error names the frame, its announced length and the bytes that arrived.
 The server side raises any failure that is not a PqbenchError as
@@ -76,7 +77,7 @@ STUB_CIPHERTEXT_BYTES = 1088
 STUB_SIG_PUBLIC_BYTES = 1312
 STUB_SIGNATURE_BYTES = 2420
 
-# seconds any one socket call may wait, and the largest payload a frame may announce
+# a joined socket call's or an alone connection's time limit, and the largest frame payload
 READ_DEADLINE_S = 10.0
 MAX_FRAME_BYTES = 1 << 24
 
@@ -311,20 +312,29 @@ class SocketConnection(MemoryConnection):
     into the peer's inbox before it returns, so both sides can run in
     lockstep on one thread.  Alone, as tls-serve and tls-client hold it,
     send is sendall and recv_exact fills the inbox with blocking reads
-    until it covers the read.
+    until it covers the read, all by READ_DEADLINE_S after it was built.
     """
 
     def __init__(self, sock, send_hook=None):
         super().__init__(send_hook)
         sock.settimeout(READ_DEADLINE_S)
         self._sock = sock
+        self._built = time.monotonic()
 
     def _call(self, op, arg):
-        """op(arg), with a socket error raised as ConnectionClosed."""
+        """op(arg), with a socket error raised as ConnectionClosed; alone,
+        op may wait only for what remains of the deadline."""
         try:
+            if self._peer is None:
+                left = self._built + READ_DEADLINE_S - time.monotonic()
+                if left <= 0:
+                    raise TimeoutError
+                self._sock.settimeout(left)
             return op(arg)
         except TimeoutError as e:
-            raise PeerTimeout(f"{op.__name__}: peer silent for {READ_DEADLINE_S} s") from e
+            waited = time.monotonic() - self._built
+            raise PeerTimeout(f"{op.__name__}: timed out {waited:.2f} s after connecting, "
+                              f"{self.bytes_received + len(self._inbox)} bytes read") from e
         except OSError as e:
             raise ConnectionClosed(f"{op.__name__} failed: {e!r}") from e
 

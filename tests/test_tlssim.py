@@ -379,6 +379,39 @@ def test_silent_peer_raises_peer_timeout(monkeypatch):
     server.close()
 
 
+def test_dripping_peer_cannot_stretch_a_read_past_the_deadline(monkeypatch):
+    # alone, an end has one deadline for all its socket calls, not one per
+    # recv: a peer that sends a payload byte every 0.05 s keeps each recv
+    # short, but the read still ends once 0.2 s have passed
+    monkeypatch.setattr(tlssim, "READ_DEADLINE_S", 0.2)
+    peer, sock = socket.socketpair()
+    server = SocketConnection(sock)
+    stop = threading.Event()
+
+    def drip():
+        for _ in range(43):
+            if stop.wait(0.05):
+                return
+            peer.sendall(b"\0")
+
+    peer.sendall(b"\x01" + u32(43))  # a 48-byte ClientHello frame's header
+    dripper = threading.Thread(target=drip)
+    dripper.start()
+    started = time.monotonic()
+    try:
+        with pytest.raises(PeerTimeout) as info:
+            read_message(server)
+        assert time.monotonic() - started < 1
+    finally:
+        stop.set()
+        dripper.join(1)
+        server.close()
+        peer.close()
+    assert not dripper.is_alive()
+    assert "ClientHello frame announced 43 payload bytes" in str(info.value)
+    assert "bytes read" in str(info.value)
+
+
 # --- happy path ---
 
 
