@@ -1,3 +1,5 @@
+import hashlib
+import struct
 import time
 from random import Random
 
@@ -260,3 +262,20 @@ def test_decrypt_words_equals_one_call_per_word(r):
         assert list(got) == [mceliece_decrypt(secret, w) for w in words]
         with pytest.raises(DecodeFailure, match=f"beyond coordinate {code.n - 1}"):
             mceliece_decrypt_words(secret, [*words[:3], 1 << code.n])
+
+
+def test_mceliece_keypairs_are_pinned():
+    # the public rows, S^-1 rows and inverse permutation of every key drawn
+    # for seeds 0..49, then the state each generator is left in, so neither
+    # the private keys nor the RNG stream move
+    h = hashlib.sha256()
+    states = []
+    for seed in range(50):
+        rng = Random(seed)
+        public, secret = mceliece_keygen(hamming_code(3), rng)
+        h.update(bytes(public.matrix.data) + bytes(secret.s_inverse.data) + bytes(secret.perm_inverse))
+        states.append(rng.getstate())
+    for version, words, gauss in states:
+        assert (version, gauss) == (3, None)
+        h.update(struct.pack(">625I", *words))
+    assert h.hexdigest() == "0cd6fed39fe11535ea56ea9c24e2f11cba3a7d261b387c98514767b7d9549f93"
