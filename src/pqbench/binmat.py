@@ -43,9 +43,6 @@ class BinaryMatrix:
         data = [sum(b << j for j, b in enumerate(row)) for row in bits]
         return cls(len(bits), len(bits[0]) if bits else 0, data)
 
-    def get(self, i: int, j: int) -> int:
-        return (self.data[i] >> j) & 1
-
     def mul(self, other: "BinaryMatrix") -> "BinaryMatrix":
         """Matrix product; row i of the result XORs the rows of other that
         row i selects.  Bit-sliced, with self's rows side by side in lanes
@@ -125,13 +122,15 @@ def _inverse_rows(data: list[int], n: int) -> list[int] | None:
     return [row >> n for row in rows]
 
 
-def random_invertible(n: int, rng: Random) -> BinaryMatrix:
+def random_invertible(n: int, rng: Random) -> tuple[BinaryMatrix, BinaryMatrix]:
     """Rejection-sample a random invertible matrix (succeeds fast: the
-    invertible fraction over GF(2) stays near 29%)."""
+    invertible fraction over GF(2) stays near 29%), and return it with
+    its inverse, the rows whose existence accepted the draw."""
     while True:
         m = BinaryMatrix.random(n, n, rng)
-        if _inverse_rows(m.data, n) is not None:
-            return m
+        rows = _inverse_rows(m.data, n)
+        if rows is not None:
+            return m, BinaryMatrix(n, n, rows)
 
 
 def random_permutation(n: int, rng: Random) -> list[int]:

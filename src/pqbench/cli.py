@@ -61,17 +61,15 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="pqbench", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", metavar="VERB", parser_class=_Parser)
 
-    p = sub.add_parser("bench-kem", help="benchmark a KEM")
-    _add_bench_flags(p)
-    _add_seed(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_bench_kem)
-
-    p = sub.add_parser("bench-sig", help="benchmark a signature scheme")
-    _add_bench_flags(p)
-    _add_seed(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_bench_sig)
+    for verb, what, schemes, run, noun in (
+            ("bench-kem", "a KEM", suites.builtin_kems, bench.bench_kem, "KEM"),
+            ("bench-sig", "a signature scheme", suites.builtin_sigs, bench.bench_sig,
+             "signature scheme")):
+        p = sub.add_parser(verb, help=f"benchmark {what}")
+        _add_bench_flags(p)
+        _add_seed(p)
+        _add_format(p)
+        p.set_defaults(func=cmd_bench, schemes=schemes, run=run, noun=noun)
 
     p = sub.add_parser("tls-serve", help="serve simulated handshakes")
     p.add_argument("--listen", required=True, metavar="HOST:PORT")
@@ -135,21 +133,14 @@ def _pick(table, name, what):
     return table[name]
 
 
-def cmd_bench_kem(ns) -> int:
-    inst = _pick(suites.builtin_kems(DEFAULT_HASH), ns.scheme, "KEM")
+def cmd_bench(ns) -> int:
+    """bench-kem and bench-sig: ns carries the verb's scheme table, its
+    runner and the noun that names a scheme in a usage error."""
+    inst = _pick(ns.schemes(DEFAULT_HASH), ns.scheme, ns.noun)
     cfg = _bench_config(ns)
     print(f"benchmarking {ns.scheme} over {cfg.interval_seconds}s intervals",
           file=sys.stderr)
-    _emit(bench.bench_kem(inst, cfg, Random(ns.seed)), ns.fmt)
-    return 0
-
-
-def cmd_bench_sig(ns) -> int:
-    inst = _pick(suites.builtin_sigs(DEFAULT_HASH), ns.scheme, "signature scheme")
-    cfg = _bench_config(ns)
-    print(f"benchmarking {ns.scheme} over {cfg.interval_seconds}s intervals",
-          file=sys.stderr)
-    _emit(bench.bench_sig(inst, cfg, Random(ns.seed)), ns.fmt)
+    _emit(ns.run(inst, cfg, Random(ns.seed)), ns.fmt)
     return 0
 
 
@@ -181,10 +172,7 @@ def cmd_tls_serve(ns) -> int:
     rng = Random(ns.seed)
     identity = tlssim.make_identity(cfg.sig, "server", Random(rng.randrange(2**63)))
     failed = 0
-    with socket.socket() as listener:
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((host, port))
-        listener.listen(4)
+    with socket.create_server((host, port), backlog=4) as listener:
         bound = listener.getsockname()
         print(f"listening on {bound[0]}:{bound[1]}", file=sys.stderr, flush=True)
         for _ in range(ns.iterations):

@@ -144,17 +144,21 @@ def mceliece_keygen(
 ) -> tuple[McEliecePublicKey, McEliecePrivateKey]:
     """Hide the code behind a scramble and a permutation.
 
-    scramble and perm exist as test hooks; passing identity for both makes
-    the scheme collapse to the bare code.
+    S^-1 comes with the drawn scramble from random_invertible; only a
+    scramble passed in is inverted here.  scramble and perm exist as test
+    hooks; passing identity for both makes the scheme collapse to the bare
+    code.
     """
     if scramble is None:
-        scramble = random_invertible(code.k, rng)
+        scramble, s_inverse = random_invertible(code.k, rng)
+    else:
+        s_inverse = scramble.inverse()
     if perm is None:
         perm = random_permutation(code.n, rng)
     public = scramble.mul(code.generator).permute_cols(perm)
     return (
         McEliecePublicKey(matrix=public, t=code.t),
-        McEliecePrivateKey(code=code, s_inverse=scramble.inverse(), perm_inverse=invert_permutation(perm)),
+        McEliecePrivateKey(code=code, s_inverse=s_inverse, perm_inverse=invert_permutation(perm)),
     )
 
 
@@ -188,7 +192,7 @@ def mceliece_encrypt_bits(pk: McEliecePublicKey, bits, rng: Random) -> list[int]
         raise DimensionMismatch(f"encrypting bits at once needs t=1, the key has t={pk.t}")
     if not set(bits) <= {0, 1}:
         raise DimensionMismatch("messages must be single bits")
-    codewords = (0, mceliece_encrypt(pk, 1, rng, error=0))
+    codewords = (0, pk.matrix.data[0])  # m G' for m = 0 and m = 1
     errors = draws(rng, pk.matrix.cols, len(bits))
     return [codewords[bit] ^ (1 << e) for bit, e in zip(bits, errors)]
 

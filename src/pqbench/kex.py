@@ -334,9 +334,8 @@ def ecdh_kem(curve: CurveParams, gen: Point, order: int, h: HashFunction,
         )
 
     def decaps(n: int, ciphertext: bytes):
-        ct_point = decode_point(ciphertext)
-        _require_on_curve(ct_point, curve)
-        return shared_secret(scalar_mul(n, ct_point, curve))
+        # scalar_mul refuses a point off the curve before any arithmetic
+        return shared_secret(scalar_mul(n, decode_point(ciphertext), curve))
 
     return KemInstance(name, keypair, encaps, decaps)
 

@@ -48,19 +48,13 @@ def _built(cls, **fields):
 
 @dataclass(frozen=True)
 class PrimeField:
-    """Arithmetic mod a small prime; inversion by Fermat."""
+    """A small prime modulus; inversion by Fermat."""
 
     q: int
 
     def __post_init__(self):
         if not is_prime(self.q) or self.q > MAX_FIELD:
             raise ValueError(f"q must be a prime <= {MAX_FIELD}, got {self.q}")
-
-    def add(self, a, b):
-        return (a + b) % self.q
-
-    def mul(self, a, b):
-        return (a * b) % self.q
 
     def inv(self, a):
         if a % self.q == 0:

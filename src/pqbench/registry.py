@@ -309,7 +309,7 @@ class Registry:
 
     @classmethod
     def load(cls, directory) -> "Registry":
-        directory = Path(directory)
+        """The three files in directory, a Path or a package resource."""
         read = lambda n: (directory / n).read_text(encoding="utf-8")
         return cls.from_texts(read("registry.kem"), read("registry.sig"), read("registry.assess"))
 
@@ -317,8 +317,4 @@ class Registry:
 def default_registry() -> Registry:
     """The packaged registry, unless PQBENCH_REGISTRY points elsewhere."""
     override = os.environ.get(REGISTRY_ENV_VAR)
-    if override:
-        return Registry.load(override)
-    data = resources.files("pqbench") / "data"
-    read = lambda n: (data / n).read_text(encoding="utf-8")
-    return Registry.from_texts(read("registry.kem"), read("registry.sig"), read("registry.assess"))
+    return Registry.load(Path(override) if override else resources.files("pqbench") / "data")

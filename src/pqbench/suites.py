@@ -57,7 +57,7 @@ from .serialize import (
 
 LWE_PARAMS = lattice.guaranteed_params(n=4, q=521, m=8, b=10)
 LWE_SCALAR_BITS = LWE_PARAMS.q.bit_length()  # one ciphertext field
-LWE_SAMPLE = struct.Struct(f">{LWE_PARAMS.n + 1}H")  # one public sample: a, then b
+LWE_SAMPLE = lattice.sample_lanes(LWE_PARAMS)  # one public sample: a, then b
 UOV_PARAMS = mq.UovParams(o=2, v=4, q=7)
 # safe prime: g = 4 generates the order-2003 subgroup, so forged or
 # cross-message challenges collide with probability 1/2003, not 1/17
@@ -82,9 +82,8 @@ def _lwe_keygen(rng: Random) -> tuple[bytes, tuple[int, ...]]:
 
 def _lwe_parse_pk(pk: bytes) -> list[int]:
     """The m samples of an lwe-toy public key, each as the int its bytes
-    read big-endian: for these parameters LWE_SAMPLE is the layout of
-    lattice.sample_lanes, so that int is the packing lwe_encrypt_bits
-    takes."""
+    read big-endian: LWE_SAMPLE is the layout of lattice.sample_lanes, so
+    that int is the packing lwe_encrypt_bits takes."""
     chunks = unpack(pk, LWE_PARAMS.m)
     for chunk in chunks:
         if len(chunk) != LWE_SAMPLE.size:
@@ -151,7 +150,7 @@ def lwe_kem(h: HashFunction = DEFAULT_HASH) -> KemInstance:
 
 # --- code-based encryption as a KEM ---
 
-MCELIECE_WORD_BITS = 7  # each secret bit rides its own length-7 codeword
+MCELIECE_WORD_BITS = codecrypt.hamming_code(3).n  # each secret bit rides its own codeword
 
 
 def _mceliece_keygen(rng: Random) -> tuple[bytes, codecrypt.McEliecePrivateKey]:

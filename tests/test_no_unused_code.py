@@ -6,20 +6,29 @@ left out.  A method counts as used when its name appears as an attribute
 (x.name).  Any other definition counts as used when its name appears as
 a bare name, an imported name, a string, or an attribute of a package
 module (tlssim.name).  A shared name can hide unused code, but a
-definition that is used never fails the test.
+definition that is used never fails the test.  The profile of every
+handshake closes that gap for methods: each one either runs in a
+handshake or names its caller outside one.
 """
 
 import ast
 import importlib
+import socket
 import sys
 from pathlib import Path
 from random import Random
 
 import pytest
 
-from pqbench.hashing import DEFAULT_HASH, PQH
+from pqbench import codecrypt
+from pqbench.hashing import DEFAULT_HASH, PQH, HashFunction
 from pqbench.suites import builtin_kems, builtin_sigs
-from pqbench.tlssim import SuiteConfig, registry_kem_suites, run_handshake
+from pqbench.tlssim import (
+    SocketConnection,
+    SuiteConfig,
+    registry_kem_suites,
+    run_handshake,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pqbench"
@@ -36,6 +45,7 @@ KEEP = {
     "binmat.BinaryMatrix.identity": "a test reference builder, and the identity scramble",
     "codecrypt.brute_force_decode": "a brute-force oracle (criterion 4)",
     "codecrypt.mceliece_decrypt": "the per-word reference criterion 3 and mceliece_decrypt_words are checked against",
+    "codecrypt.mceliece_encrypt": "the per-message reference criterion 3 and mceliece_encrypt_bits are checked against",
     "kex.enumerate_points": "checks the MAIN_ORDER that ecdh-toy runs on",
     "kex.point_order": "checks the MAIN_ORDER that ecdh-toy runs on",
     "kex.ecdh_exchange": "criterion 3 runs ECDH through it",
@@ -45,9 +55,31 @@ KEEP = {
     "lattice.svp_brute_force": "a brute-force oracle (criterion 4)",
     "mq.brute_force_preimages": "a brute-force oracle (criterion 4)",
     "mq.compose_trapdoor": "a test reference: checks the UOV substitution pointwise",
+    "mq.AffineMap.apply": "a test reference: T(x) that apply_inverse and the substitution are checked against",
     "mq.identity_map": "a test reference builder",
     "registry.Registry.lookup": "the registry's name mapping (ROADMAP item 9) needs it",
     "tlssim.handshake_total_bytes": "criterion 7 orders the suites by it",
+}
+
+# methods no handshake runs that program code outside a handshake calls:
+# (caller, reason)
+CALLED_OUTSIDE_A_HANDSHAKE = {
+    "binmat.BinaryMatrix.inverse": (
+        "codecrypt.mceliece_keygen", "inverts a scramble passed to its scramble= hook"),
+    "cli._Parser.error": ("cli.main", "argparse reports a bad command line through it"),
+    "codecrypt.LinearCode.encode": (
+        "codecrypt.brute_force_decode", "the nearest-codeword oracle (criterion 4)"),
+    "hashing.HashFunction.wrong_length": (
+        "hashing.HashFunction.__call__", "the failure of a digest of another length"),
+    "hashing.HashState.digest": ("hashing.HashFunction", "a protocol stub the states implement"),
+    "hashing.HashState.update": ("hashing.HashFunction", "a protocol stub the states implement"),
+    "lattice.LweParams.is_guaranteed_correct": (
+        "lattice.guaranteed_params", "checks suites.LWE_PARAMS once, at import"),
+    "lattice.SisInstance.m": ("lattice.sis_brute_force", "a brute-force oracle (criterion 4)"),
+    "mq.MqSystem.m": ("mq.brute_force_preimages", "a brute-force oracle (criterion 4)"),
+    "mq.QuadPoly.coefficients": (
+        "mq.eval_system", "the evaluation mq.brute_force_preimages searches with"),
+    "registry.Registry.assess": ("cli.cmd_assess", "the assess verb"),
 }
 
 
@@ -58,15 +90,15 @@ def program_modules():
                 yield path
 
 
-def definitions(path):
+def definitions(path, nodes=False):
     """(qualified name, bare name, is a method) of every def and class in
-    one module."""
+    one module, with its ast node last when nodes is set."""
     module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
 
     def walk(node, prefix, in_class):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                yield f"{prefix}.{child.name}", child.name, in_class
+                yield (f"{prefix}.{child.name}", child.name, in_class) + ((child,) if nodes else ())
                 yield from walk(child, f"{prefix}.{child.name}",
                                 isinstance(child, ast.ClassDef))
             else:
@@ -140,6 +172,15 @@ def record_calls(monkeypatch, qualified, owner, name, calls):
                     monkeypatch.setattr(mod, attr, recorder)
 
 
+def every_suite(h):
+    """Every built-in KEM with every built-in signature, then every
+    registry suite, under h."""
+    kems, sigs = builtin_kems(h), builtin_sigs(h)
+    configs = [SuiteConfig(kem, sig, h, f"{kem.name}+{sig.name}")
+               for kem in kems.values() for sig in sigs.values()]
+    return configs + registry_kem_suites(h)
+
+
 @pytest.mark.parametrize("h", (DEFAULT_HASH, PQH), ids=lambda h: h.name)
 def test_no_handshake_reaches_a_kept_definition(monkeypatch, h):
     # KEEP is for what only tests call: one handshake of every built-in
@@ -150,10 +191,7 @@ def test_no_handshake_reaches_a_kept_definition(monkeypatch, h):
     # replaced class (bench.FakeClock) no longer holds its methods
     for definition in list(kept_definitions()):
         record_calls(monkeypatch, *definition, calls)
-    kems, sigs = builtin_kems(h), builtin_sigs(h)
-    configs = [SuiteConfig(kem, sig, h, f"{kem.name}+{sig.name}")
-               for kem in kems.values() for sig in sigs.values()]
-    configs += registry_kem_suites(h)
+    configs = every_suite(h)
     assert len(configs) == 27
     for cfg in configs:
         t = run_handshake(cfg, cfg, rng=Random(0))
@@ -163,3 +201,46 @@ def test_no_handshake_reaches_a_kept_definition(monkeypatch, h):
 
 def test_keep_names_only_real_definitions():
     assert set(KEEP) <= {qualified for qualified, _, _ in package_definitions()}
+
+
+def test_every_method_runs_in_a_handshake_or_names_its_caller():
+    # a method the name scan passes only because another class shares its
+    # name (BinaryMatrix.get beside dict.get) shows here: every handshake
+    # of test_no_handshake_reaches_a_kept_definition under both hashes,
+    # one over a socket pair and one under a hash built from apply alone,
+    # run under a profiler, must run every method but KEEP's and those
+    # whose caller outside a handshake the table names
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            ran.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    # decode_table is cached on hamming_code's code; a handshake builds it
+    codecrypt.hamming_code.cache_clear()
+    apply_only = HashFunction(DEFAULT_HASH.name, DEFAULT_HASH.output_bytes, DEFAULT_HASH.apply)
+    sockets = socket.socketpair()
+    sys.setprofile(profile)
+    try:
+        runs = [(cfg, None) for h in (DEFAULT_HASH, PQH) for cfg in every_suite(h)]
+        runs.append((every_suite(DEFAULT_HASH)[0], tuple(map(SocketConnection, sockets))))
+        runs.append((every_suite(apply_only)[0], None))
+        for cfg, transport in runs:
+            t = run_handshake(cfg, cfg, transport, rng=Random(0))
+            assert t.server_key_digest == t.client_key_digest, cfg.label
+    finally:
+        sys.setprofile(None)
+        for sock in sockets:
+            sock.close()
+
+    methods = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for qualified, name, is_method, node in definitions(path, nodes=True):
+            if is_method and not (name.startswith("__") and name.endswith("__")):
+                # a decorated function's code starts at its first decorator
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                methods[qualified] = (str(path), first)
+    not_run = {qualified for qualified, where in methods.items() if where not in ran}
+    assert sorted(not_run - set(KEEP)) == sorted(CALLED_OUTSIDE_A_HANDSHAKE)
+    callers = {qualified for qualified, _, _ in package_definitions()}
+    assert {caller for caller, _ in CALLED_OUTSIDE_A_HANDSHAKE.values()} <= callers
