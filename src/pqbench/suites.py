@@ -420,7 +420,7 @@ def fs_dlog_sig(h: HashFunction = DEFAULT_HASH) -> SigInstance:
         return pack(sig.commitment, sig.response)
 
     def verify(public: bytes, msg: bytes, signature: bytes):
-        commitment, response = unpack(signature, 2)
+        commitment, response = unpack_vector(signature, 8, 2)  # before any hash
         y = int.from_bytes(public, "big")
         if len(public) != 8 or not 0 < y < setting.p:
             return False

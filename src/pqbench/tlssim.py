@@ -106,7 +106,8 @@ class ConnectionClosed(PqbenchError):
 
 
 class PeerTimeout(ConnectionClosed):
-    """Peer sent or took nothing for READ_DEADLINE_S seconds."""
+    """A joined socket call waited READ_DEADLINE_S seconds, or an alone
+    connection was still at it READ_DEADLINE_S after it was built."""
 
 
 class InconsistentByteCounts(PqbenchError):

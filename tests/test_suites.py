@@ -719,23 +719,6 @@ def test_mss_verify_refuses_another_shape_before_hashing(reshape, size):
     assert counting.lengths == []
 
 
-def test_mss_bundle_of_another_shape_is_refused_before_any_hash():
-    # the library path, not only the suites adapter: a bundle is parsed at
-    # the shape the verifier asks for, so a 4,096-entry bundle never
-    # reaches mss_verify
-    counting = CountingHash()
-    sig = builtin_sigs(counting.h)["mss"]
-    pk, sk = sig.keypair(Random(59))
-    fields = unpack(sig.sign(sk, b"m"), 7)
-    _widen_one_time_lists(fields, 4096)
-    counting.lengths.clear()
-    with pytest.raises(hashsig.InvalidBundle, match="expected 32 elements, found 4096"):
-        bundle = hashsig.deserialize_mss_signature(pack(*fields), suites.OTS_MSG_BITS,
-                                                   suites.MSS_DEPTH)
-        hashsig.mss_verify(pk, b"m", bundle, counting.h)
-    assert counting.lengths == []
-
-
 def test_lamport_verify_refuses_a_wide_element_before_any_hash():
     counting = CountingHash()
     kp = hashsig.lamport_keygen(suites.OTS_MSG_BITS, counting.h, Random(60))

@@ -12,13 +12,33 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pqbench import tlssim
+from pqbench import hashsig, tlssim
 from pqbench.bench import FakeClock
+from pqbench.binmat import BinaryMatrix
+from pqbench.codecrypt import serialize_code_matrix
 from pqbench.errors import PqbenchError
 from pqbench.hashing import DEFAULT_HASH, PQH, HashFunction
-from pqbench.kex import KemInstance, SigInstance
-from pqbench.serialize import MalformedFrame, u32
-from pqbench.suites import builtin_kems, builtin_sigs, sized_stub_kem, sized_stub_sig
+from pqbench.kex import (
+    INFINITY,
+    MAIN_CURVE,
+    MAIN_GEN,
+    DecapsFailure,
+    KemInstance,
+    Point,
+    PointNotOnCurve,
+    SigInstance,
+    draws,
+    encode_point,
+)
+from pqbench.serialize import U32_MAX, MalformedFrame, pack, pack_vector, u32, unpack
+from pqbench.suites import (
+    MSS_DEPTH,
+    OTS_MSG_BITS,
+    builtin_kems,
+    builtin_sigs,
+    sized_stub_kem,
+    sized_stub_sig,
+)
 from pqbench.tlssim import (
     Certificate,
     CertificateMessage,
@@ -133,13 +153,6 @@ def test_decode_rejects_malformed_frames(blob):
         decode_message(blob)
 
 
-def test_decode_rejects_non_utf8_label():
-    raw = encode_message(ServerHello("ok", b"ct"))
-    bad = raw.replace(b"ok", b"\xff\xfe")
-    with pytest.raises(MalformedFrame):
-        decode_message(bad)
-
-
 class ChunkedSocket:
     """Socket stand-in whose recv hands out queued chunks, at most n bytes
     at a time, then end of stream."""
@@ -166,13 +179,6 @@ def test_read_message_reassembles_split_frames():
     msg, seen = read_message(client)
     assert msg == ServerHello("suite", b"ciphertext")
     assert seen == raw
-
-
-def test_read_message_rejects_oversized_frame_before_reading_it():
-    sock = ChunkedSocket(b"\x02" + u32(MAX_FRAME_BYTES + 1) + b"payload")
-    with pytest.raises(MalformedFrame):
-        read_message(SocketConnection(sock))
-    assert sock.asked == [5]
 
 
 def socket_pair():
@@ -1050,3 +1056,220 @@ def test_relay_that_hears_nothing_raises_peer_timeout(monkeypatch):
     assert [end._sock.fileno() for end in (client_end, server_end)] == [-1, -1]
     stray_server.close()
     stray_client.close()
+
+
+
+# --- the work a peer's bytes can cost ---
+#
+# every parser a peer's bytes reach, fed the widest header values it
+# admits.  Each case builds its call under a hash that counts the states
+# it makes, and the call must raise the named PqbenchError or return the
+# value given, within a budget of kex.draws calls and hash calls made by
+# the call itself.  A signature scheme's verify reads a refusal as False.
+# A budget of no draws also leaves the generator untouched, so a refusal
+# costs no randrange either.
+
+
+def _kems(h):
+    return {**builtin_kems(h), "sized-stub": sized_stub_kem("sized-stub", 1184, 1088, h)}
+
+
+def _sigs(h):
+    return {**builtin_sigs(h), "stub-sig": sized_stub_sig("stub-sig", 1312, 2420, h)}
+
+
+def _parsed(parse, data):
+    return lambda h: lambda rng: parse(data)
+
+
+def _encaps(name, public):
+    def build(h):
+        kem = _kems(h)[name]
+        return lambda rng: kem.encaps(public, rng)
+    return build
+
+
+def _decaps(name, ciphertext):
+    def build(h):
+        kem = _kems(h)[name]
+        _, secret = kem.keypair(Random(1))
+        return lambda rng: kem.decaps(secret, ciphertext)
+    return build
+
+
+def _verify(name, forge):
+    """verify of forge(public, message, signature), from an honest key
+    and signature of the named scheme."""
+    def build(h):
+        sig = _sigs(h)[name]
+        public, secret = sig.keypair(Random(1))
+        forged = forge(public, b"m", sig.sign(secret, b"m"))
+        return lambda rng: sig.verify(*forged)
+    return build
+
+
+def _frame_over_cap(h):
+    sock = ChunkedSocket(b"\x02" + u32(MAX_FRAME_BYTES + 1) + b"payload")
+
+    def run(rng):
+        try:
+            read_message(SocketConnection(sock))
+        finally:
+            assert sock.asked == [5]  # the payload is never read
+
+    return run
+
+
+def _mss_bundle_of_4096_wide_lists(h):
+    # the library path, not only the suites adapter: a bundle is parsed at
+    # the shape the verifier asks for, so a 4,096-entry bundle never
+    # reaches mss_verify
+    sig = builtin_sigs(h)["mss"]
+    pk, sk = sig.keypair(Random(59))
+    fields = unpack(sig.sign(sk, b"m"), 7)
+    fields[1:4] = (pack(*[bytes(32)] * 4096),) * 3
+
+    def run(rng):
+        bundle = hashsig.deserialize_mss_signature(pack(*fields), OTS_MSG_BITS, MSS_DEPTH)
+        hashsig.mss_verify(pk, b"m", bundle, h)
+
+    return run
+
+
+def _wider(vector):
+    """A pack_vector of 32-byte elements, each element one byte wider."""
+    return pack_vector([vector[i + 4:i + 36] + b"\0" for i in range(0, len(vector), 36)], 33)
+
+
+def _deeper_proof(public, msg, signature):
+    fields = unpack(signature, 7)
+    fields[5:7] = pack(*[bytes(32)] * 4), bytes(4)
+    return public, msg, pack(*fields)
+
+
+def _wider_response(public, msg, signature):
+    commitment, response = unpack(signature, 2)
+    return public, msg, pack(commitment, b"\0" + response)
+
+
+_FAR = Point(MAIN_GEN.x, MAIN_GEN.y + (U32_MAX - MAIN_GEN.y) // MAIN_CURVE.q * MAIN_CURVE.q)
+_NOT_CANONICAL = rf"\({_FAR.x}, {_FAR.y}\) is not a point .* in \[0, {MAIN_CURVE.q}\)"
+_HELLO = encode_message(ClientHello(("toy",), b"key"))  # its suite count in bytes 5 to 9
+_UOV_64 = bytes([31, 64, 64]) + bytes(64 * (1 + 64 + 64 * 65 // 2))  # q = 31, n = m = 64
+
+# case: (build(h) -> call(rng), the error and message or the value, (draws, hashes))
+PEER_INPUTS = {
+    # the frame header and each message's own fields
+    "frame-over-cap": (
+        _frame_over_cap, (MalformedFrame, "16777217 payload bytes, cap is 16777216"), (0, 0)),
+    "frame-of-2^32-1-bytes": (
+        _parsed(lambda raw: read_message(SocketConnection(ChunkedSocket(raw))),
+                b"\x02" + u32(U32_MAX)),
+        (MalformedFrame, "4294967295 payload bytes, cap"), (0, 0)),
+    "client-hello-of-2^32-1-suites": (
+        _parsed(decode_message, _HELLO[:5] + u32(U32_MAX) + _HELLO[9:]),
+        (MalformedFrame, "expected 4294967296 chunks, found 2"), (0, 0)),
+    "server-hello-label-not-utf8": (
+        _parsed(decode_message,
+                encode_message(ServerHello("ok", b"ct")).replace(b"ok", b"\xff\xfe")),
+        (MalformedFrame, "label is not valid utf-8"), (0, 0)),
+    "certificate-subject-not-utf8": (
+        _parsed(decode_message, encode_message(CertificateMessage(
+            Certificate("ok", "wots", b"key", b"sig"))).replace(b"ok", b"\xff\xfe")),
+        (MalformedFrame, "label is not valid utf-8"), (0, 0)),
+    # each KEM's public key, read by the server's encaps
+    "ecdh-toy-key-off-curve": (
+        _encaps("ecdh-toy", encode_point(Point(1, 1))),
+        (PointNotOnCurve, r"\(1, 1\) is not a point"), (0, 0)),
+    "ecdh-toy-key-not-canonical": (
+        _encaps("ecdh-toy", encode_point(_FAR)), (PointNotOnCurve, _NOT_CANONICAL), (0, 0)),
+    "lwe-toy-key-of-7-samples": (
+        _encaps("lwe-toy", pack(*[bytes(10)] * 7)),
+        (MalformedFrame, "expected 8 chunks, found 7"), (0, 0)),
+    "lwe-toy-key-chunk-of-2^32-1-bytes": (
+        _encaps("lwe-toy", u32(U32_MAX) + bytes(10)),
+        (MalformedFrame, "chunk claims 4294967295 bytes, 10 remain"), (0, 0)),
+    "lwe-toy-key-value-65535": (
+        _encaps("lwe-toy", pack(*[b"\xff" * 10] * 8)),
+        (MalformedFrame, "LWE sample value 65535 is not below q=521"), (0, 0)),
+    "mceliece-toy-key-n-2500-k-1-t-n": (
+        _encaps("mceliece-toy", serialize_code_matrix(BinaryMatrix(1, 2500, [1]), 2500)),
+        (MalformedFrame, "mceliece-toy public key has n=2500, expected 7"), (0, 0)),
+    "mceliece-toy-key-of-2^32-1-columns": (
+        _encaps("mceliece-toy", u32(U32_MAX) + u32(1) + u32(0)),
+        (MalformedFrame, "expected 536870924 bytes, got 12"), (0, 0)),
+    "stub-kem-key-of-any-size": (
+        _encaps("stub-kem", bytes(1 << 16)), None, (1, 1)),
+    "sized-stub-key-of-another-size": (
+        _encaps("sized-stub", bytes(1185)),
+        (DecapsFailure, "sized-stub: unexpected public key size 1185"), (0, 0)),
+    # each KEM's ciphertext, read by the client's decaps
+    "ecdh-toy-ciphertext-off-curve": (
+        _decaps("ecdh-toy", encode_point(Point(1, 1))),
+        (PointNotOnCurve, r"\(1, 1\) is not a point"), (0, 0)),
+    "ecdh-toy-ciphertext-not-canonical": (
+        _decaps("ecdh-toy", encode_point(_FAR)), (PointNotOnCurve, _NOT_CANONICAL), (0, 0)),
+    "ecdh-toy-ciphertext-identity": (
+        _decaps("ecdh-toy", encode_point(INFINITY)),
+        (DecapsFailure, "shared point is the identity"), (0, 0)),
+    "lwe-toy-ciphertext-value-1023": (
+        _decaps("lwe-toy", b"\xff" * 200),
+        (DecapsFailure, "LWE ciphertext value 1023 is not below q=521"), (0, 0)),
+    "mceliece-toy-ciphertext-of-29-bytes": (
+        _decaps("mceliece-toy", bytes(29)),
+        (DecapsFailure, "mceliece-toy: ciphertext must be 28 bytes"), (0, 0)),
+    "stub-kem-ciphertext-of-5-bytes": (
+        _decaps("stub-kem", bytes(5)), (DecapsFailure, "stub-kem: ciphertext must be 4 bytes"),
+        (0, 0)),
+    "sized-stub-ciphertext-of-another-size": (
+        _decaps("sized-stub", bytes(1089)),
+        (DecapsFailure, "sized-stub: unexpected ciphertext size 1089"), (0, 0)),
+    # each signature scheme's public key and signature, read by verify
+    "lamport-key-of-33-byte-elements": (
+        _verify("lamport", lambda pk, m, sig: (pack(*map(_wider, unpack(pk, 2))), m, sig)),
+        False, (0, 0)),
+    "lamport-signature-of-33-byte-elements": (
+        _verify("lamport", lambda pk, m, sig: (pk, m, _wider(sig))), False, (0, 0)),
+    "wots-key-of-33-byte-elements": (
+        _verify("wots", lambda pk, m, sig: (_wider(pk), m, sig)), False, (0, 0)),
+    "wots-signature-of-33-byte-elements": (
+        _verify("wots", lambda pk, m, sig: (pk, m, _wider(sig))), False, (0, 0)),
+    "fs-dlog-key-of-9-bytes": (
+        _verify("fs-dlog", lambda pk, m, sig: (b"\0" + pk, m, sig)), False, (0, 0)),
+    "fs-dlog-signature-of-9-byte-response": (
+        _verify("fs-dlog", _wider_response), False, (0, 0)),
+    "mss-proof-of-depth-4": (_verify("mss", _deeper_proof), False, (0, 0)),
+    "mss-bundle-of-4096-wide-lists": (
+        _mss_bundle_of_4096_wide_lists,
+        (hashsig.InvalidBundle, "expected 32 elements, found 4096"), (0, 0)),
+    "uov-key-q-31-n-64-m-64": (
+        _verify("uov", lambda pk, m, sig: (_UOV_64, m, bytes(64))), False, (0, 4)),
+    "uov-key-header-n-255-m-255": (
+        _verify("uov", lambda pk, m, sig: (bytes([31, 255, 255]), m, bytes(255))), False, (0, 0)),
+    "stub-sig-signature-of-another-size": (
+        _verify("stub-sig", lambda pk, m, sig: (pk, m, sig + b"\0")), False, (0, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PEER_INPUTS))
+def test_peer_input_is_refused_or_completes_within_its_budget(monkeypatch, case):
+    build, expected, (draw_budget, hash_budget) = PEER_INPUTS[case]
+    states = []
+    call = build(HashFunction(H.name, H.output_bytes, H.apply,
+                              lambda: states.append(1) or H.new()))
+    made = []
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("pqbench.") and vars(mod).get("draws") is draws:
+            monkeypatch.setattr(mod, "draws", lambda *args: made.append(args) or draws(*args))
+    states.clear()
+    rng = Random(0)
+    before = rng.getstate()
+    if isinstance(expected, tuple):
+        with pytest.raises(expected[0], match=expected[1]):
+            call(rng)
+    else:
+        result = call(rng)
+        assert expected is None or result == expected
+    assert len(made) <= draw_budget and len(states) <= hash_budget, (made, len(states))
+    if draw_budget == 0:
+        assert rng.getstate() == before
