@@ -90,15 +90,17 @@ def program_modules():
                 yield path
 
 
-def definitions(path, nodes=False):
-    """(qualified name, bare name, is a method) of every def and class in
-    one module, with its ast node last when nodes is set."""
+def definitions(path):
+    """(qualified name, bare name, is a method, first line) of every def
+    and class in one module; the first line is a decorated definition's
+    first decorator, where its code object starts."""
     module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
 
     def walk(node, prefix, in_class):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                yield (f"{prefix}.{child.name}", child.name, in_class) + ((child,) if nodes else ())
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                yield f"{prefix}.{child.name}", child.name, in_class, first
                 yield from walk(child, f"{prefix}.{child.name}",
                                 isinstance(child, ast.ClassDef))
             else:
@@ -131,7 +133,7 @@ def test_every_definition_has_a_program_caller():
     used = {use for path in program_modules() for use in uses(path)}
     unused = sorted(
         qualified
-        for qualified, name, is_method in package_definitions()
+        for qualified, name, is_method, _ in package_definitions()
         if not (name.startswith("__") and name.endswith("__"))  # the language calls these
         and (is_method, name) not in used
         and qualified not in KEEP
@@ -200,7 +202,7 @@ def test_no_handshake_reaches_a_kept_definition(monkeypatch, h):
 
 
 def test_keep_names_only_real_definitions():
-    assert set(KEEP) <= {qualified for qualified, _, _ in package_definitions()}
+    assert set(KEEP) <= {qualified for qualified, *_ in package_definitions()}
 
 
 def test_every_method_runs_in_a_handshake_or_names_its_caller():
@@ -233,14 +235,12 @@ def test_every_method_runs_in_a_handshake_or_names_its_caller():
         for sock in sockets:
             sock.close()
 
-    methods = {}
-    for path in sorted(PACKAGE.rglob("*.py")):
-        for qualified, name, is_method, node in definitions(path, nodes=True):
-            if is_method and not (name.startswith("__") and name.endswith("__")):
-                # a decorated function's code starts at its first decorator
-                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                methods[qualified] = (str(path), first)
-    not_run = {qualified for qualified, where in methods.items() if where not in ran}
+    ran = {(str(Path(filename).resolve()), line) for filename, line in ran}
+    not_run = {qualified
+               for path in sorted(PACKAGE.rglob("*.py"))
+               for qualified, name, is_method, first in definitions(path)
+               if is_method and not (name.startswith("__") and name.endswith("__"))
+               and (str(path), first) not in ran}
     assert sorted(not_run - set(KEEP)) == sorted(CALLED_OUTSIDE_A_HANDSHAKE)
-    callers = {qualified for qualified, _, _ in package_definitions()}
+    callers = {qualified for qualified, *_ in package_definitions()}
     assert {caller for caller, _ in CALLED_OUTSIDE_A_HANDSHAKE.values()} <= callers
