@@ -49,14 +49,6 @@ def _add_format(p):
                    default="text", help="output format (default text)")
 
 
-def _add_bench_flags(p):
-    p.add_argument("--scheme", required=True, help="built-in scheme name")
-    p.add_argument("--interval", type=float, default=3.0,
-                   help="timing interval in seconds (default 3.0)")
-    p.add_argument("--min-samples", dest="min_samples", type=int, default=30,
-                   help="adaptive sample floor (default 30)")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="pqbench", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", metavar="VERB", parser_class=_Parser)
@@ -66,7 +58,11 @@ def build_parser() -> _Parser:
             ("bench-sig", "a signature scheme", suites.builtin_sigs, bench.bench_sig,
              "signature scheme")):
         p = sub.add_parser(verb, help=f"benchmark {what}")
-        _add_bench_flags(p)
+        p.add_argument("--scheme", required=True, help="built-in scheme name")
+        p.add_argument("--interval", type=float, default=3.0,
+                       help="timing interval in seconds (default 3.0)")
+        p.add_argument("--min-samples", dest="min_samples", type=int, default=30,
+                       help="adaptive sample floor (default 30)")
         _add_seed(p)
         _add_format(p)
         p.set_defaults(func=cmd_bench, schemes=schemes, run=run, noun=noun)
