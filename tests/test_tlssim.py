@@ -1058,7 +1058,6 @@ def test_relay_that_hears_nothing_raises_peer_timeout(monkeypatch):
     stray_client.close()
 
 
-
 # --- the work a peer's bytes can cost ---
 #
 # every parser a peer's bytes reach, fed the widest header values it
