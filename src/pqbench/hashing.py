@@ -15,9 +15,9 @@ which adds about 3.6 MB to a bare interpreter's resident set for
 nothing the package uses.  The package therefore needs a Python with
 the built-in _blake2, as every default CPython build since 3.6 has; a
 build without it has no hashlib.blake2b either, since hashlib never
-takes blake2b from OpenSSL.  For the same reason suites takes the
-SHAKE-256 that expands stub filler from the built-in _sha3, which every
-default CPython build has too.
+takes blake2b from OpenSSL.  _blake2 is the only native module the
+package needs: suites repeats a digest under the instance's hash to
+make stub filler.
 
 PQH is pqh-256, the reference a reader can trace by hand: an unkeyed
 iterated hash over a public 64-bit mixing permutation, deterministic

@@ -41,3 +41,17 @@ def test_importing_the_package_leaves_hashlib_unloaded():
                           text=True, timeout=60, check=True,
                           env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     assert done.stdout.strip() == "[]"
+
+
+def test_registry_handshakes_leave_sha3_unloaded():
+    # _sha3 adds resident memory the package has no use for; the registry
+    # suites make the most stub filler, so they would load it if any did
+    probe = ("import sys, pqbench.cli, pqbench.tlssim, pqbench.suites\n"
+             "from random import Random\n"
+             "for cfg in pqbench.tlssim.registry_kem_suites():\n"
+             "    pqbench.tlssim.run_handshake(cfg, cfg, rng=Random(0))\n"
+             "print('_sha3' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert done.stdout.strip() == "False"
