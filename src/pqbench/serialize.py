@@ -56,11 +56,10 @@ def pack(*chunks: bytes) -> bytes:
     return b"".join(parts)
 
 
-def unpack(data: bytes, count: int) -> list[bytes]:
-    """Split a pack() result back into its count chunks, which must
-    consume the whole buffer."""
+def unpack(data: bytes, count: int, offset: int = 0) -> list[bytes]:
+    """Split a pack() result that starts at offset back into its count
+    chunks, which must consume the rest of the buffer."""
     chunks = []
-    offset = 0
     end = len(data)
     while offset < end:
         start = offset + 4

@@ -14,14 +14,18 @@ a toy certificate signed by one pinned issuer (no chains, no expiry) and
 a CertificateVerify signature over the transcript; both directions
 finish with a keyed-hash MAC over everything seen so far.
 
-Wire format: every message is a frame of one type tag byte, a four-byte
-big-endian payload length, and the payload; multi-field payloads carry
-four-byte length prefixes per field.  Byte accounting is exact and
-client-centric: the transcript reports precisely what the client wrote
-and read, so handshake sizes can be compared across suites down to the
-byte.  Key and ciphertext sizes of schemes this package does not
-implement are modeled by honest stub suites dialed to the registry's
-published sizes.
+Wire format: a frame is one type tag byte, a four-byte big-endian
+payload length and the payload.  Each tag has one field layout, with one
+encoder and one decoder: ClientHello is a suite count, the suite labels
+and the key share; ServerHello the chosen label and the ciphertext;
+Certificate the subject, scheme name, subject key and issuer signature,
+each field after its four-byte length; every other message's one field
+is its whole payload.  The sides send and read (tag, fields) and build
+no message object; encode_message and decode_message wrap the same code.
+make_identity encodes a Certificate payload once, and the client checks
+its issuer signature over the payload's prefix as it arrived.  Byte
+accounting is exact and client-centric; stub suites dialed to the
+registry's published sizes model the schemes this package lacks.
 
 The key derivation is a labeled-hash construction, not HKDF: real TLS
 1.3 expands keys via HMAC-based HKDF, but this artifact deliberately
@@ -30,23 +34,20 @@ avoids reimplementing HMAC, and the labels ("c hs", "s hs", "fin c",
 
 Each side is a generator that yields at the end of its flight: the
 client after ClientHello, the server after its Finished.  run_handshake
-runs both sides in lockstep on the caller's thread and starts no thread,
-so a read the delivered bytes cannot cover ends at once in
-ConnectionClosed.  Every endpoint is a MemoryConnection, which takes
-reads from an inbox its peer's sends fill and counts a send only once it
-is delivered, so a send that fails counts nothing.  A SocketConnection
-joined to its peer relays each send through the kernel into the peer's
-inbox, one chunk at a time, so no message can fill the kernel's buffers
-and stall; alone, as tls-serve and tls-client hold it, it sends with
-sendall and fills its inbox with blocking reads.  A joined socket call
-silent for READ_DEADLINE_S, or an alone connection still at it
-READ_DEADLINE_S after it was built, raises PeerTimeout and any other
-socket error ConnectionClosed (the OSError is the cause).  A frame over
-MAX_FRAME_BYTES is MalformedFrame, and when a payload is cut short the
-error names the frame, its announced length and the bytes that arrived.
-The server side raises any failure that is not a PqbenchError as
-ServerCrashed.  Wall time starts once the server identity (keypair and
-certificate) exists.
+runs both in lockstep on the caller's thread and starts no thread, so a
+read the delivered bytes cannot cover ends at once in ConnectionClosed.
+Every endpoint is a MemoryConnection: reads come from an inbox its
+peer's sends fill, and a send counts only once delivered.  A
+SocketConnection joined to its peer relays each send through the kernel
+one chunk at a time, so no message can stall in full buffers; alone, as
+tls-serve and tls-client hold it, it uses sendall and blocking reads.
+A joined socket call silent for READ_DEADLINE_S, or an alone connection
+still at it READ_DEADLINE_S after it was built, raises PeerTimeout, and
+any other socket error ConnectionClosed (the OSError is the cause).  A
+frame over MAX_FRAME_BYTES is MalformedFrame, and a cut payload's error
+names the frame, its announced length and the bytes that arrived.  The
+server side raises any failure that is not a PqbenchError as
+ServerCrashed.  Wall time starts once the server identity exists.
 
 Divergence worth knowing: here the signature suite changes the size of
 CertificateVerify and of the certificate itself, so handshake totals DO
@@ -57,6 +58,7 @@ are classical see no such variation.
 from __future__ import annotations
 
 import functools
+import struct
 import time
 from dataclasses import dataclass
 from random import Random
@@ -70,7 +72,7 @@ from .registry import Kind, default_registry
 from .serialize import MalformedFrame, pack, read_u32, u32, unpack
 from .suites import sized_stub_kem, sized_stub_sig
 
-KEY_LABELS = ("c hs", "s hs", "fin c", "fin s")
+KEY_LABELS = (b"c hs", b"s hs", b"fin c", b"fin s")
 
 # wire sizes the registry does not publish, shared by every stub suite
 STUB_CIPHERTEXT_BYTES = 1088
@@ -178,25 +180,6 @@ class FinishedClient:
     mac: bytes
 
 
-_MESSAGE_TAGS = {
-    ClientHello: 1,
-    ServerHello: 2,
-    EncryptedExtensions: 3,
-    CertificateMessage: 4,
-    CertificateVerify: 5,
-    FinishedServer: 6,
-    FinishedClient: 7,
-}
-_TAG_TYPES = {tag: cls for cls, tag in _MESSAGE_TAGS.items()}
-# the one field each single-field message carries as its whole payload
-_SINGLE_FIELD = {
-    EncryptedExtensions: "payload",
-    CertificateVerify: "signature",
-    FinishedServer: "mac",
-    FinishedClient: "mac",
-}
-
-
 def _decode_label(raw: bytes) -> str:
     try:
         return raw.decode("utf-8")
@@ -204,51 +187,92 @@ def _decode_label(raw: bytes) -> str:
         raise MalformedFrame(f"label is not valid utf-8: {e}") from e
 
 
-def _encode_payload(msg) -> bytes:
-    single = _SINGLE_FIELD.get(type(msg))
-    if single is not None:
-        return getattr(msg, single)
-    if isinstance(msg, ClientHello):
-        return u32(len(msg.offered_suites)) + pack(
-            *(s.encode() for s in msg.offered_suites), msg.kem_public
-        )
-    if isinstance(msg, ServerHello):
-        return pack(msg.chosen_suite.encode(), msg.kem_ciphertext)
-    if isinstance(msg, CertificateMessage):
-        return certificate_signing_bytes(msg.cert) + pack(msg.cert.issuer_signature)
-    raise TypeError(f"not a handshake message: {msg!r}")
+def certificate_signing_bytes(subject: str, sig_scheme: str, subject_public_key: bytes) -> bytes:
+    """What the issuer signs, and how a Certificate payload begins:
+    subject, scheme name, and subject key."""
+    return pack(subject.encode(), sig_scheme.encode(), subject_public_key)
+
+
+def _encode_client_hello(offered_suites, kem_public: bytes) -> bytes:
+    return u32(len(offered_suites)) + pack(*[s.encode() for s in offered_suites], kem_public)
+
+
+def _decode_client_hello(payload: bytes):
+    count, at = read_u32(payload)
+    *labels, kem_public = unpack(payload, count + 1, at)
+    return tuple(map(_decode_label, labels)), kem_public
+
+
+def _encode_server_hello(chosen_suite: str, kem_ciphertext: bytes) -> bytes:
+    return pack(chosen_suite.encode(), kem_ciphertext)
+
+
+def _decode_server_hello(payload: bytes):
+    label, kem_ciphertext = unpack(payload, 2)
+    return _decode_label(label), kem_ciphertext
+
+
+def _encode_certificate(subject, sig_scheme, key, issuer_signature) -> bytes:
+    return certificate_signing_bytes(subject, sig_scheme, key) + pack(issuer_signature)
+
+
+def _decode_certificate(payload: bytes):
+    """The four Certificate fields, then the prefix the issuer signed."""
+    subject, scheme, key, signature = unpack(payload, 4)
+    signed = payload[:len(payload) - 4 - len(signature)]
+    return _decode_label(subject), _decode_label(scheme), key, signature, signed
+
+
+(CLIENT_HELLO, SERVER_HELLO, ENCRYPTED_EXTENSIONS, CERTIFICATE, CERTIFICATE_VERIFY,
+ FINISHED_SERVER, FINISHED_CLIENT) = range(1, 8)
+# each tag's message class, encoder of its fields and decoder of its
+# payload; a message whose one field is its whole payload has neither
+_LAYOUTS = {
+    CLIENT_HELLO: (ClientHello, _encode_client_hello, _decode_client_hello),
+    SERVER_HELLO: (ServerHello, _encode_server_hello, _decode_server_hello),
+    ENCRYPTED_EXTENSIONS: (EncryptedExtensions, None, None),
+    CERTIFICATE: (CertificateMessage, _encode_certificate, _decode_certificate),
+    CERTIFICATE_VERIFY: (CertificateVerify, None, None),
+    FINISHED_SERVER: (FinishedServer, None, None),
+    FINISHED_CLIENT: (FinishedClient, None, None),
+}
+_TAGS = {cls: tag for tag, (cls, _, _) in _LAYOUTS.items()}
+_NAMES = {tag: cls.__name__ for tag, (cls, _, _) in _LAYOUTS.items()}  # as logged
+_HEADER = struct.Struct(">BI")  # tag, payload length
+
+
+def _decode(tag: int, payload: bytes):
+    """A payload's fields under its tag's layout (a one-field payload as it is)."""
+    if tag not in _LAYOUTS:
+        raise MalformedFrame(f"unknown message tag {tag}")
+    decode = _LAYOUTS[tag][2]
+    return payload if decode is None else decode(payload)
 
 
 def encode_message(msg) -> bytes:
-    payload = _encode_payload(msg)
-    return bytes([_MESSAGE_TAGS[type(msg)]]) + u32(len(payload)) + payload
+    """A message object's frame, through its tag's encoder."""
+    tag = _TAGS.get(type(msg))
+    if tag is None:
+        raise TypeError(f"not a handshake message: {msg!r}")
+    fields = tuple(vars(msg.cert if tag == CERTIFICATE else msg).values())
+    encode = _LAYOUTS[tag][1]
+    payload = fields[0] if encode is None else encode(*fields)
+    return _HEADER.pack(tag, len(payload)) + payload
 
 
 def decode_message(data: bytes):
-    """Inverse of encode_message over a complete frame."""
+    """Inverse of encode_message over a complete frame, as a side decodes it."""
     if len(data) < 5:
         raise MalformedFrame(f"frame needs at least 5 bytes, got {len(data)}")
-    tag = data[0]
-    plen, offset = read_u32(data, 1)
-    payload = data[offset:]
+    tag, plen = _HEADER.unpack_from(data)
+    payload = data[5:]
     if len(payload) != plen:
         raise MalformedFrame(f"frame announces {plen} payload bytes, carries {len(payload)}")
-    cls = _TAG_TYPES.get(tag)
-    if cls is None:
-        raise MalformedFrame(f"unknown message tag {tag}")
-    if cls is ClientHello:
-        count, at = read_u32(payload, 0)
-        chunks = unpack(payload[at:], count + 1)
-        return ClientHello(tuple(_decode_label(c) for c in chunks[:-1]), chunks[-1])
-    if cls is ServerHello:
-        label, ct = unpack(payload, 2)
-        return ServerHello(_decode_label(label), ct)
-    if cls is CertificateMessage:
-        subject, scheme, key, sig = unpack(payload, 4)
-        return CertificateMessage(
-            Certificate(_decode_label(subject), _decode_label(scheme), key, sig)
-        )
-    return cls(payload)
+    fields = _decode(tag, payload)
+    cls, encode, _ = _LAYOUTS[tag]
+    if encode is None:
+        return cls(fields)
+    return CertificateMessage(Certificate(*fields[:4])) if tag == CERTIFICATE else cls(*fields)
 
 
 # --- transports ---
@@ -389,26 +413,22 @@ def memory_pair(client_send_hook=None, server_send_hook=None):
     return client, server
 
 
-def read_message(conn):
-    """One framed message off the wire: (decoded message, raw frame).
-
-    A connection lost mid-payload is raised again, as the same type with
-    the original as its cause, naming the frame, its announced length and
-    the payload bytes that arrived.
-    """
+def read_frame(conn) -> tuple[int, bytes, bytes]:
+    """One frame off the wire as (tag, header, payload), its header parsed
+    once.  A connection lost mid-payload is raised again, as the same type
+    with the original as its cause, naming the frame, its announced length
+    and the payload bytes that arrived."""
     header = conn.recv_exact(5)
-    plen, _ = read_u32(header, 1)
+    tag, plen = _HEADER.unpack(header)
     if plen > MAX_FRAME_BYTES:
         raise MalformedFrame(f"frame announces {plen} payload bytes, cap is {MAX_FRAME_BYTES}")
     try:
         payload = conn.recv_exact(plen)
     except ConnectionClosed as e:
-        cls = _TAG_TYPES.get(header[0])
-        frame = cls.__name__ if cls else f"unknown tag {header[0]}"
+        frame = _NAMES.get(tag) or f"unknown tag {tag}"
         raise type(e)(f"{frame} frame announced {plen} payload bytes, "
                       f"{e.received} arrived: {e}") from e
-    raw = header + payload
-    return decode_message(raw), raw
+    return tag, header, payload
 
 
 # --- suites, certificates, key schedule ---
@@ -434,35 +454,24 @@ class SessionKeys:
     fin_s: bytes
 
 
-def derive_keys(shared_secret: bytes, transcript_hash: bytes,
-                h: HashFunction) -> SessionKeys:
+def derive_keys(shared_secret: bytes, transcript_hash: bytes, h: HashFunction) -> SessionKeys:
     """Four domain-separated handshake keys (labeled hash, not HKDF)."""
     if not shared_secret:
         raise ValueError("shared secret must be nonempty")
-    return SessionKeys(
-        *(h(shared_secret + transcript_hash + label.encode()) for label in KEY_LABELS)
-    )
-
-
-def certificate_signing_bytes(cert: Certificate) -> bytes:
-    """What the issuer signs: subject, scheme name, and subject key."""
-    return pack(cert.subject.encode(), cert.sig_scheme.encode(),
-                cert.subject_public_key)
+    base = shared_secret + transcript_hash
+    return SessionKeys(*h.each([base + label for label in KEY_LABELS]))
 
 
 @functools.lru_cache(maxsize=64)
 def pinned_issuer(sig: SigInstance) -> tuple[bytes, Any]:
-    """The well-known issuer keypair for a signature scheme.
-
-    Derived from a fixed seed so every party can recompute it; this is
-    the single trust anchor (no chains).  The seed is hashed with pqh
-    (hashing.PQH), as it was before BLAKE2b became the default, so the
-    golden handshakes keep their values.  The keypair drawn from the seed
-    is derived with the instance's own hash, so two parties agree on the
-    anchor only when they use the same hash.  Memoised per SigInstance, so a
-    handshake pays for the derivation only the first time an instance is
-    used; timing the scheme's keypair itself goes through bench, which
-    never sees this cache.
+    """The well-known issuer keypair for a signature scheme: the single
+    trust anchor (no chains), drawn from a fixed seed so every party can
+    recompute it.  The seed is hashed with pqh (hashing.PQH), as before
+    BLAKE2b became the default, so the golden handshakes keep their values;
+    the keypair is derived with the instance's own hash, so two parties
+    agree on the anchor only under the same hash.  Memoised per SigInstance:
+    a handshake pays for the derivation only the first time an instance is
+    used, and bench, which times keypair itself, never sees this cache.
     """
     seed = PQH(b"pqbench pinned issuer: " + sig.name.encode())
     return sig.keypair(Random(seed))
@@ -470,22 +479,17 @@ def pinned_issuer(sig: SigInstance) -> tuple[bytes, Any]:
 
 @dataclass(frozen=True)
 class Identity:
-    certificate: Certificate
+    certificate_payload: bytes  # the Certificate message's payload, encoded once
     sig_secret: Any  # as sig.keypair returned it
 
 
 def make_identity(sig: SigInstance, subject: str, rng: Random) -> Identity:
+    """A server keypair and its certificate, signed by the pinned issuer:
+    the signing bytes are packed once, signed, and sent as they are."""
     _, issuer_secret = pinned_issuer(sig)
     public, secret = sig.keypair(rng)
-    body = Certificate(subject, sig.name, public, b"")
-    issuer_sig = sig.sign(issuer_secret, certificate_signing_bytes(body))
-    return Identity(Certificate(subject, sig.name, public, issuer_sig), secret)
-
-
-def verify_certificate(cert: Certificate, sig: SigInstance) -> bool:
-    issuer_public, _ = pinned_issuer(sig)
-    return sig.verify(issuer_public, certificate_signing_bytes(cert),
-                      cert.issuer_signature)
+    signed = certificate_signing_bytes(subject, sig.name, public)
+    return Identity(signed + pack(sig.sign(issuer_secret, signed)), secret)
 
 
 # --- the two state machines ---
@@ -512,29 +516,29 @@ class _Side:
         self.read = 0
         self.write = 0
 
-    def _log(self, msg, raw: bytes) -> None:
-        self.messages.append((type(msg).__name__, len(raw)))
-        self.state.update(raw)
+    def send(self, tag: int, payload: bytes) -> None:
+        frame = _HEADER.pack(tag, len(payload)) + payload
+        self.conn.send(frame)
+        self.messages.append((_NAMES[tag], len(frame)))
+        self.state.update(frame)
+        self.write += len(frame)
 
-    def send(self, msg) -> None:
-        raw = encode_message(msg)
-        self.conn.send(raw)
-        self._log(msg, raw)
-        self.write += len(raw)
-
-    def expect(self, cls):
-        msg, raw = read_message(self.conn)
-        if not isinstance(msg, cls):
-            raise UnexpectedMessage(f"wanted {cls.__name__}, got {type(msg).__name__}")
-        self._log(msg, raw)
-        self.read += len(raw)
-        return msg
-
-    def transcript_hash(self) -> bytes:
-        return self.state.digest()
+    def expect(self, tag: int):
+        """The fields of the next frame, which must carry tag.  A frame
+        that does not decode is MalformedFrame whatever its tag."""
+        got, header, payload = read_frame(self.conn)
+        fields = _decode(got, payload)
+        if got != tag:
+            raise UnexpectedMessage(f"wanted {_NAMES[tag]}, got {_NAMES[got]}")
+        size = 5 + len(payload)
+        self.messages.append((_NAMES[tag], size))
+        self.state.update(header)
+        self.state.update(payload)
+        self.read += size
+        return fields
 
     def finished_mac(self, key: bytes) -> bytes:
-        return self.h(key + self.transcript_hash())
+        return self.h(key + self.state.digest())
 
     def result(self, keys: SessionKeys) -> SideResult:
         digest = self.h(keys.client_hs + keys.server_hs + keys.fin_c + keys.fin_s)
@@ -547,29 +551,27 @@ def _client_flights(cfg: SuiteConfig, conn, rng: Random):
     side = _Side(cfg, conn)
     try:
         kem_public, kem_secret = cfg.kem.keypair(rng)
-        side.send(ClientHello((cfg.label,), kem_public))
+        side.send(CLIENT_HELLO, _encode_client_hello((cfg.label,), kem_public))
         yield
-        sh = side.expect(ServerHello)
-        if sh.chosen_suite != cfg.label:
-            raise NegotiationFailure(f"server chose unoffered suite {sh.chosen_suite!r}")
-        shared = cfg.kem.decaps(kem_secret, sh.kem_ciphertext)
-        keys = derive_keys(shared, side.transcript_hash(), cfg.hash)
-        side.expect(EncryptedExtensions)
-        cert = side.expect(CertificateMessage).cert
-        if cert.sig_scheme != cfg.sig.name:
-            raise CertVerifyFailure(
-                f"certificate carries {cert.sig_scheme!r}, suite uses {cfg.sig.name!r}"
-            )
-        if not verify_certificate(cert, cfg.sig):
+        chosen, ciphertext = side.expect(SERVER_HELLO)
+        if chosen != cfg.label:
+            raise NegotiationFailure(f"server chose unoffered suite {chosen!r}")
+        shared = cfg.kem.decaps(kem_secret, ciphertext)
+        keys = derive_keys(shared, side.state.digest(), cfg.hash)
+        side.expect(ENCRYPTED_EXTENSIONS)
+        _, scheme, public, issuer_signature, signed = side.expect(CERTIFICATE)
+        if scheme != cfg.sig.name:
+            raise CertVerifyFailure(f"certificate carries {scheme!r}, suite uses {cfg.sig.name!r}")
+        if not cfg.sig.verify(pinned_issuer(cfg.sig)[0], signed, issuer_signature):
             raise CertVerifyFailure("issuer signature rejected")
-        sign_input = side.transcript_hash()
-        cv = side.expect(CertificateVerify)
-        if not cfg.sig.verify(cert.subject_public_key, sign_input, cv.signature):
+        sign_input = side.state.digest()
+        signature = side.expect(CERTIFICATE_VERIFY)
+        if not cfg.sig.verify(public, sign_input, signature):
             raise CertVerifyFailure("CertificateVerify signature rejected")
         server_mac = side.finished_mac(keys.fin_s)
-        if side.expect(FinishedServer).mac != server_mac:
+        if side.expect(FINISHED_SERVER) != server_mac:
             raise MacMismatch("server Finished MAC rejected")
-        side.send(FinishedClient(side.finished_mac(keys.fin_c)))
+        side.send(FINISHED_CLIENT, side.finished_mac(keys.fin_c))
         return side.result(keys)
     finally:
         conn.close()
@@ -580,21 +582,19 @@ def _server_flights(cfg: SuiteConfig, identity: Identity, conn, rng: Random):
     and returns its SideResult.  It sends nothing if negotiation fails."""
     side = _Side(cfg, conn)
     try:
-        ch = side.expect(ClientHello)
-        if cfg.label not in ch.offered_suites:
-            raise NegotiationFailure(
-                f"no common suite in {ch.offered_suites!r} (serving {cfg.label!r})"
-            )
-        ciphertext, shared = cfg.kem.encaps(ch.kem_public, rng)
-        side.send(ServerHello(cfg.label, ciphertext))
-        keys = derive_keys(shared, side.transcript_hash(), cfg.hash)
-        side.send(EncryptedExtensions())
-        side.send(CertificateMessage(identity.certificate))
-        side.send(CertificateVerify(cfg.sig.sign(identity.sig_secret, side.transcript_hash())))
-        side.send(FinishedServer(side.finished_mac(keys.fin_s)))
+        offered, kem_public = side.expect(CLIENT_HELLO)
+        if cfg.label not in offered:
+            raise NegotiationFailure(f"no common suite in {offered!r} (serving {cfg.label!r})")
+        ciphertext, shared = cfg.kem.encaps(kem_public, rng)
+        side.send(SERVER_HELLO, _encode_server_hello(cfg.label, ciphertext))
+        keys = derive_keys(shared, side.state.digest(), cfg.hash)
+        side.send(ENCRYPTED_EXTENSIONS, b"")
+        side.send(CERTIFICATE, identity.certificate_payload)
+        side.send(CERTIFICATE_VERIFY, cfg.sig.sign(identity.sig_secret, side.state.digest()))
+        side.send(FINISHED_SERVER, side.finished_mac(keys.fin_s))
         yield
         client_mac = side.finished_mac(keys.fin_c)
-        if side.expect(FinishedClient).mac != client_mac:
+        if side.expect(FINISHED_CLIENT) != client_mac:
             raise MacMismatch("client Finished MAC rejected")
         return side.result(keys)
     except PqbenchError:
@@ -665,14 +665,15 @@ def run_handshake(client_cfg: SuiteConfig, server_cfg: SuiteConfig,
 
     transport is a (client endpoint, server endpoint) pair, by default a
     fresh memory_pair.  A pair of SocketConnections, whose reads would
-    block, is joined first (relay_to): each send then
-    relays its bytes through the kernel into the peer's inbox, chunk by
-    chunk, so a message of any size crosses without a second thread.  A
-    side that fails closes its endpoint, and the peer's next read or relay
-    ends at once; both endpoints are closed when the handshake ends,
-    however it ends.  The server's error wins when both sides fail, since
-    the client usually just sees the connection drop.  The clock starts
-    after make_identity, which a server does once, not per connection.
+    block, is joined first (relay_to): each send then relays its bytes
+    through the kernel into the peer's inbox, chunk by chunk, so a message
+    of any size crosses without a second thread.  A side that fails closes
+    its endpoint, and the peer's next read or relay ends at once; both
+    endpoints are closed when the handshake ends, however it ends.  The
+    server's error wins when both sides fail, since the client usually
+    just sees the connection drop.  Each call makes one server identity
+    (make_identity) before the clock starts, so wall_time_us leaves it
+    out, but a caller timing around the call counts it.
     """
     rng = rng if rng is not None else Random()
     client_end, server_end = transport if transport is not None else memory_pair()
@@ -739,9 +740,7 @@ def measure_handshake(cfg: SuiteConfig, transport_factory=memory_pair,
         reads.add(t.client_read_bytes)
         writes.add(t.client_write_bytes)
     if len(reads) != 1 or len(writes) != 1:
-        raise InconsistentByteCounts(
-            f"read sizes {sorted(reads)}, write sizes {sorted(writes)}"
-        )
+        raise InconsistentByteCounts(f"read sizes {sorted(reads)}, write sizes {sorted(writes)}")
     stats = summarize(durations, sum(durations))
     return MeasureResult(
         iterations=stats.n,

@@ -40,6 +40,7 @@ from pqbench.suites import (
     sized_stub_sig,
 )
 from pqbench.tlssim import (
+    CERTIFICATE,
     Certificate,
     CertificateMessage,
     CertificateVerify,
@@ -69,13 +70,12 @@ from pqbench.tlssim import (
     measure_handshake,
     memory_pair,
     pinned_issuer,
-    read_message,
+    read_frame,
     registry_kem_suites,
     run_handshake,
     server_handshake,
     SocketConnection,
     stub_suite,
-    verify_certificate,
 )
 
 H = DEFAULT_HASH
@@ -173,12 +173,12 @@ class ChunkedSocket:
         return head
 
 
-def test_read_message_reassembles_split_frames():
+def test_read_frame_reassembles_split_frames():
     raw = encode_message(ServerHello("suite", b"ciphertext"))
     client = SocketConnection(ChunkedSocket(raw[:3], raw[3:9], raw[9:]))
-    msg, seen = read_message(client)
-    assert msg == ServerHello("suite", b"ciphertext")
-    assert seen == raw
+    tag, header, payload = read_frame(client)
+    assert (tag, header, payload) == (2, raw[:5], raw[5:])
+    assert decode_message(header + payload) == ServerHello("suite", b"ciphertext")
 
 
 def socket_pair():
@@ -188,14 +188,14 @@ def socket_pair():
 
 
 @pytest.mark.parametrize("close", (False, True), ids=("silent", "closed"))
-def test_read_message_names_the_frame_it_lost(monkeypatch, close):
+def test_read_frame_names_the_frame_it_lost(monkeypatch, close):
     monkeypatch.setattr(tlssim, "READ_DEADLINE_S", 0.05)
     client, server = socket_pair()
     client.send(b"\x01" + u32(100) + bytes(10))  # a ClientHello cut short
     if close:
         client.close()
     with pytest.raises(ConnectionClosed) as info:
-        read_message(server)
+        read_frame(server)
     assert isinstance(info.value, PeerTimeout) is not close
     assert type(info.value.__cause__) is type(info.value)
     for word in ("ClientHello", "100", "10 arrived"):
@@ -225,18 +225,22 @@ def test_derive_keys_rejects_empty_secret():
         derive_keys(b"", b"transcript", H)
 
 
+def certificate_of(identity):
+    """The Certificate an identity's server sends."""
+    payload = identity.certificate_payload
+    return decode_message(bytes([CERTIFICATE]) + u32(len(payload)) + payload).cert
+
+
 def test_identity_verifies_and_tamper_fails():
     sig = builtin_sigs(H)["wots"]
-    ident = make_identity(sig, "server", Random(11))
-    assert verify_certificate(ident.certificate, sig)
+    cert = certificate_of(make_identity(sig, "server", Random(11)))
+    issuer_public, _ = pinned_issuer(sig)
+    signed = certificate_signing_bytes(cert.subject, cert.sig_scheme, cert.subject_public_key)
+    assert sig.verify(issuer_public, signed, cert.issuer_signature)
 
-    forged = Certificate(
-        "server-imposter",
-        ident.certificate.sig_scheme,
-        ident.certificate.subject_public_key,
-        ident.certificate.issuer_signature,
-    )
-    assert not verify_certificate(forged, sig)
+    forged = certificate_signing_bytes("server-imposter", cert.sig_scheme,
+                                       cert.subject_public_key)
+    assert not sig.verify(issuer_public, forged, cert.issuer_signature)
 
 
 def counted_keypair_sig(name="wots"):
@@ -298,9 +302,15 @@ def test_pinned_issuer_agrees_across_threads():
 
 
 def test_certificate_signing_bytes_exclude_issuer_signature():
-    a = Certificate("s", "scheme", b"key", b"sig one")
-    b = Certificate("s", "scheme", b"key", b"sig two")
-    assert certificate_signing_bytes(a) == certificate_signing_bytes(b)
+    # the signing bytes are the payload's prefix before the issuer signature
+    signed = certificate_signing_bytes("s", "scheme", b"key")
+    for signature in (b"sig one", b"sig two"):
+        raw = encode_message(CertificateMessage(Certificate("s", "scheme", b"key", signature)))
+        assert raw[5:] == signed + pack(signature)
+    identity = make_identity(builtin_sigs(H)["wots"], "server", Random(11))
+    cert = certificate_of(identity)
+    assert identity.certificate_payload == certificate_signing_bytes(
+        cert.subject, cert.sig_scheme, cert.subject_public_key) + pack(cert.issuer_signature)
 
 
 # --- transport ---
@@ -406,7 +416,7 @@ def test_dripping_peer_cannot_stretch_a_read_past_the_deadline(monkeypatch):
     started = time.monotonic()
     try:
         with pytest.raises(PeerTimeout) as info:
-            read_message(server)
+            read_frame(server)
         assert time.monotonic() - started < 1
     finally:
         stop.set()
@@ -590,6 +600,37 @@ def test_registry_suites_match_pinned_handshakes(h):
         assert t.messages == tuple(zip(MESSAGE_ORDER, sizes)), cfg.label
         assert (t.client_read_bytes, t.client_write_bytes) == (read, write), cfg.label
         assert t.server_key_digest == t.client_key_digest
+
+
+# Python-level calls (sys.setprofile "call" events, generator resumptions
+# included) of one in-memory handshake under Random(0), after a warm-up
+# handshake has filled every cache; like HASH_CALLS they do not depend on
+# the host, so protocol work that creeps back onto the floor shows without
+# a timing run.  The codec that built a dataclass per message, framed it
+# through pack and read it back through read_message made 293 and 255.
+HANDSHAKE_CALLS = {"stub-kem+fs-dlog": 202, "Kyber-768": 164}
+
+
+@pytest.mark.parametrize("label", sorted(HANDSHAKE_CALLS))
+def test_handshake_makes_at_most_its_pinned_python_calls(label):
+    if label == "Kyber-768":
+        cfg = next(c for c in registry_kem_suites() if c.label == label)
+    else:
+        cfg = SuiteConfig(builtin_kems(H)["stub-kem"], builtin_sigs(H)["fs-dlog"], H, label)
+    run_handshake(cfg, cfg, rng=Random(0))
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        t = run_handshake(cfg, cfg, rng=Random(0))
+    finally:
+        sys.setprofile(None)
+    assert t.client_key_digest == t.server_key_digest
+    assert len(calls) <= HANDSHAKE_CALLS[label], calls
 
 
 def test_in_process_handshake_starts_no_thread_and_opens_no_socket(monkeypatch):
@@ -1112,7 +1153,7 @@ def _frame_over_cap(h):
 
     def run(rng):
         try:
-            read_message(SocketConnection(sock))
+            read_frame(SocketConnection(sock))
         finally:
             assert sock.asked == [5]  # the payload is never read
 
@@ -1162,7 +1203,7 @@ PEER_INPUTS = {
     "frame-over-cap": (
         _frame_over_cap, (MalformedFrame, "16777217 payload bytes, cap is 16777216"), (0, 0)),
     "frame-of-2^32-1-bytes": (
-        _parsed(lambda raw: read_message(SocketConnection(ChunkedSocket(raw))),
+        _parsed(lambda raw: read_frame(SocketConnection(ChunkedSocket(raw))),
                 b"\x02" + u32(U32_MAX)),
         (MalformedFrame, "4294967295 payload bytes, cap"), (0, 0)),
     "client-hello-of-2^32-1-suites": (
