@@ -484,8 +484,7 @@ class Identity:
 
 
 def make_identity(sig: SigInstance, subject: str, rng: Random) -> Identity:
-    """A server keypair and its certificate, signed by the pinned issuer:
-    the signing bytes are packed once, signed, and sent as they are."""
+    """A server keypair and its Certificate payload, signed by the pinned issuer."""
     _, issuer_secret = pinned_issuer(sig)
     public, secret = sig.keypair(rng)
     signed = certificate_signing_bytes(subject, sig.name, public)
@@ -524,8 +523,7 @@ class _Side:
         self.write += len(frame)
 
     def expect(self, tag: int):
-        """The fields of the next frame, which must carry tag.  A frame
-        that does not decode is MalformedFrame whatever its tag."""
+        """The next frame's fields; it must decode, then carry tag."""
         got, header, payload = read_frame(self.conn)
         fields = _decode(got, payload)
         if got != tag:
@@ -740,7 +738,9 @@ def measure_handshake(cfg: SuiteConfig, transport_factory=memory_pair,
         reads.add(t.client_read_bytes)
         writes.add(t.client_write_bytes)
     if len(reads) != 1 or len(writes) != 1:
-        raise InconsistentByteCounts(f"read sizes {sorted(reads)}, write sizes {sorted(writes)}")
+        raise InconsistentByteCounts(
+            f"read sizes {sorted(reads)}, write sizes {sorted(writes)}"
+        )
     stats = summarize(durations, sum(durations))
     return MeasureResult(
         iterations=stats.n,
