@@ -20,8 +20,8 @@ encoder and one decoder: ClientHello is a suite count, the suite labels
 and the key share; ServerHello the chosen label and the ciphertext;
 Certificate the subject, scheme name, subject key and issuer signature,
 each field after its four-byte length; every other message's one field
-is its whole payload.  The sides send and read (tag, fields) and build
-no message object; encode_message and decode_message wrap the same code.
+is its whole payload.  A message is only its (tag, fields): the sides
+send and read that, and so do encode_message and decode_message.
 make_identity encodes a Certificate payload once, and the client checks
 its issuer signature over the payload's prefix as it arrived.  Byte
 accounting is exact and client-centric; stub suites dialed to the
@@ -46,8 +46,8 @@ still at it READ_DEADLINE_S after it was built, raises PeerTimeout, and
 any other socket error ConnectionClosed (the OSError is the cause).  A
 frame over MAX_FRAME_BYTES is MalformedFrame, and a cut payload's error
 names the frame, its announced length and the bytes that arrived.  The
-server side raises any failure that is not a PqbenchError as
-ServerCrashed.  Wall time starts once the server identity exists.
+server side, its identity included, raises any failure that is not a
+PqbenchError as ServerCrashed.  Wall time starts after make_identity.
 
 Divergence worth knowing: here the signature suite changes the size of
 CertificateVerify and of the certificate itself, so handshake totals DO
@@ -133,53 +133,6 @@ class MeasureAborted(PqbenchError):
 # --- messages and their wire form ---
 
 
-@dataclass(frozen=True)
-class ClientHello:
-    offered_suites: tuple[str, ...]
-    kem_public: bytes
-
-
-@dataclass(frozen=True)
-class ServerHello:
-    chosen_suite: str
-    kem_ciphertext: bytes
-
-
-@dataclass(frozen=True)
-class EncryptedExtensions:
-    payload: bytes = b""
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Toy credential: one subject key vouched for by the pinned issuer."""
-
-    subject: str
-    sig_scheme: str
-    subject_public_key: bytes
-    issuer_signature: bytes
-
-
-@dataclass(frozen=True)
-class CertificateMessage:
-    cert: Certificate
-
-
-@dataclass(frozen=True)
-class CertificateVerify:
-    signature: bytes
-
-
-@dataclass(frozen=True)
-class FinishedServer:
-    mac: bytes
-
-
-@dataclass(frozen=True)
-class FinishedClient:
-    mac: bytes
-
-
 def _decode_label(raw: bytes) -> str:
     try:
         return raw.decode("utf-8")
@@ -225,19 +178,18 @@ def _decode_certificate(payload: bytes):
 
 (CLIENT_HELLO, SERVER_HELLO, ENCRYPTED_EXTENSIONS, CERTIFICATE, CERTIFICATE_VERIFY,
  FINISHED_SERVER, FINISHED_CLIENT) = range(1, 8)
-# each tag's message class, encoder of its fields and decoder of its
+# each tag's name as logged, encoder of its fields and decoder of its
 # payload; a message whose one field is its whole payload has neither
 _LAYOUTS = {
-    CLIENT_HELLO: (ClientHello, _encode_client_hello, _decode_client_hello),
-    SERVER_HELLO: (ServerHello, _encode_server_hello, _decode_server_hello),
-    ENCRYPTED_EXTENSIONS: (EncryptedExtensions, None, None),
-    CERTIFICATE: (CertificateMessage, _encode_certificate, _decode_certificate),
-    CERTIFICATE_VERIFY: (CertificateVerify, None, None),
-    FINISHED_SERVER: (FinishedServer, None, None),
-    FINISHED_CLIENT: (FinishedClient, None, None),
+    CLIENT_HELLO: ("ClientHello", _encode_client_hello, _decode_client_hello),
+    SERVER_HELLO: ("ServerHello", _encode_server_hello, _decode_server_hello),
+    ENCRYPTED_EXTENSIONS: ("EncryptedExtensions", None, None),
+    CERTIFICATE: ("CertificateMessage", _encode_certificate, _decode_certificate),
+    CERTIFICATE_VERIFY: ("CertificateVerify", None, None),
+    FINISHED_SERVER: ("FinishedServer", None, None),
+    FINISHED_CLIENT: ("FinishedClient", None, None),
 }
-_TAGS = {cls: tag for tag, (cls, _, _) in _LAYOUTS.items()}
-_NAMES = {tag: cls.__name__ for tag, (cls, _, _) in _LAYOUTS.items()}  # as logged
+_NAMES = {tag: name for tag, (name, _, _) in _LAYOUTS.items()}
 _HEADER = struct.Struct(">BI")  # tag, payload length
 
 
@@ -249,30 +201,22 @@ def _decode(tag: int, payload: bytes):
     return payload if decode is None else decode(payload)
 
 
-def encode_message(msg) -> bytes:
-    """A message object's frame, through its tag's encoder."""
-    tag = _TAGS.get(type(msg))
-    if tag is None:
-        raise TypeError(f"not a handshake message: {msg!r}")
-    fields = tuple(vars(msg.cert if tag == CERTIFICATE else msg).values())
+def encode_message(tag: int, *fields) -> bytes:
+    """tag's frame of fields, through its encoder; a one-field tag's field is its payload."""
     encode = _LAYOUTS[tag][1]
     payload = fields[0] if encode is None else encode(*fields)
     return _HEADER.pack(tag, len(payload)) + payload
 
 
 def decode_message(data: bytes):
-    """Inverse of encode_message over a complete frame, as a side decodes it."""
+    """(tag, fields) of a complete frame, as a side's expect decodes them."""
     if len(data) < 5:
         raise MalformedFrame(f"frame needs at least 5 bytes, got {len(data)}")
     tag, plen = _HEADER.unpack_from(data)
     payload = data[5:]
     if len(payload) != plen:
         raise MalformedFrame(f"frame announces {plen} payload bytes, carries {len(payload)}")
-    fields = _decode(tag, payload)
-    cls, encode, _ = _LAYOUTS[tag]
-    if encode is None:
-        return cls(fields)
-    return CertificateMessage(Certificate(*fields[:4])) if tag == CERTIFICATE else cls(*fields)
+    return tag, _decode(tag, payload)
 
 
 # --- transports ---
@@ -595,12 +539,19 @@ def _server_flights(cfg: SuiteConfig, identity: Identity, conn, rng: Random):
         if side.expect(FINISHED_CLIENT) != client_mac:
             raise MacMismatch("client Finished MAC rejected")
         return side.result(keys)
-    except PqbenchError:
-        raise
     except Exception as e:
-        raise ServerCrashed(f"server raised {type(e).__name__}: {e}") from e
+        raise _server_error(e)
     finally:
         conn.close()
+
+
+def _server_error(e: Exception) -> PqbenchError:
+    """e as the server raises it: a PqbenchError as it is, else ServerCrashed."""
+    if isinstance(e, PqbenchError):
+        return e
+    crashed = ServerCrashed(f"server raised {type(e).__name__}: {e}")
+    crashed.__cause__ = e
+    return crashed
 
 
 def _finish(flights):
@@ -671,7 +622,8 @@ def run_handshake(client_cfg: SuiteConfig, server_cfg: SuiteConfig,
     server's error wins when both sides fail, since the client usually
     just sees the connection drop.  Each call makes one server identity
     (make_identity) before the clock starts, so wall_time_us leaves it
-    out, but a caller timing around the call counts it.
+    out, but a caller timing around the call counts it, and a failure in
+    it ends the call as one on the server side does.
     """
     rng = rng if rng is not None else Random()
     client_end, server_end = transport if transport is not None else memory_pair()
@@ -682,7 +634,10 @@ def run_handshake(client_cfg: SuiteConfig, server_cfg: SuiteConfig,
     identity_rng = Random(rng.randrange(2**63))
 
     try:
-        identity = make_identity(server_cfg.sig, "server", identity_rng)
+        try:
+            identity = make_identity(server_cfg.sig, "server", identity_rng)
+        except Exception as e:
+            raise _server_error(e)
         start = clock()
         client, server = _in_lockstep(
             _client_flights(client_cfg, client_end, client_rng),

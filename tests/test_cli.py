@@ -14,7 +14,7 @@ import pytest
 
 from pqbench import bench, cli, tlssim
 from pqbench.kex import KemInstance
-from pqbench.tlssim import ClientHello, encode_message
+from pqbench.tlssim import CLIENT_HELLO, encode_message
 
 KEM_FIXTURE = Path(__file__).parent.parent / "src/pqbench/data/oqs_kem_cycles.txt"
 SIG_FIXTURE = Path(__file__).parent.parent / "src/pqbench/data/oqs_sig_cycles.txt"
@@ -395,7 +395,7 @@ def test_serve_reports_a_foreign_failure_as_server_crashed(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "_tls_suites", with_fragile_kem)
     server_rc, client_rc, captured = serve_bad_then_good_client(
-        capsys, encode_message(ClientHello(("toy",), b"boom")))
+        capsys, encode_message(CLIENT_HELLO, ("toy",), b"boom"))
     assert client_rc == 0
     assert server_rc == 1
     assert re.search(r"^error: ServerCrashed: server raised IndexError: encaps exploded$",

@@ -4,15 +4,16 @@ Each frame of the table goes to three readers: decode_message over the
 whole frame, a server side that reads it in place of the ClientHello
 (the client's send hook swaps it in), and a client side that reads it in
 place of the ServerHello.  Each outcome is pinned as the exception's
-class and message text, or as the class of the decoded message, so a
-change to the frame codec keeps every refusal, and the order of its
-checks, as it was.
+class and message text, or, for a frame that decodes, as the name its
+tag is logged by, so a change to the frame codec keeps every refusal,
+and the order of its checks, as it was.
 """
 
 from random import Random
 
 import pytest
 
+from pqbench import tlssim
 from pqbench.errors import PqbenchError
 from pqbench.hashing import DEFAULT_HASH as H
 from pqbench.serialize import pack, u32
@@ -65,13 +66,19 @@ FRAMES = {
 
 
 def outcome(call):
-    """(class name, message) of the PqbenchError call ends in, or (class
-    name of its result, None)."""
+    """(class name, message) of the PqbenchError call ends in, or (what it
+    returned, None)."""
     try:
         got = call()
     except PqbenchError as e:
         return type(e).__name__, str(e)
-    return type(got).__name__, None
+    return got, None
+
+
+def decoded_as(raw: bytes) -> str:
+    """The logged name of the message decode_message reads raw as."""
+    tag, _ = decode_message(raw)
+    return tlssim._NAMES[tag]
 
 
 def server_reads(raw: bytes):
@@ -93,7 +100,7 @@ def client_reads(raw: bytes):
 
 
 def outcomes(raw: bytes):
-    return (outcome(lambda: decode_message(raw)),
+    return (outcome(lambda: decoded_as(raw)),
             outcome(lambda: server_reads(raw)),
             outcome(lambda: client_reads(raw)))
 
@@ -114,7 +121,8 @@ MESSAGE_NAMES = ("ClientHello", "ServerHello", "EncryptedExtensions", "Certifica
                  "CertificateVerify", "FinishedServer", "FinishedClient")
 
 # (decode_message, server side, client side) for each frame, as the
-# codec that read every message through a dataclass gave them
+# codec that read every message through a dataclass gave them; the one
+# frame that decodes shows as its tag's logged name
 EXPECTED = {
     "unknown-tag": _same("MalformedFrame", "unknown message tag 153"),
     "unknown-tag-with-payload": _same("MalformedFrame", "unknown message tag 0"),

@@ -58,8 +58,8 @@ KEEP = {
     "mq.AffineMap.apply": "a test reference: T(x) that apply_inverse and the substitution are checked against",
     "mq.identity_map": "a test reference builder",
     "registry.Registry.lookup": "the registry's name mapping (ROADMAP item 9) needs it",
-    "tlssim.decode_message": "a frame as a message object, through the decoder a side reads with",
-    "tlssim.encode_message": "a message object's frame, through the encoder a side sends with",
+    "tlssim.decode_message": "a frame's (tag, fields), through the decoder a side reads with",
+    "tlssim.encode_message": "the frame of (tag, fields), through the encoder a side sends with",
     "tlssim.handshake_total_bytes": "criterion 7 orders the suites by it",
 }
 
