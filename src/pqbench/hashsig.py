@@ -7,7 +7,9 @@ Three layers build on each other:
 * Winternitz one-time signatures: the message is cut into w-bit chunks and
   each chunk value selects a depth in a hash chain, trading signature size
   against chain walking.  A checksum over the chunks stops an attacker
-  from walking chains forward.
+  from walking chains forward.  Keygen walks every chain to its end once
+  and keeps each state, so signing looks its elements up and hashes
+  nothing: memory for time, as Winternitz implementations usually trade.
 * A Merkle tree over many one-time public keys turns either into a
   many-time scheme: a signature bundles the one-time signature, the
   one-time public key, and the authentication path to the published root.
@@ -20,7 +22,6 @@ reproducible by seed.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from random import Random
@@ -30,8 +31,9 @@ from .hashing import HashFunction
 from .serialize import MalformedFrame, pack, pack_vector, u32, unpack, unpack_vector
 
 SECRET_BYTES = 32
-# binary digit characters to bit values, for bytes.translate
+# binary digit characters to bit values and back, for bytes.translate
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+_DIGIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class NotPowerOfTwo(PqbenchError):
@@ -88,12 +90,23 @@ class LamportKeypair:
 
 
 def lamport_keygen(msg_bits: int, h: HashFunction, rng: Random) -> LamportKeypair:
+    return _lamport_keygens(1, msg_bits, h, rng)[0]
+
+
+def _lamport_keygens(count: int, msg_bits: int, h: HashFunction,
+                     rng: Random) -> list[LamportKeypair]:
+    """count keypairs from one _secrets draw and one h.each: the keys, and
+    the rng state after, that count lamport_keygen calls in a row give."""
     if msg_bits <= 0:
         raise LengthMismatch("msg_bits must be positive")
-    pool = _secrets(rng, 2 * msg_bits)
+    pool = _secrets(rng, 2 * msg_bits * count)
     hashed = h.each(pool)
-    return LamportKeypair(msg_bits, (pool[:msg_bits], pool[msg_bits:]),
-                          (hashed[:msg_bits], hashed[msg_bits:]))
+    keypairs = []
+    for start in range(0, len(pool), 2 * msg_bits):
+        mid, end = start + msg_bits, start + 2 * msg_bits
+        keypairs.append(LamportKeypair(msg_bits, (pool[start:mid], pool[mid:end]),
+                                       (hashed[start:mid], hashed[mid:end])))
+    return keypairs
 
 
 def lamport_sign(kp: LamportKeypair, bits) -> list[bytes]:
@@ -164,9 +177,9 @@ class WotsParams:
 
     @property
     def checksum_chunks(self) -> int:
-        # largest possible checksum, base 2**w digits needed to write it
+        # base 2**w digits needed to write the largest possible checksum
         max_sum = self.msg_chunks * self.chain_end
-        return max(1, math.ceil(math.log(max_sum + 1, 2**self.w)))
+        return -(-max_sum.bit_length() // self.w)
 
     @property
     def total_chunks(self) -> int:
@@ -174,38 +187,48 @@ class WotsParams:
 
 
 def _chunks(params: WotsParams, bits) -> list[int]:
-    """Split bits into w-bit values and append the checksum digits."""
+    """Split bits into w-bit values and append the checksum digits, most
+    significant first: the bits read as one binary numeral, then cut by
+    shifts and masks."""
     _check_bits(bits, params.msg_bits)
-    vals = []
-    for i in range(params.msg_chunks):
-        v = 0
-        for b in bits[i * params.w : (i + 1) * params.w]:
-            v = (v << 1) | b
-        vals.append(v)
-    checksum = sum(params.chain_end - v for v in vals)
-    digits = []
-    for _ in range(params.checksum_chunks):
-        digits.append(checksum % (2**params.w))
-        checksum //= 2**params.w
-    vals.extend(reversed(digits))  # most significant digit first
+    w, mask = params.w, params.chain_end
+    value = int(bytes(bits).translate(_DIGIT_CHARS), 2)
+    vals = [(value >> shift) & mask for shift in range(params.msg_bits - w, -1, -w)]
+    checksum = params.msg_chunks * mask - sum(vals)
+    top = (params.checksum_chunks - 1) * w
+    vals += [(checksum >> shift) & mask for shift in range(top, -1, -w)]
     return vals
 
 
 def wots_keygen(params: WotsParams, h: HashFunction, rng: Random):
-    """Return (secret seed list, public element list).
+    """Return (chains, public element list).
 
-    Each public element is the chain walked to its end and hashed once
-    more, so a full-depth signature element still needs one hash to check.
+    chains[i] holds chain i's states 0..chain_end, state 0 being its
+    secret seed, so signing hashes nothing.  Each public element is the
+    chain walked to its end and hashed once more, so a full-depth
+    signature element still needs one hash to check.  Each chain is walked
+    as hash_chain walks it, keeping every state.
     """
-    secret = _secrets(rng, params.total_chunks)
-    public = [hash_chain(h, s, params.chain_end + 1) for s in secret]
-    return secret, public
+    new, steps = h.new, range(params.chain_end + 1)
+    chains = []
+    for out in _secrets(rng, params.total_chunks):
+        chain = [out]
+        for _ in steps:
+            state = new()
+            state.update(out)
+            out = state.digest()
+            chain.append(out)
+        if len(out) != h.output_bytes:
+            raise h.wrong_length(out)
+        chains.append(chain)
+    return chains, [chain.pop() for chain in chains]
 
 
-def wots_sign(params: WotsParams, secret, bits, h: HashFunction) -> list[bytes]:
-    if len(secret) != params.total_chunks:
-        raise LengthMismatch("secret list has wrong length")
-    return [hash_chain(h, secret[i], v) for i, v in enumerate(_chunks(params, bits))]
+def wots_sign(params: WotsParams, chains, bits) -> list[bytes]:
+    """Each chain's state at its chunk's value, as wots_keygen kept it."""
+    if len(chains) != params.total_chunks:
+        raise LengthMismatch("chain list has wrong length")
+    return [chain[v] for chain, v in zip(chains, _chunks(params, bits))]
 
 
 def wots_verify(params: WotsParams, public, bits, sig, h: HashFunction) -> bool:
@@ -307,7 +330,7 @@ class MssSigner:
         self.msg_bits = msg_bits
         self.stateless = stateless
         self.stateless_secret = rng.randbytes(SECRET_BYTES)
-        self.keypairs = [lamport_keygen(msg_bits, h, rng) for _ in range(num_leaves)]
+        self.keypairs = _lamport_keygens(num_leaves, msg_bits, h, rng)
         leaves = [
             lamport_public_bytes(kp.public, i) for i, kp in enumerate(self.keypairs)
         ]

@@ -5,13 +5,15 @@ SigInstance contracts from kex.  Each secret key stays in the form its
 scheme uses, so no sign or decaps rebuilds or re-parses a key.  Every
 signer but the discrete-log one, whose secret is its exponent and public
 value, goes through _seeded_sig: keypair builds the full key from a
-16-byte seed and keeps (key, seed) as the secret.  Randomized signing
-draws from a hash of (seed or exponent, message), so sign is a pure
-function of (secret, message) as the contract requires.  That hash, and
-the one that stretches a seed into a key, is the instance's own h, so an
-instance hashes with nothing but the hash it was built with.  Every
-verify returns False when the scheme rejects its input as malformed by
-raising a PqbenchError.
+16-byte seed and keeps (key, seed) as the secret.  wots's key is its
+chains, every state keygen walked, so both its signatures in a handshake,
+the issuer's and CertificateVerify, are lookups that hash only the
+message.  Randomized signing draws from a hash of (seed or exponent,
+message), so sign is a pure function of (secret, message) as the contract
+requires.  That hash, and the one that stretches a seed into a key, is
+the instance's own h, so an instance hashes with nothing but the hash it
+was built with.  Every verify returns False when the scheme rejects its
+input as malformed by raising a PqbenchError.
 
 The stub instances are test doubles: honest implementations of the
 contracts with configurable key and payload sizes, used by the handshake
@@ -349,12 +351,12 @@ def wots_sig(h: HashFunction = DEFAULT_HASH) -> SigInstance:
     width, chunks = hashsig.SECRET_BYTES, params.total_chunks
 
     def derive(seed: bytes):
-        sk, public = hashsig.wots_keygen(params, h, _seed_rng(h, b"wots", seed))
-        return pack_vector(public, width), sk
+        chains, public = hashsig.wots_keygen(params, h, _seed_rng(h, b"wots", seed))
+        return pack_vector(public, width), chains
 
-    def sign(sk, seed: bytes, msg: bytes):
+    def sign(chains, seed: bytes, msg: bytes):
         bits = hashsig.message_bits(h, msg, params.msg_bits)
-        return pack_vector(hashsig.wots_sign(params, sk, bits, h), width)
+        return pack_vector(hashsig.wots_sign(params, chains, bits), width)
 
     def verify(public: bytes, msg: bytes, signature: bytes):
         public_list = unpack_vector(public, width, chunks)

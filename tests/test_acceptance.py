@@ -119,7 +119,7 @@ def test_criterion_3_scheme_roundtrips():
             msg = b"wots %d" % i
             bits = hashsig.message_bits(H, msg, 32)
             secret, public = hashsig.wots_keygen(wots_params, H, rng)
-            sig = hashsig.wots_sign(wots_params, secret, bits, H)
+            sig = hashsig.wots_sign(wots_params, secret, bits)
             if not hashsig.wots_verify(wots_params, public, bits, sig, H):
                 failures.append(("wots", i))
 

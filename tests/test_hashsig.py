@@ -15,6 +15,7 @@ from pqbench.hashsig import (
     MssSigner,
     NotPowerOfTwo,
     WotsParams,
+    _chunks,
     hash_chain,
     lamport_keygen,
     lamport_public_bytes,
@@ -85,9 +86,11 @@ def test_keygen_secrets_equal_per_secret_draws():
     assert keygen_rng.random() == rng.random()
     params = WotsParams(4, 32)
     keygen_rng = Random(8)
-    secret, _ = wots_keygen(params, H, keygen_rng)
+    chains, _ = wots_keygen(params, H, keygen_rng)
     rng = Random(8)
-    assert secret == [rng.randbytes(SECRET_BYTES) for _ in range(params.total_chunks)]
+    assert [chain[0] for chain in chains] == [
+        rng.randbytes(SECRET_BYTES) for _ in range(params.total_chunks)
+    ]
     assert keygen_rng.random() == rng.random()
 
 
@@ -146,6 +149,51 @@ def test_wots_chunk_counts():
     assert WotsParams(w=2, msg_bits=8).checksum_chunks == 2
 
 
+def _digit_count(n, base):
+    digits = 1
+    while n >= base:
+        n //= base
+        digits += 1
+    return digits
+
+
+def test_wots_checksum_width_is_the_digit_count_of_the_largest_checksum():
+    for w in range(1, 17):
+        for msg_bits in range(w, 4097, w):
+            p = WotsParams(w=w, msg_bits=msg_bits)
+            assert p.checksum_chunks == _digit_count(p.msg_chunks * p.chain_end, 2**w)
+
+
+def _chunks_per_bit(params, bits):
+    """The reference: each chunk built bit by bit, the checksum cut into
+    digits by repeated division."""
+    w = params.w
+    vals = []
+    for i in range(params.msg_chunks):
+        v = 0
+        for b in bits[i * w : (i + 1) * w]:
+            v = (v << 1) | b
+        vals.append(v)
+    checksum = sum(params.chain_end - v for v in vals)
+    digits = []
+    for _ in range(params.checksum_chunks):
+        digits.append(checksum % (2**w))
+        checksum //= 2**w
+    vals.extend(reversed(digits))  # most significant digit first
+    return vals
+
+
+@pytest.mark.parametrize("w", (1, 2, 3, 4, 8))
+def test_wots_chunks_equal_the_per_bit_reference(w):
+    rng = Random(200 + w)
+    for msg_bits in (w, 8 * w, 24 * w):
+        p = WotsParams(w=w, msg_bits=msg_bits)
+        cases = [[0] * msg_bits, [1] * msg_bits]
+        cases += [[rng.randrange(2) for _ in range(msg_bits)] for _ in range(50)]
+        for bits in cases:
+            assert _chunks(p, bits) == _chunks_per_bit(p, bits)
+
+
 def test_wots_checksum_oracle():
     # independent recomputation of the signed chain depths for a known message
     p = WotsParams(w=4, msg_bits=16)
@@ -155,36 +203,48 @@ def test_wots_checksum_oracle():
     expect = vals + [25 // 16, 25 % 16]
 
     rng = Random(11)
-    secret, public = wots_keygen(p, H, rng)
-    sig = wots_sign(p, secret, bits, H)
+    chains, public = wots_keygen(p, H, rng)
+    sig = wots_sign(p, chains, bits)
     for i, v in enumerate(expect):
-        assert sig[i] == hash_chain(H, secret[i], v)
+        assert sig[i] == hash_chain(H, chains[i][0], v)
     assert wots_verify(p, public, bits, sig, H)
 
 
 def test_wots_zero_chunk_reveals_secret():
     p = WotsParams(w=4, msg_bits=8)
-    secret, public = wots_keygen(p, H, Random(12))
-    sig = wots_sign(p, secret, [0] * 8, H)
-    assert sig[0] == secret[0]
-    assert sig[1] == secret[1]
+    chains, public = wots_keygen(p, H, Random(12))
+    sig = wots_sign(p, chains, [0] * 8)
+    assert sig[0] == chains[0][0]
+    assert sig[1] == chains[1][0]
 
 
 def test_wots_public_is_chain_end_plus_one():
     p = WotsParams(w=2, msg_bits=4)
-    secret, public = wots_keygen(p, H, Random(13))
-    for s, pk in zip(secret, public):
-        assert pk == hash_chain(H, s, p.chain_end + 1)
+    chains, public = wots_keygen(p, H, Random(13))
+    for chain, pk in zip(chains, public):
+        assert pk == hash_chain(H, chain[0], p.chain_end + 1)
+
+
+@pytest.mark.parametrize("w,msg_bits", [(1, 8), (2, 4), (4, 16)])
+def test_wots_chains_hold_every_state(w, msg_bits):
+    p = WotsParams(w=w, msg_bits=msg_bits)
+    chains, public = wots_keygen(p, H, Random(16))
+    assert len(chains) == len(public) == p.total_chunks
+    for chain, pk in zip(chains, public):
+        assert len(chain) == p.chain_end + 1
+        for j, state in enumerate(chain):
+            assert state == hash_chain(H, chain[0], j)
+        assert pk == hash_chain(H, chain[-1], 1)
 
 
 @pytest.mark.parametrize("w,msg_bits", [(1, 8), (2, 8), (4, 16), (8, 16)])
 def test_wots_roundtrip(w, msg_bits):
     p = WotsParams(w=w, msg_bits=msg_bits)
     rng = Random(100 + w)
-    secret, public = wots_keygen(p, H, rng)
+    chains, public = wots_keygen(p, H, rng)
     for _ in range(20):
         bits = [rng.randrange(2) for _ in range(msg_bits)]
-        sig = wots_sign(p, secret, bits, H)
+        sig = wots_sign(p, chains, bits)
         assert wots_verify(p, public, bits, sig, H)
 
 
@@ -193,9 +253,9 @@ def test_wots_chain_walk_forgery_fails():
     # checksum chain would have to walk backwards; verify must refuse
     p = WotsParams(w=4, msg_bits=8)
     rng = Random(14)
-    secret, public = wots_keygen(p, H, rng)
+    chains, public = wots_keygen(p, H, rng)
     bits = [0, 0, 1, 1, 0, 1, 0, 1]  # chunks [3, 5]
-    sig = wots_sign(p, secret, bits, H)
+    sig = wots_sign(p, chains, bits)
     forged_bits = [0, 1, 0, 0, 0, 1, 0, 1]  # first chunk 3 -> 4
     forged = sig.copy()
     forged[0] = H(forged[0])  # advance the chain one step
@@ -205,9 +265,9 @@ def test_wots_chain_walk_forgery_fails():
 def test_wots_tampered_element_fails():
     p = WotsParams(w=4, msg_bits=16)
     rng = Random(15)
-    secret, public = wots_keygen(p, H, rng)
+    chains, public = wots_keygen(p, H, rng)
     bits = [rng.randrange(2) for _ in range(16)]
-    sig = wots_sign(p, secret, bits, H)
+    sig = wots_sign(p, chains, bits)
     for i in range(p.total_chunks):
         bad = sig.copy()
         bad[i] = bytes([bad[i][0] ^ 0x40]) + bad[i][1:]
@@ -294,6 +354,22 @@ def test_mss_roundtrip_and_exhaustion():
         signer.sign(b"one too many")
 
 
+@pytest.mark.parametrize("stateless", (False, True))
+def test_mss_keys_equal_per_leaf_lamport_keygen(stateless):
+    # one draw and one h.each for all leaves give the keys, the root and
+    # the rng state that one lamport_keygen per leaf gives
+    rng = Random(32)
+    signer = MssSigner(8, 16, H, rng, stateless=stateless)
+    ref = Random(32)
+    secret = ref.randbytes(SECRET_BYTES)
+    keypairs = [lamport_keygen(16, H, ref) for _ in range(8)]
+    leaves = [lamport_public_bytes(kp.public, i) for i, kp in enumerate(keypairs)]
+    assert signer.stateless_secret == secret
+    assert signer.keypairs == keypairs
+    assert signer.root == merkle_build(leaves, H).root
+    assert rng.random() == ref.random()
+
+
 def test_mss_signature_binds_message():
     signer = MssSigner(8, 16, H, Random(22))
     sig = signer.sign(b"genuine")
@@ -366,12 +442,12 @@ def test_completeness_sweep_all_three_schemes():
     rng = Random(27)
     kp = lamport_keygen(16, H, rng)
     p = WotsParams(w=4, msg_bits=16)
-    wsecret, wpublic = wots_keygen(p, H, rng)
+    wchains, wpublic = wots_keygen(p, H, rng)
     signer = MssSigner(16, 16, H, rng, stateless=True)
     for _ in range(300):
         bits = [rng.randrange(2) for _ in range(16)]
         assert lamport_verify(kp.public, bits, lamport_sign(kp, bits), H)
-        assert wots_verify(p, wpublic, bits, wots_sign(p, wsecret, bits, H), H)
+        assert wots_verify(p, wpublic, bits, wots_sign(p, wchains, bits), H)
         msg = rng.randbytes(12)
         assert mss_verify(signer.root, msg, signer.sign(msg), H)
 

@@ -524,7 +524,7 @@ def test_lamport_sign_hashes_only_the_message():
 
 # hash calls of keypair, sign and verify under a fixed seed; they do not
 # depend on the host, so a kernel change that adds or drops hashing shows
-HASH_CALLS = {"lamport": (65, 1, 33), "wots": (161, 61, 101), "mss": (528, 2, 37)}
+HASH_CALLS = {"lamport": (65, 1, 33), "wots": (161, 1, 101), "mss": (528, 2, 37)}
 
 
 @pytest.mark.parametrize("name", sorted(HASH_CALLS))
@@ -635,19 +635,19 @@ HASHSIG_HANDSHAKES = {
         "ec29d5b3430f9773a56bf5fe55c88444545af0705356ea451c49424e012beab0",
     ),
     "ecdh-toy+wots": (
-        (39, 35, 5, 751, 365, 37, 37), 509,
+        (39, 35, 5, 751, 365, 37, 37), 389,
         "c3f70d096c9cc0797649b942b452ee2495eb1b82b36838f0d5f0300cf519ea90",
     ),
     "lwe-toy+wots": (
-        (141, 225, 5, 751, 365, 37, 37), 509,
+        (141, 225, 5, 751, 365, 37, 37), 389,
         "b9bcb18e960500cb0628b2ea7eedee7f8c489a332eabeb42a33a1cac1296555b",
     ),
     "mceliece-toy+wots": (
-        (50, 58, 5, 751, 365, 37, 37), 509,
+        (50, 58, 5, 751, 365, 37, 37), 359,
         "5e8f429118cdec78d3198b81365545c1468b61a935cf7e6ea93e57839cf71fc8",
     ),
     "stub-kem+wots": (
-        (30, 30, 5, 751, 365, 37, 37), 509,
+        (30, 30, 5, 751, 365, 37, 37), 374,
         "a4b9825f616926da23163abb0b950957ce522744f44c52c6821c3b42fa8c9469",
     ),
     "ecdh-toy+mss": (
@@ -686,6 +686,49 @@ def test_hashsig_suites_match_pinned_handshakes(label):
     t = run_handshake(cfg, cfg, rng=Random(0))
     assert len(counting.lengths) == calls
     assert t.client_key_digest.hex() == digest
+
+
+# hash calls of a handshake outside its five signature operations: per
+# side, 4 for the key schedule, 2 transcript digests before the Finished
+# MACs, 4 for the MACs and 1 for the result, plus the KEM's one hash in
+# encaps and one in decaps, which every built-in KEM makes; none depends on
+# the signer, so the term is the same for every hashsig suite
+PROTOCOL_HASH_CALLS = 24
+
+
+@pytest.mark.parametrize("label", sorted(HASHSIG_HANDSHAKES))
+def test_hashsig_handshake_calls_are_signature_operations_plus_protocol(label):
+    # each pinned count is the identity keypair, the issuer's signature,
+    # CertificateVerify's signature, the client's two verifies and one
+    # protocol term, so a count that moves names the operation that moved
+    kem_name, sig_name = label.split("+")
+    counting = CountingHash()
+    h = counting.h
+    inner = builtin_sigs(h)[sig_name]
+    ops = []
+
+    def counted_op(op, run):
+        def wrapped(*args):
+            before = len(counting.lengths)
+            out = run(*args)
+            ops.append((op, len(counting.lengths) - before))
+            return out
+        return wrapped
+
+    sig = kex.SigInstance(inner.name, counted_op("keypair", inner.keypair),
+                          counted_op("sign", inner.sign), counted_op("verify", inner.verify))
+    cfg = SuiteConfig(builtin_kems(h)[kem_name], sig, h, label)
+    pinned_issuer(cfg.sig)
+    ops.clear()
+    counting.lengths.clear()
+    run_handshake(cfg, cfg, rng=Random(0))
+    assert [op for op, _ in ops] == ["keypair", "sign", "sign", "verify", "verify"]
+    (_, keypair), (_, issuer), (_, cert_verify), (_, verify1), (_, verify2) = ops
+    keypair_calls, sign_calls, _ = HASH_CALLS[sig_name]
+    assert (keypair, issuer, cert_verify) == (keypair_calls, sign_calls, sign_calls)
+    signature_calls = keypair + issuer + cert_verify + verify1 + verify2
+    assert len(counting.lengths) == HASHSIG_HANDSHAKES[label][1]
+    assert HASHSIG_HANDSHAKES[label][1] - signature_calls == PROTOCOL_HASH_CALLS
 
 
 def _widen_one_time_lists(fields, width):

@@ -349,7 +349,8 @@ def test_memory_endpoint_counts_bytes():
     client, server = memory_pair()
     client.send(b"12345")
     assert client.bytes_sent == 5
-    assert server.recv_exact(2) == b"12"
+    got = server.recv_exact(2)
+    assert got == b"12" and type(got) is bytes
     assert server.recv_exact(3) == b"345"
     assert server.bytes_received == 5
     server.send(b"ok")
