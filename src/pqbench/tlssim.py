@@ -64,7 +64,6 @@ from dataclasses import dataclass
 from random import Random
 from typing import Any, Callable
 
-from .bench import summarize
 from .errors import PqbenchError
 from .hashing import DEFAULT_HASH, PQH, HashFunction
 from .kex import KemInstance, SigInstance
@@ -678,6 +677,9 @@ def measure_handshake(cfg: SuiteConfig, transport_factory=memory_pair,
                       clock: Callable[[], int] = time.monotonic_ns) -> MeasureResult:
     """Run the handshake repeatedly with fresh keys and report client-side
     wall-time statistics plus the (constant) byte counts."""
+    # the timing harness loads only when a measurement is asked for
+    from .bench import summarize
+
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     rng = rng if rng is not None else Random()

@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 from pqbench.errors import LengthMismatch
 from pqbench.hashing import PQH
 from pqbench.serialize import pack, unpack
-from pqbench.suites import MSS_DEPTH, OTS_MSG_BITS, builtin_sigs
+from pqbench.adapters import MSS_DEPTH, OTS_MSG_BITS
+from pqbench.suites import builtin_sigs
 from pqbench.hashsig import (
     SECRET_BYTES,
     IndexOutOfRange,

@@ -76,7 +76,7 @@ CALLED_OUTSIDE_A_HANDSHAKE = {
     "hashing.HashState.digest": ("hashing.HashFunction", "a protocol stub the states implement"),
     "hashing.HashState.update": ("hashing.HashFunction", "a protocol stub the states implement"),
     "lattice.LweParams.is_guaranteed_correct": (
-        "lattice.guaranteed_params", "checks suites.LWE_PARAMS once, at import"),
+        "lattice.guaranteed_params", "checks adapters.LWE_PARAMS once, at import"),
     "lattice.SisInstance.m": ("lattice.sis_brute_force", "a brute-force oracle (criterion 4)"),
     "mq.MqSystem.m": ("mq.brute_force_preimages", "a brute-force oracle (criterion 4)"),
     "mq.QuadPoly.coefficients": (

@@ -1,5 +1,6 @@
 """The runtime imports nothing outside the standard library, and not
-hashlib either."""
+hashlib either; a run loads a package module only when its handshakes or
+its set-up use it."""
 
 import ast
 import os
@@ -37,10 +38,7 @@ def test_importing_the_package_leaves_hashlib_unloaded():
     # the default hash comes from _blake2 directly to stay clear of it
     probe = ("import sys, pqbench.cli, pqbench.tlssim, pqbench.suites; "
              "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, timeout=60, check=True,
-                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
-    assert done.stdout.strip() == "[]"
+    assert run_probe(probe) == "[]"
 
 
 def test_registry_handshakes_leave_sha3_unloaded():
@@ -51,7 +49,77 @@ def test_registry_handshakes_leave_sha3_unloaded():
              "for cfg in pqbench.tlssim.registry_kem_suites():\n"
              "    pqbench.tlssim.run_handshake(cfg, cfg, rng=Random(0))\n"
              "print('_sha3' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+    assert run_probe(probe) == "False"
+
+
+SCHEME_MODULES = ["codecrypt", "hashsig", "lattice", "mq", "sigma"]
+
+REGISTRY_RUN_PROBE = """
+import sys
+from random import Random
+from pqbench import suites, tlssim
+
+def loaded(names):
+    return [name for name in names if "pqbench." + name in sys.modules]
+
+for cfg in tlssim.registry_kem_suites():
+    tlssim.run_handshake(cfg, cfg, rng=Random(0))
+print(loaded(%r))
+suites.builtin_kems()
+suites.builtin_sigs()
+print(loaded(%r))
+""" % (["bench", "binmat", *SCHEME_MODULES], SCHEME_MODULES)
+
+
+def test_registry_handshakes_load_no_scheme_module():
+    # cli is left out: its emitters need bench
+    registry_run, built_in = run_probe(REGISTRY_RUN_PROBE).splitlines()
+    assert registry_run == "[]"
+    assert built_in == str(SCHEME_MODULES)
+
+
+# in this process every module is already loaded, so the probe runs in a
+# fresh interpreter, where an import in a handshake would show
+TIMED_PATH_PROBE = """
+import socket, sys
+from random import Random
+from pqbench import suites, tlssim
+from pqbench.hashing import DEFAULT_HASH
+
+def tcp_pair():
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client = socket.create_connection(listener.getsockname(), timeout=5)
+        server, _ = listener.accept()
+    return tlssim.SocketConnection(client), tlssim.SocketConnection(server)
+
+kems, sigs = suites.builtin_kems(), suites.builtin_sigs()
+configs = tlssim.registry_kem_suites() + [
+    tlssim.SuiteConfig(kem, sig, DEFAULT_HASH, kem.name + "+" + sig.name)
+    for sig in sigs.values() for kem in kems.values()]
+for cfg in configs:
+    tlssim.run_handshake(cfg, cfg, rng=Random(0))
+# connected first: resolving the loopback address loads encodings.idna,
+# a cost of this probe's connect and not of a handshake
+over_tcp = [(cfg, tcp_pair()) for cfg in configs if cfg.sig.name in ("uov", "fs-dlog")]
+before = set(sys.modules)
+for cfg in configs:
+    tlssim.run_handshake(cfg, cfg, rng=Random(1))
+for cfg, transport in over_tcp:
+    tlssim.run_handshake(cfg, cfg, transport, rng=Random(2))
+print(len(configs), len(over_tcp), sorted(set(sys.modules) - before))
+"""
+
+
+def test_no_module_loads_on_the_timed_path():
+    # a lazy import belongs in set-up, where setup_s counts it, not in a
+    # timed handshake after the warm-up
+    assert run_probe(TIMED_PATH_PROBE) == "27 8 []"
+
+
+def run_probe(source: str) -> str:
+    """The stripped stdout of source, run in a fresh interpreter that
+    imports pqbench from this checkout."""
+    done = subprocess.run([sys.executable, "-c", source], capture_output=True,
                           text=True, timeout=60, check=True,
                           env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()

@@ -7,22 +7,14 @@ from random import Random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from pqbench import codecrypt, hashsig, kex, lattice, mq, suites
+from pqbench import adapters, codecrypt, hashsig, kex, lattice, mq, suites
 from pqbench.binmat import BinaryMatrix
 from pqbench.errors import LengthMismatch, PqbenchError
 from pqbench.hashing import DEFAULT_HASH, PQH, HashFunction
 from pqbench.kex import DecapsFailure, draws
 from pqbench.serialize import MalformedFrame, pack, pack_bits, unpack
-from pqbench.suites import (
-    _stretch,
-    builtin_kems,
-    builtin_sigs,
-    lamport_sig,
-    mss_sig,
-    sized_stub_kem,
-    sized_stub_sig,
-    wots_sig,
-)
+from pqbench.adapters import lamport_sig, mss_sig, wots_sig
+from pqbench.suites import _stretch, builtin_kems, builtin_sigs, sized_stub_kem, sized_stub_sig
 from pqbench.tlssim import SuiteConfig, pinned_issuer, registry_kem_suites, run_handshake
 
 KEMS = sorted(builtin_kems().values(), key=lambda k: k.name)
@@ -151,7 +143,7 @@ def test_sig_rejects_truncated_signature(sig):
 def test_lwe_samples_on_the_wire_are_the_lanes_the_kernel_reads():
     # _lwe_parse_pk hands each sample's bytes, read as one int, to
     # lattice.lwe_encrypt_bits, which reads them in sample_lanes
-    assert lattice.sample_lanes(suites.LWE_PARAMS).format == suites.LWE_SAMPLE.format
+    assert lattice.sample_lanes(adapters.LWE_PARAMS).format == adapters.LWE_SAMPLE.format
 
 
 def test_lwe_kem_shared_secret_depends_on_bits():
@@ -169,12 +161,12 @@ def reference_encaps(name, public, rng, h):
     pack the blocks most significant first and hash the bit string."""
     if name == "lwe-toy":
         samples = [lattice.LweSample(values[:-1], values[-1]) for values in
-                   map(suites.LWE_SAMPLE.unpack, unpack(public, suites.LWE_PARAMS.m))]
-        field = suites.LWE_SCALAR_BITS
-        width = (suites.LWE_PARAMS.n + 1) * field
+                   map(adapters.LWE_SAMPLE.unpack, unpack(public, adapters.LWE_PARAMS.m))]
+        field = adapters.LWE_SCALAR_BITS
+        width = (adapters.LWE_PARAMS.n + 1) * field
 
         def encrypt_bit(bit):
-            a, b = lattice.lwe_encrypt_bit(samples, bit, suites.LWE_PARAMS, rng)
+            a, b = lattice.lwe_encrypt_bit(samples, bit, adapters.LWE_PARAMS, rng)
             return functools.reduce(lambda acc, x: acc << field | x, (*a, b), 0)
     else:
         key = codecrypt.McEliecePublicKey(*codecrypt.deserialize_code_matrix(public))
@@ -327,16 +319,16 @@ def reference_decaps(name, secret, ciphertext, h):
     """decaps of lwe-toy or mceliece-toy one block at a time through the
     per-bit references, with the adapter's DecapsFailure messages."""
     if name == "lwe-toy":
-        q, field = suites.LWE_PARAMS.q, suites.LWE_SCALAR_BITS
-        width = (suites.LWE_PARAMS.n + 1) * field
+        q, field = adapters.LWE_PARAMS.q, adapters.LWE_SCALAR_BITS
+        width = (adapters.LWE_PARAMS.n + 1) * field
 
         def decrypt_bit(block):
             vals = [(block >> (field * i)) & ((1 << field) - 1)
-                    for i in reversed(range(suites.LWE_PARAMS.n + 1))]
+                    for i in reversed(range(adapters.LWE_PARAMS.n + 1))]
             if max(vals) >= q:
                 raise DecapsFailure(
                     f"{name}: LWE ciphertext value {max(vals)} is not below q={q}")
-            return lattice.lwe_decrypt_bit(secret, (vals[:-1], vals[-1]), suites.LWE_PARAMS)
+            return lattice.lwe_decrypt_bit(secret, (vals[:-1], vals[-1]), adapters.LWE_PARAMS)
     else:
         width = secret.code.n
 
@@ -388,7 +380,7 @@ def test_lwe_decaps_rejects_a_field_not_below_q():
     rng = Random(48)
     pk, sk = kem.keypair(rng)
     ct, ss = kem.encaps(pk, rng)
-    q, width = suites.LWE_PARAMS.q, suites.LWE_PARAMS.q.bit_length()
+    q, width = adapters.LWE_PARAMS.q, adapters.LWE_PARAMS.q.bit_length()
     acc = int.from_bytes(ct, "big")
     # the last field of the ciphertext with room for + q in its width
     shift = next(w for w in range(0, 8 * len(ct), width)
@@ -758,8 +750,8 @@ def test_mss_verify_refuses_another_shape_before_hashing(reshape, size):
 
 def test_lamport_verify_refuses_a_wide_element_before_any_hash():
     counting = CountingHash()
-    kp = hashsig.lamport_keygen(suites.OTS_MSG_BITS, counting.h, Random(60))
-    bits = hashsig.message_bits(counting.h, b"m", suites.OTS_MSG_BITS)
+    kp = hashsig.lamport_keygen(adapters.OTS_MSG_BITS, counting.h, Random(60))
+    bits = hashsig.message_bits(counting.h, b"m", adapters.OTS_MSG_BITS)
     sig = hashsig.lamport_sign(kp, bits)
     assert hashsig.lamport_verify(kp.public, bits, sig, counting.h)
     sig[5] = bytes(1 << 20)
@@ -789,7 +781,7 @@ def test_stub_kem_decaps_hashes_once():
 
 
 @pytest.mark.parametrize("name,module,parser", [
-    ("lwe-toy", suites, "_lwe_parse_pk"),
+    ("lwe-toy", adapters, "_lwe_parse_pk"),
     ("mceliece-toy", codecrypt, "deserialize_code_matrix"),
 ])
 def test_encaps_parses_the_public_key_once(monkeypatch, name, module, parser):

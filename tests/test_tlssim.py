@@ -33,14 +33,8 @@ from pqbench.kex import (
     encode_point,
 )
 from pqbench.serialize import U32_MAX, MalformedFrame, pack, pack_vector, u32, unpack
-from pqbench.suites import (
-    MSS_DEPTH,
-    OTS_MSG_BITS,
-    builtin_kems,
-    builtin_sigs,
-    sized_stub_kem,
-    sized_stub_sig,
-)
+from pqbench.adapters import MSS_DEPTH, OTS_MSG_BITS
+from pqbench.suites import builtin_kems, builtin_sigs, sized_stub_kem, sized_stub_sig
 from pqbench.tlssim import (
     CERTIFICATE,
     CLIENT_HELLO,
