@@ -4,12 +4,13 @@ values from kex.
 Each secret key stays in the form its scheme uses, so no sign or decaps
 rebuilds or re-parses a key.  Every signer but the discrete-log one, whose
 secret is its exponent and public value, goes through suites._seeded_sig:
-keypair builds the full key from a 16-byte seed and keeps (key, seed) as
-the secret.  wots's key is its chains, every state keygen walked, so both
-its signatures in a handshake, the issuer's and CertificateVerify, are
-lookups that hash only the message.  Randomized signing draws from a hash
-of (seed or exponent, message), so sign is a pure function of (secret,
-message) as the contract requires.  That hash, and the one that stretches
+keypair builds the full key from a 16-byte seed and keeps it as the
+secret, with the seed too for uov, which signs at random.  wots's key is
+its chains, every state keygen walked, so both its signatures in a
+handshake, the issuer's and CertificateVerify, are lookups that hash only
+the message.  Randomized signing draws from a hash of (seed or exponent,
+message), so sign is a pure function of (secret, message) as the
+contract requires.  That hash, and the one that stretches
 a seed into a key, is the instance's own h, so an instance hashes with
 nothing but the hash it was built with.  Every verify returns False when
 the scheme rejects its input as malformed by raising a PqbenchError.
@@ -219,7 +220,7 @@ def lamport_sig(h: HashFunction = DEFAULT_HASH) -> SigInstance:
         kp = hashsig.lamport_keygen(OTS_MSG_BITS, h, _seed_rng(h, b"lamport", seed))
         return pack(pack_vector(kp.public[0], width), pack_vector(kp.public[1], width)), kp
 
-    def sign(kp, seed: bytes, msg: bytes):
+    def sign(kp, msg: bytes):
         bits = hashsig.message_bits(h, msg, OTS_MSG_BITS)
         return pack_vector(hashsig.lamport_sign(kp, bits), width)
 
@@ -241,7 +242,7 @@ def wots_sig(h: HashFunction = DEFAULT_HASH) -> SigInstance:
         chains, public = hashsig.wots_keygen(params, h, _seed_rng(h, b"wots", seed))
         return pack_vector(public, width), chains
 
-    def sign(chains, seed: bytes, msg: bytes):
+    def sign(chains, msg: bytes):
         bits = hashsig.message_bits(h, msg, params.msg_bits)
         return pack_vector(hashsig.wots_sign(params, chains, bits), width)
 
@@ -263,7 +264,7 @@ def mss_sig(h: HashFunction = DEFAULT_HASH) -> SigInstance:
         )
         return signer.root, signer
 
-    def sign(signer, seed: bytes, msg: bytes):
+    def sign(signer, msg: bytes):
         return hashsig.serialize_mss_signature(signer.sign(msg))
 
     def verify(public: bytes, msg: bytes, signature: bytes):
@@ -279,9 +280,10 @@ def mss_sig(h: HashFunction = DEFAULT_HASH) -> SigInstance:
 def uov_sig(h: HashFunction = DEFAULT_HASH) -> SigInstance:
     def derive(seed: bytes):
         kp = mq.uov_keygen(UOV_PARAMS, _seed_rng(h, b"uov", seed))
-        return kp.public, kp.private
+        return kp.public, (kp.private, seed)
 
-    def sign(private, seed: bytes, msg: bytes):
+    def sign(secret, msg: bytes):
+        private, seed = secret
         return bytes(mq.uov_sign(private, msg, h, _seed_rng(h, b"uov-sign", seed, msg)))
 
     def verify(public: bytes, msg: bytes, signature: bytes):

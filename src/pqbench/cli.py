@@ -24,7 +24,7 @@ from argparse import ArgumentParser
 from pathlib import Path
 from random import Random
 
-from . import bench, registry, suites, tlssim
+from . import registry, suites, tlssim
 from .errors import PqbenchError
 from .hashing import DEFAULT_HASH
 from .registry import AlgoClass, AlgoClassKind
@@ -54,8 +54,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="verb", metavar="VERB", parser_class=_Parser)
 
     for verb, what, schemes, run, noun in (
-            ("bench-kem", "a KEM", suites.builtin_kems, bench.bench_kem, "KEM"),
-            ("bench-sig", "a signature scheme", suites.builtin_sigs, bench.bench_sig,
+            ("bench-kem", "a KEM", suites.builtin_kems, "bench_kem", "KEM"),
+            ("bench-sig", "a signature scheme", suites.builtin_sigs, "bench_sig",
              "signature scheme")):
         p = sub.add_parser(verb, help=f"benchmark {what}")
         p.add_argument("--scheme", required=True, help="built-in scheme name")
@@ -107,20 +107,14 @@ def build_parser() -> _Parser:
 
 
 def _emit(records, fmt):
+    from . import bench
+
     if fmt == "csv":
         sys.stdout.write(bench.emit_csv(records))
     elif fmt == "chart":
         sys.stdout.write(bench.emit_chart_data(records))
     else:
         sys.stdout.write(bench.emit_text(records))
-
-
-def _bench_config(ns) -> bench.BenchConfig:
-    try:
-        return bench.BenchConfig(interval_seconds=ns.interval,
-                                 min_samples=ns.min_samples)
-    except ValueError as e:
-        raise UsageError(str(e)) from e
 
 
 def _pick(table, name, what):
@@ -131,12 +125,17 @@ def _pick(table, name, what):
 
 def cmd_bench(ns) -> int:
     """bench-kem and bench-sig: ns carries the verb's scheme table, its
-    runner and the noun that names a scheme in a usage error."""
+    runner's name in bench and the noun that names a scheme in a usage error."""
+    from . import bench
+
     inst = _pick(ns.schemes(DEFAULT_HASH), ns.scheme, ns.noun)
-    cfg = _bench_config(ns)
+    try:
+        cfg = bench.BenchConfig(interval_seconds=ns.interval, min_samples=ns.min_samples)
+    except ValueError as e:
+        raise UsageError(str(e)) from e
     print(f"benchmarking {ns.scheme} over {cfg.interval_seconds}s intervals",
           file=sys.stderr)
-    _emit(ns.run(inst, cfg, Random(ns.seed)), ns.fmt)
+    _emit(getattr(bench, ns.run)(inst, cfg, Random(ns.seed)), ns.fmt)
     return 0
 
 
@@ -235,6 +234,8 @@ def cmd_assess(ns) -> int:
 
 
 def cmd_report(ns) -> int:
+    from . import bench
+
     records = bench.parse_text(Path(ns.infile).read_text())
     print(f"parsed {len(records)} records from {ns.infile}", file=sys.stderr)
     _emit(records, ns.fmt)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 
 from .errors import LengthMismatch, PqbenchError
@@ -167,21 +168,21 @@ class WotsParams:
         if self.msg_bits < 1 or self.msg_bits % self.w:
             raise ValueError("msg_bits must be a positive multiple of w")
 
-    @property
+    @cached_property
     def chain_end(self) -> int:
         return 2**self.w - 1
 
-    @property
+    @cached_property
     def msg_chunks(self) -> int:
         return self.msg_bits // self.w
 
-    @property
+    @cached_property
     def checksum_chunks(self) -> int:
         # base 2**w digits needed to write the largest possible checksum
         max_sum = self.msg_chunks * self.chain_end
         return -(-max_sum.bit_length() // self.w)
 
-    @property
+    @cached_property
     def total_chunks(self) -> int:
         return self.msg_chunks + self.checksum_chunks
 

@@ -96,19 +96,13 @@ def _rejecting(verify):
 
 def _seeded_sig(name: str, derive, sign, verify) -> SigInstance:
     """A signer keyed by a 16-byte seed: derive(seed) builds (public
-    bytes, full key), the secret is (key, seed), and sign(key, seed, msg)
-    signs with the built key."""
+    bytes, secret), and sign(secret, msg) signs with that secret as it
+    was built."""
 
     def keypair(rng: Random):
-        seed = rng.randbytes(16)
-        public, key = derive(seed)
-        return public, (key, seed)
+        return derive(rng.randbytes(16))
 
-    def sign_with_key(secret, msg: bytes):
-        key, seed = secret
-        return sign(key, seed, msg)
-
-    return SigInstance(name, keypair, sign_with_key, _rejecting(verify))
+    return SigInstance(name, keypair, sign, _rejecting(verify))
 
 
 def sized_stub_sig(name: str, public_bytes: int, signature_bytes: int,
@@ -121,7 +115,7 @@ def sized_stub_sig(name: str, public_bytes: int, signature_bytes: int,
         public = _stretch(h, b"sigpk" + seed, public_bytes)
         return public, public
 
-    def sign(public: bytes, seed: bytes, msg: bytes):
+    def sign(public: bytes, msg: bytes):
         return _stretch(h, public + msg, signature_bytes)
 
     def verify(public: bytes, msg: bytes, signature: bytes):

@@ -37,7 +37,7 @@ client after ClientHello, the server after its Finished.  run_handshake
 runs both in lockstep on the caller's thread and starts no thread, so a
 read the delivered bytes cannot cover ends at once in ConnectionClosed.
 Every endpoint is a MemoryConnection: reads come from an inbox its
-peer's sends fill, and a send counts only once delivered.  A
+peer's sends fill, and whoever drives a side closes its endpoint.  A
 SocketConnection joined to its peer relays each send through the kernel
 one chunk at a time, so no message can stall in full buffers; alone, as
 tls-serve and tls-client hold it, it uses sendall and blocking reads.
@@ -226,12 +226,11 @@ class MemoryConnection:
     builds on, joined in process by memory_pair.
 
     send applies send_hook, which may rewrite outgoing bytes (tests use it
-    to corrupt frames in flight), delivers the result into the peer's
-    inbox, and then counts it, so a send that fails counts nothing and
-    the counters track post-hook sizes.  recv_exact takes from this end's
-    inbox and never waits: in lockstep a side reads only once its peer
-    has sent all it can before hearing back, so a read the inbox cannot
-    cover ends at once in ConnectionClosed.
+    to corrupt frames in flight), and delivers the result into the peer's
+    inbox.  recv_exact takes from this end's inbox and never waits: in
+    lockstep a side reads only once its peer has sent all it can before
+    hearing back, so a read the inbox cannot cover ends at once in
+    ConnectionClosed.
     """
 
     def __init__(self, send_hook=None):
@@ -239,8 +238,6 @@ class MemoryConnection:
         self._inbox = bytearray()
         self._peer: MemoryConnection | None = None
         self.closed = False
-        self.bytes_sent = 0
-        self.bytes_received = 0
 
     def relay_to(self, peer: MemoryConnection) -> None:
         """Join this end and peer, the other end of its connection, so that
@@ -251,7 +248,6 @@ class MemoryConnection:
         if self._hook is not None:
             data = self._hook(data)
         self._deliver(data)
-        self.bytes_sent += len(data)
 
     def _deliver(self, data: bytes) -> None:
         if self.closed or self._peer.closed:
@@ -267,7 +263,6 @@ class MemoryConnection:
         # one copy, out of a view that is gone before the inbox shrinks
         data = memoryview(self._inbox)[:n].tobytes()
         del self._inbox[:n]
-        self.bytes_received += n
         return data
 
     def close(self) -> None:
@@ -303,7 +298,7 @@ class SocketConnection(MemoryConnection):
         except TimeoutError as e:
             waited = time.monotonic() - self._built
             raise PeerTimeout(f"{op.__name__}: timed out {waited:.2f} s after connecting, "
-                              f"{self.bytes_received + len(self._inbox)} bytes read") from e
+                              f"{len(self._inbox)} bytes read") from e
         except OSError as e:
             raise ConnectionClosed(f"{op.__name__} failed: {e!r}") from e
 
@@ -320,25 +315,25 @@ class SocketConnection(MemoryConnection):
         while rest:
             sent = self._call(self._sock.send, rest)
             rest = rest[sent:]
-            while sent:
-                got = peer._call(peer._sock.recv, sent)
+            peer._fill(len(peer._inbox) + sent)
+
+    def _fill(self, n: int) -> None:
+        """Read the socket until the inbox holds n bytes; a failure's
+        received is what the inbox holds."""
+        inbox = self._inbox
+        try:
+            while len(inbox) < n:
+                got = self._call(self._sock.recv, n - len(inbox))
                 if not got:
-                    raise ConnectionClosed(f"peer closed with {sent} relayed bytes unread")
-                peer._inbox += got
-                sent -= len(got)
+                    raise ConnectionClosed(f"peer closed with {len(inbox)} of {n} bytes read")
+                inbox += got
+        except ConnectionClosed as e:
+            e.received = len(inbox)
+            raise
 
     def recv_exact(self, n: int) -> bytes:
         if self._peer is None:
-            inbox = self._inbox
-            try:
-                while len(inbox) < n:
-                    got = self._call(self._sock.recv, n - len(inbox))
-                    if not got:
-                        raise ConnectionClosed(f"peer closed with {len(inbox)} of {n} bytes read")
-                    inbox += got
-            except ConnectionClosed as e:
-                e.received = len(inbox)
-                raise
+            self._fill(n)
         return super().recv_exact(n)
 
     def close(self) -> None:
@@ -390,20 +385,12 @@ class SuiteConfig:
             raise ValueError("suite label must be nonempty")
 
 
-@dataclass(frozen=True)
-class SessionKeys:
-    client_hs: bytes
-    server_hs: bytes
-    fin_c: bytes
-    fin_s: bytes
-
-
-def derive_keys(shared_secret: bytes, transcript_hash: bytes, h: HashFunction) -> SessionKeys:
-    """Four domain-separated handshake keys (labeled hash, not HKDF)."""
+def derive_keys(shared_secret: bytes, transcript_hash: bytes, h: HashFunction) -> list[bytes]:
+    """One handshake key per KEY_LABELS label, in order (labeled hash, not HKDF)."""
     if not shared_secret:
         raise ValueError("shared secret must be nonempty")
     base = shared_secret + transcript_hash
-    return SessionKeys(*h.each([base + label for label in KEY_LABELS]))
+    return h.each([base + label for label in KEY_LABELS])
 
 
 @functools.lru_cache(maxsize=64)
@@ -482,41 +469,38 @@ class _Side:
     def finished_mac(self, key: bytes) -> bytes:
         return self.h(key + self.state.digest())
 
-    def result(self, keys: SessionKeys) -> SideResult:
-        digest = self.h(keys.client_hs + keys.server_hs + keys.fin_c + keys.fin_s)
-        return SideResult(digest, tuple(self.messages), self.read, self.write)
+    def result(self, keys: list[bytes]) -> SideResult:
+        return SideResult(self.h(b"".join(keys)), tuple(self.messages), self.read, self.write)
 
 
 def _client_flights(cfg: SuiteConfig, conn, rng: Random):
     """The client side as a generator: it yields once, after ClientHello,
     and returns its SideResult."""
     side = _Side(cfg, conn)
-    try:
-        kem_public, kem_secret = cfg.kem.keypair(rng)
-        side.send(CLIENT_HELLO, _encode_client_hello((cfg.label,), kem_public))
-        yield
-        chosen, ciphertext = side.expect(SERVER_HELLO)
-        if chosen != cfg.label:
-            raise NegotiationFailure(f"server chose unoffered suite {chosen!r}")
-        shared = cfg.kem.decaps(kem_secret, ciphertext)
-        keys = derive_keys(shared, side.state.digest(), cfg.hash)
-        side.expect(ENCRYPTED_EXTENSIONS)
-        _, scheme, public, issuer_signature, signed = side.expect(CERTIFICATE)
-        if scheme != cfg.sig.name:
-            raise CertVerifyFailure(f"certificate carries {scheme!r}, suite uses {cfg.sig.name!r}")
-        if not cfg.sig.verify(pinned_issuer(cfg.sig)[0], signed, issuer_signature):
-            raise CertVerifyFailure("issuer signature rejected")
-        sign_input = side.state.digest()
-        signature = side.expect(CERTIFICATE_VERIFY)
-        if not cfg.sig.verify(public, sign_input, signature):
-            raise CertVerifyFailure("CertificateVerify signature rejected")
-        server_mac = side.finished_mac(keys.fin_s)
-        if side.expect(FINISHED_SERVER) != server_mac:
-            raise MacMismatch("server Finished MAC rejected")
-        side.send(FINISHED_CLIENT, side.finished_mac(keys.fin_c))
-        return side.result(keys)
-    finally:
-        conn.close()
+    kem_public, kem_secret = cfg.kem.keypair(rng)
+    side.send(CLIENT_HELLO, _encode_client_hello((cfg.label,), kem_public))
+    yield
+    chosen, ciphertext = side.expect(SERVER_HELLO)
+    if chosen != cfg.label:
+        raise NegotiationFailure(f"server chose unoffered suite {chosen!r}")
+    shared = cfg.kem.decaps(kem_secret, ciphertext)
+    keys = derive_keys(shared, side.state.digest(), cfg.hash)
+    side.expect(ENCRYPTED_EXTENSIONS)
+    _, scheme, public, issuer_signature, signed = side.expect(CERTIFICATE)
+    if scheme != cfg.sig.name:
+        raise CertVerifyFailure(f"certificate carries {scheme!r}, suite uses {cfg.sig.name!r}")
+    if not cfg.sig.verify(pinned_issuer(cfg.sig)[0], signed, issuer_signature):
+        raise CertVerifyFailure("issuer signature rejected")
+    sign_input = side.state.digest()
+    signature = side.expect(CERTIFICATE_VERIFY)
+    if not cfg.sig.verify(public, sign_input, signature):
+        raise CertVerifyFailure("CertificateVerify signature rejected")
+    _, _, fin_c, fin_s = keys
+    server_mac = side.finished_mac(fin_s)
+    if side.expect(FINISHED_SERVER) != server_mac:
+        raise MacMismatch("server Finished MAC rejected")
+    side.send(FINISHED_CLIENT, side.finished_mac(fin_c))
+    return side.result(keys)
 
 
 def _server_flights(cfg: SuiteConfig, identity: Identity, conn, rng: Random):
@@ -530,19 +514,18 @@ def _server_flights(cfg: SuiteConfig, identity: Identity, conn, rng: Random):
         ciphertext, shared = cfg.kem.encaps(kem_public, rng)
         side.send(SERVER_HELLO, _encode_server_hello(cfg.label, ciphertext))
         keys = derive_keys(shared, side.state.digest(), cfg.hash)
+        _, _, fin_c, fin_s = keys
         side.send(ENCRYPTED_EXTENSIONS, b"")
         side.send(CERTIFICATE, identity.certificate_payload)
         side.send(CERTIFICATE_VERIFY, cfg.sig.sign(identity.sig_secret, side.state.digest()))
-        side.send(FINISHED_SERVER, side.finished_mac(keys.fin_s))
+        side.send(FINISHED_SERVER, side.finished_mac(fin_s))
         yield
-        client_mac = side.finished_mac(keys.fin_c)
+        client_mac = side.finished_mac(fin_c)
         if side.expect(FINISHED_CLIENT) != client_mac:
             raise MacMismatch("client Finished MAC rejected")
         return side.result(keys)
     except Exception as e:
         raise _server_error(e)
-    finally:
-        conn.close()
 
 
 def _server_error(e: Exception) -> PqbenchError:
@@ -554,27 +537,30 @@ def _server_error(e: Exception) -> PqbenchError:
     return crashed
 
 
-def _finish(flights):
-    """Run one side's generator to its end; its SideResult."""
+def _finish(flights, conn):
+    """Run one side's generator to its end over conn, then close conn,
+    however the side ended; its SideResult."""
     try:
         while True:
             next(flights)
     except StopIteration as done:
         return done.value
+    finally:
+        conn.close()
 
 
 def client_handshake(cfg: SuiteConfig, conn, rng: Random) -> SideResult:
     """Drive the client side to mutual Finished over conn, reading with
-    conn's own blocking reads."""
-    return _finish(_client_flights(cfg, conn, rng))
+    conn's own blocking reads, and close conn when it ends."""
+    return _finish(_client_flights(cfg, conn, rng), conn)
 
 
 def server_handshake(cfg: SuiteConfig, identity: Identity, conn,
                      rng: Random) -> SideResult:
-    """Drive the server side, as client_handshake does.  A failure that is
-    not a PqbenchError is raised as ServerCrashed, with the original as
-    its cause."""
-    return _finish(_server_flights(cfg, identity, conn, rng))
+    """Drive the server side over conn and close it when it ends, as
+    client_handshake does.  A failure that is not a PqbenchError is raised
+    as ServerCrashed, with the original as its cause."""
+    return _finish(_server_flights(cfg, identity, conn, rng), conn)
 
 
 # --- orchestration ---
@@ -616,8 +602,8 @@ def run_handshake(client_cfg: SuiteConfig, server_cfg: SuiteConfig,
     fresh memory_pair.  A pair of SocketConnections, whose reads would
     block, is joined first (relay_to): each send then relays its bytes
     through the kernel into the peer's inbox, chunk by chunk, so a message
-    of any size crosses without a second thread.  A side that fails closes
-    its endpoint, and the peer's next read or relay ends at once; both
+    of any size crosses without a second thread.  When a side fails, its
+    peer's next read finds its inbox short and ends at once; both
     endpoints are closed when the handshake ends, however it ends.  The
     server's error wins when both sides fail, since the client usually
     just sees the connection drop.  Each call makes one server identity

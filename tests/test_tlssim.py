@@ -219,8 +219,7 @@ def test_derive_keys_is_deterministic_and_separated():
     keys = derive_keys(b"secret", b"transcript", H)
     again = derive_keys(b"secret", b"transcript", H)
     assert keys == again
-    values = {keys.client_hs, keys.server_hs, keys.fin_c, keys.fin_s}
-    assert len(values) == 4
+    assert len(keys) == 4 and len(set(keys)) == 4
 
     other_secret = derive_keys(b"secre7", b"transcript", H)
     other_transcript = derive_keys(b"secret", b"transcripT", H)
@@ -339,17 +338,14 @@ def test_memory_endpoint_close_unblocks_reader():
     client.close()
 
 
-def test_memory_endpoint_counts_bytes():
+def test_memory_endpoint_delivers_bytes_in_order():
     client, server = memory_pair()
     client.send(b"12345")
-    assert client.bytes_sent == 5
     got = server.recv_exact(2)
     assert got == b"12" and type(got) is bytes
     assert server.recv_exact(3) == b"345"
-    assert server.bytes_received == 5
     server.send(b"ok")
     assert client.recv_exact(2) == b"ok"
-    assert (server.bytes_sent, client.bytes_received) == (2, 2)
     client.close()
     server.close()
 
@@ -365,7 +361,6 @@ def test_memory_endpoint_short_read_ends_at_once(monkeypatch):
     assert time.monotonic() - started < 1
     assert not isinstance(info.value, PeerTimeout)
     assert info.value.received == 3
-    assert server.bytes_received == 0
     # the peer is still open: the bytes stay for a read they cover
     assert server.recv_exact(3) == b"abc"
 
@@ -375,15 +370,13 @@ def test_memory_send_after_peer_closed_raises_connection_closed():
     client.close()
     with pytest.raises(ConnectionClosed):
         server.send(b"late")
-    assert server.bytes_sent == 0
     with pytest.raises(ConnectionClosed):
         client.send(b"after own close")
-    assert client.bytes_sent == 0
 
 
 def test_socket_send_after_peer_closed_raises_connection_closed():
     # alone, send is sendall; joined, it relays into the closed peer: a
-    # send that fails counts nothing either way, not the bytes the kernel took
+    # send fails either way, whatever bytes the kernel took
     joined = tcp_pair()
     joined[0].relay_to(joined[1])
     for client, server in (socket_pair(), joined):
@@ -391,7 +384,6 @@ def test_socket_send_after_peer_closed_raises_connection_closed():
         with pytest.raises(ConnectionClosed) as info:
             server.send(b"late")
         assert isinstance(info.value.__cause__, OSError)
-        assert server.bytes_sent == 0
         server.close()
 
 
@@ -619,7 +611,7 @@ def test_registry_suites_match_pinned_handshakes(h):
 # the host, so protocol work that creeps back onto the floor shows without
 # a timing run.  The codec that built a dataclass per message, framed it
 # through pack and read it back through read_message made 293 and 255.
-HANDSHAKE_CALLS = {"stub-kem+fs-dlog": 202, "Kyber-768": 164}
+HANDSHAKE_CALLS = {"stub-kem+fs-dlog": 198, "Kyber-768": 158, "stub-kem+wots": 219}
 
 
 @pytest.mark.parametrize("label", sorted(HANDSHAKE_CALLS))
@@ -627,7 +619,8 @@ def test_handshake_makes_at_most_its_pinned_python_calls(label):
     if label == "Kyber-768":
         cfg = next(c for c in registry_kem_suites() if c.label == label)
     else:
-        cfg = SuiteConfig(builtin_kems(H)["stub-kem"], builtin_sigs(H)["fs-dlog"], H, label)
+        kem, sig = label.split("+")
+        cfg = SuiteConfig(builtin_kems(H)[kem], builtin_sigs(H)[sig], H, label)
     run_handshake(cfg, cfg, rng=Random(0))
     calls = []
 
@@ -677,13 +670,13 @@ def test_all_builtin_suites_complete():
 
 
 def test_negotiation_failure_sends_nothing():
-    transport = memory_pair()
+    sent = []
+    transport = memory_pair(None, lambda data: sent.append(data) or data)
     client_cfg = small_suite("suite-a")
     server_cfg = small_suite("suite-b")
     with pytest.raises(NegotiationFailure):
         run_handshake(client_cfg, server_cfg, transport)
-    _, server_end = transport
-    assert server_end.bytes_sent == 0
+    assert sent == []
 
 
 def test_client_rejects_unoffered_choice():
@@ -1067,9 +1060,6 @@ def test_relay_carries_a_flight_larger_than_the_socket_buffers():
     t = run_handshake(cfg, cfg, (client_end, server_end), rng=Random(0))
     assert dataclasses.replace(t, wall_time_us=0) == \
         dataclasses.replace(in_memory, wall_time_us=0)
-    # the endpoints count what crossed them, as if they had moved it themselves
-    assert client_end.bytes_sent == server_end.bytes_received == t.client_write_bytes
-    assert server_end.bytes_sent == client_end.bytes_received == t.client_read_bytes
 
 
 def test_tcp_handshake_starts_no_thread(monkeypatch):
